@@ -72,18 +72,30 @@ def check_eligibility(system: AnySystem, matching: Matching) -> AxiomVerdict:
 
 
 def check_respect_priorities(system: AnySystem, matching: Matching) -> AxiomVerdict:
+    """No unmatched agent ranks above an occupant of any category. The
+    witness is the first failing (unmatched agent, category) pair in index
+    order, with the lowest-index occupant it outranks there; O(n·K)."""
     base = base_of(system)
-    for agent in range(base.num_agents):
-        if matching.assignment[agent] is not None:
+    occupants: list[list[int]] = [[] for _ in range(base.num_categories)]
+    for agent, c in enumerate(matching.assignment):
+        if c is not None:
+            occupants[c].append(agent)
+    lowest = [
+        max((base.position(c, b) for b in occ), default=-1)
+        for c, occ in enumerate(occupants)
+    ]
+    for agent, assigned in enumerate(matching.assignment):
+        if assigned is not None:
             continue
         for c in range(base.num_categories):
-            for other in matching.agents_in(c):
-                if base.position(c, agent) < base.position(c, other):
-                    return AxiomVerdict(
-                        RESPECT_PRIORITIES,
-                        False,
-                        {"unmatched": agent, "matched": other, "category": c},
-                    )
+            pos = base.position(c, agent)
+            if pos < lowest[c]:
+                other = next(b for b in occupants[c] if pos < base.position(c, b))
+                return AxiomVerdict(
+                    RESPECT_PRIORITIES,
+                    False,
+                    {"unmatched": agent, "matched": other, "category": c},
+                )
     return AxiomVerdict(RESPECT_PRIORITIES, True)
 
 

@@ -66,25 +66,33 @@ def build_graph(system: ReserveSystem) -> EligibilityGraph:
 
 
 class GraphMatching:
-    """Mutable working matching over an eligibility graph."""
+    """Mutable working matching over an eligibility graph.
 
-    __slots__ = ("assignment", "load", "members")
+    Mutate only through ``assign`` and ``unassign``: they keep the loads,
+    the member sets and the running count of matched agents in step.
+    """
+
+    __slots__ = ("assignment", "load", "members", "_size")
 
     def __init__(self, num_agents: int, num_categories: int):
         self.assignment: list[Optional[int]] = [None] * num_agents
         self.load: list[int] = [0] * num_categories
         self.members: list[set[int]] = [set() for _ in range(num_categories)]
+        self._size = 0
 
     def copy(self) -> "GraphMatching":
         other = GraphMatching(len(self.assignment), len(self.load))
         other.assignment = list(self.assignment)
         other.load = list(self.load)
         other.members = [set(m) for m in self.members]
+        other._size = self._size
         return other
 
     def assign(self, agent: int, c: int) -> None:
         old = self.assignment[agent]
-        if old is not None:
+        if old is None:
+            self._size += 1
+        else:
             self.load[old] -= 1
             self.members[old].discard(agent)
         self.assignment[agent] = c
@@ -97,9 +105,11 @@ class GraphMatching:
             self.load[old] -= 1
             self.members[old].discard(agent)
             self.assignment[agent] = None
+            self._size -= 1
 
     def size(self) -> int:
-        return sum(1 for c in self.assignment if c is not None)
+        """Number of matched agents, O(1)."""
+        return self._size
 
     def to_matching(self) -> Matching:
         return Matching(tuple(self.assignment))
@@ -169,6 +179,9 @@ def maximum_matching(
             else:
                 dist[a] = _INF
         frontier = _INF
+        # A full category's members all get their distance the first time
+        # any agent reaches it, so each category is expanded once.
+        expanded = [False] * graph.num_categories
         while queue:
             a = queue.popleft()
             if dist[a] >= frontier:
@@ -179,28 +192,62 @@ def maximum_matching(
                 if match.load[c] < graph.capacities[c]:
                     if frontier == _INF:
                         frontier = dist[a] + 1
-                else:
-                    for b in sorted(match.members[c]):
+                elif not expanded[c]:
+                    expanded[c] = True
+                    for b in match.members[c]:
                         if dist[b] == _INF:
                             dist[b] = dist[a] + 1
                             queue.append(b)
         return frontier != _INF
 
-    def dfs(a: int) -> bool:
+    # (category, layer) pairs whose scan for agents at that layer came up
+    # empty this phase; a category is full for the rest of the phase once
+    # scanned, so only an agent of that layer entering it can revive it.
+    dead: set[tuple[int, float]] = set()
+
+    def moves(a: int):
+        """Yield (c, b): agent a can enter c by pushing its member b one
+        layer on, or by taking a free slot when b is None."""
+        layer = dist[a] + 1
         for c in graph.agent_adj[a]:
-            if not cat_ok(c):
+            if not cat_ok(c) or (c, layer) in dead:
                 continue
             if match.load[c] < graph.capacities[c]:
-                match.assign(a, c)
-                return True
+                yield c, None
+                return  # never resumed: a free slot ends the search
             for b in sorted(match.members[c]):
-                if dist[b] == dist[a] + 1 and dfs(b):
-                    match.assign(a, c)
-                    return True
-        dist[a] = _INF
+                if dist[b] == layer:
+                    yield c, b
+            dead.add((c, layer))
+
+    def dfs(root: int) -> bool:
+        """Depth-first search for an augmenting path along the layers, on an
+        explicit stack: agents, categories and candidates are visited in
+        ascending order, and an agent that leads nowhere leaves the layers."""
+        path = [root]  # agents on the current path
+        cats: list[int] = []  # cats[k]: the category path[k] is entering
+        steps = [moves(root)]
+        while steps:
+            step = next(steps[-1], None)
+            if step is None:
+                dist[path.pop()] = _INF
+                steps.pop()
+                if cats:
+                    cats.pop()
+                continue
+            c, b = step
+            cats.append(c)
+            if b is None:
+                for agent, cat in zip(reversed(path), reversed(cats)):
+                    match.assign(agent, cat)
+                    dead.discard((cat, dist[agent]))
+                return True
+            path.append(b)
+            steps.append(moves(b))
         return False
 
     while bfs():
+        dead.clear()
         for a in range(n):
             if agent_ok(a) and match.assignment[a] is None:
                 dfs(a)

@@ -8,7 +8,6 @@ index unless an explicit order override is supplied.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,12 +101,13 @@ def _validate_permutation(order: Sequence[int], size: int, what: str) -> tuple[i
 
 
 class _ThresholdGraph:
-    """Eligibility graph with per-category priority thresholds and removed
-    agents; supports journaled augmentation with rollback."""
+    """Per-category priority thresholds and removed agents, plus the agent
+    under check (``banned``) and its tentative cuts (``tight``). An edge
+    (a, c) is active iff a is neither removed nor banned and sits in c's
+    active priority prefix."""
 
-    def __init__(self, system: ReserveSystem, graph: EligibilityGraph):
+    def __init__(self, system: ReserveSystem):
         self.system = system
-        self.graph = graph
         self.removed = [False] * system.num_agents
         self.thresh = [
             system.priorities[c].eligible_cutoff for c in range(system.num_categories)
@@ -115,14 +115,11 @@ class _ThresholdGraph:
         self.tight: dict[int, int] = {}
         self.banned: Optional[int] = None
 
-    def active(self, agent: int, c: int) -> bool:
-        if self.removed[agent] or agent == self.banned:
-            return False
-        pos = self.system.position(c, agent)
-        limit = self.thresh[c]
-        if c in self.tight:
-            limit = min(limit, self.tight[c])
-        return pos < limit
+    def prefix(self, c: int) -> tuple[int, ...]:
+        """Agents above c's current cut, highest priority first; may still
+        hold removed agents and the banned one."""
+        limit = min(self.thresh[c], self.tight.get(c, self.thresh[c]))
+        return self.system.priorities[c].ordered_agents[:limit]
 
     def begin_check(self, agent: int) -> None:
         self.banned = agent
@@ -145,38 +142,50 @@ class _ThresholdGraph:
 
 
 def _augment_once(
-    tg: _ThresholdGraph, match: GraphMatching, journal: list[tuple[int, Optional[int]]]
+    tg: _ThresholdGraph,
+    match: GraphMatching,
+    capacities: Sequence[int],
+    journal: list[tuple[int, Optional[int]]],
 ) -> bool:
-    """One multi-source augmenting-path search over all free agents."""
-    graph = tg.graph
-    free = [
-        a
-        for a in range(graph.num_agents)
-        if match.assignment[a] is None and not tg.removed[a] and a != tg.banned
-    ]
-    visited = set(free)
+    """One augmenting-path search over the active edges, run backwards from
+    the categories with a free slot.
+
+    Each category is expanded at most once per search: its active priority
+    prefix is scanned, a free agent there closes the path, and a matched one
+    queues the category it holds. So a search costs one pass over the active
+    edges.
+
+    Which path is found cannot change what ``rev_allocate`` returns. Every
+    rejection only asks whether a matching of the original size still exists
+    on the active edges, and any exact augmenting search gives the same
+    answer to that; the returned matching is then computed from scratch on
+    the surviving graph.
+    """
+    removed, banned, assignment = tg.removed, tg.banned, match.assignment
+    stack = [c for c, cap in enumerate(capacities) if match.load[c] < cap]
+    queued = [False] * len(capacities)
+    for c in stack:
+        queued[c] = True
+    # category -> (agent that leaves it, category that agent moves to)
     parent: dict[int, tuple[int, int]] = {}
-    queue = deque(free)
-    while queue:
-        a = queue.popleft()
-        for c in graph.agent_adj[a]:
-            if not tg.active(a, c):
+    while stack:
+        c = stack.pop()
+        for a in tg.prefix(c):
+            if removed[a] or a == banned:
                 continue
-            if match.load[c] < graph.capacities[c]:
-                cur, target = a, c
+            d = assignment[a]
+            if d is None:
+                # a enters c; each displaced agent steps toward the free slot
                 while True:
-                    journal.append((cur, match.assignment[cur]))
-                    match.assign(cur, target)
-                    if cur in parent:
-                        prev, shared = parent[cur]
-                        cur, target = prev, shared
-                    else:
+                    journal.append((a, assignment[a]))
+                    match.assign(a, c)
+                    if c not in parent:
                         return True
-            for b in sorted(match.members[c]):
-                if b not in visited:
-                    visited.add(b)
-                    parent[b] = (a, c)
-                    queue.append(b)
+                    a, c = parent[c]
+            if not queued[d]:
+                queued[d] = True
+                parent[d] = (a, c)
+                stack.append(d)
     return False
 
 
@@ -184,12 +193,15 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
     """Reverse rejecting: walk the baseline order backwards, rejecting each
     agent whose removal (together with all strictly lower-priority edges in
     the categories they are eligible for) keeps a maximum matching of the
-    original size; return a maximum matching of the surviving graph."""
+    original size; return a maximum matching of the surviving graph.
+
+    Each check costs one augmenting search per matched unit it cuts, against
+    one maximum matching for the whole of ``mma_allocate``."""
     order = _validate_permutation(baseline, system.num_agents, "baseline")
     graph = build_graph(system)
     match = maximum_matching(graph)
     m = match.size()
-    tg = _ThresholdGraph(system, graph)
+    tg = _ThresholdGraph(system)
 
     for agent in reversed(order):
         tg.begin_check(agent)
@@ -197,18 +209,12 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
         if match.assignment[agent] is not None:
             journal.append((agent, match.assignment[agent]))
             match.unassign(agent)
-        for c in list(tg.tight):
-            pos = tg.tight[c]
-            for b in sorted(match.members[c]):
-                if system.position(c, b) > pos:
-                    journal.append((b, c))
-                    match.unassign(b)
-        recovered = True
-        while match.size() < m:
-            if not _augment_once(tg, match, journal):
-                recovered = False
-                break
-        if recovered:
+        for c, pos in tg.tight.items():
+            for b in [b for b in match.members[c] if system.position(c, b) > pos]:
+                journal.append((b, c))
+                match.unassign(b)
+        lost = len(journal)  # one entry per unit cut so far
+        if all(_augment_once(tg, match, graph.capacities, journal) for _ in range(lost)):
             tg.commit_check()
         else:
             tg.abort_check()
@@ -317,9 +323,15 @@ def mma_allocate(
         for rank, c in enumerate(order):
             cat_rank[c] = rank
     cats_of = [
-        sorted(system.agent_categories(a), key=lambda c: (cat_rank[c], c))
-        for a in range(system.num_agents)
+        sorted(adj, key=lambda c: (cat_rank[c], c)) for adj in graph.agent_adj
     ]
+    # Per category, a heap of its occupants with the lowest priority on top.
+    occupants = [
+        [(-system.position(c, b), b) for b in match.members[c]]
+        for c in range(system.num_categories)
+    ]
+    for heap in occupants:
+        heapq.heapify(heap)
 
     considered: list[set[int]] = [set() for _ in range(system.num_agents)]
     log: list[TraceEntry] = []
@@ -340,12 +352,14 @@ def mma_allocate(
             if match.load[c] < graph.capacities[c]:
                 # unreachable from a maximum seed; kept for trace completeness
                 match.assign(agent, c)
+                heapq.heappush(occupants[c], (-system.position(c, agent), agent))
                 log.append(TraceEntry(agent, c, ACCEPTED))
                 break
-            if not match.members[c]:
+            if not occupants[c]:
                 continue  # zero-capacity category
-            lowest = max(match.members[c], key=lambda b: system.position(c, b))
-            if system.position(c, agent) < system.position(c, lowest):
+            neg_lowest, lowest = occupants[c][0]
+            if system.position(c, agent) < -neg_lowest:
+                heapq.heapreplace(occupants[c], (-system.position(c, agent), agent))
                 match.unassign(lowest)
                 match.assign(agent, c)
                 log.append(TraceEntry(agent, c, DISPLACED, lowest))

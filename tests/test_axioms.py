@@ -18,6 +18,7 @@ from reservematch.model import (
     SequentialReserveSystem,
     as_sequential,
 )
+from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import scu_allocate
 
 
@@ -35,6 +36,50 @@ def test_respect_priorities(contested_pair):
     assert axioms.check_respect_priorities(contested_pair, Matching((None, 0, 1))).passed
     # vacuous when everyone who could envy is matched
     assert axioms.check_respect_priorities(contested_pair, Matching((0, 1, None))).passed
+
+
+def _respect_priorities_reference(system, matching):
+    """The definition as a quadratic scan: unmatched agents, then categories,
+    then occupants, all in index order."""
+    for agent in range(system.num_agents):
+        if matching.assignment[agent] is not None:
+            continue
+        for c in range(system.num_categories):
+            for other in matching.agents_in(c):
+                if system.position(c, agent) < system.position(c, other):
+                    return False, {"unmatched": agent, "matched": other, "category": c}
+    return True, None
+
+
+def test_respect_priorities_matches_quadratic_scan():
+    rng = random.Random(4711)
+    outcomes = set()
+    for _ in range(150):
+        system = GeneratorSpec(
+            num_agents=rng.randint(1, 30),
+            num_categories=rng.randint(1, 5),
+            capacity=rng.choice(["uniform:0:3", "const:2", "uniform:1:6"]),
+            density=rng.choice([0.2, 0.5, 1.0]),
+            seed=rng.randrange(1 << 30),
+        ).build()
+        # a random eligibility-compliant matching within capacities
+        loads = [0] * system.num_categories
+        assignment = [None] * system.num_agents
+        for agent in rng.sample(range(system.num_agents), system.num_agents):
+            room = [
+                c
+                for c in system.agent_categories(agent)
+                if loads[c] < system.capacities[c]
+            ]
+            if room and rng.random() < 0.7:
+                assignment[agent] = rng.choice(room)
+                loads[assignment[agent]] += 1
+        for matching in (Matching(tuple(assignment)), mma_allocate(system)[0]):
+            verdict = axioms.check_respect_priorities(system, matching)
+            expected = _respect_priorities_reference(system, matching)
+            assert (verdict.passed, verdict.witness) == expected
+            outcomes.add(verdict.passed)
+    assert outcomes == {True, False}
 
 
 def test_nonwasteful(contested_pair):

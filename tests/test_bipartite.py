@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from reservematch.bipartite import (
     AlternatingPath,
+    EligibilityGraph,
     GraphMatching,
     InvalidSeed,
     PathInconsistent,
+    END_VACANCY,
     START_LOSES,
     START_UNMATCHED,
     apply_path,
@@ -122,6 +125,62 @@ def test_invalid_seed_rejected(contested_pair):
     over.assign(1, 0)
     with pytest.raises(InvalidSeed):
         maximum_matching(graph, seed=over)
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # agent i fits categories i and i+1, the last agent only category 0: the
+    # first phase fills categories 0..n-2, the second needs one path through
+    # all n agents to reach the free category n-1
+    n = 400
+    agent_adj = tuple((i, i + 1) for i in range(n - 1)) + ((0,),)
+    category_adj = ((0, n - 1),) + tuple((c - 1, c) for c in range(1, n))
+    graph = EligibilityGraph(agent_adj, category_adj, (1,) * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        match = maximum_matching(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert match.size() == n
+    assert match.assignment == [i + 1 for i in range(n - 1)] + [0]
+
+
+def test_size_counter_tracks_moves():
+    rng = random.Random(2024)
+    num_agents, num_categories = 6, 3
+
+    def matched(match):
+        return sum(1 for c in match.assignment if c is not None)
+
+    for _ in range(200):
+        match = GraphMatching(num_agents, num_categories)
+        for _ in range(30):
+            op = rng.choice(("assign", "unassign", "copy", "from_matching", "path"))
+            agent = rng.randrange(num_agents)
+            if op == "assign":
+                match.assign(agent, rng.randrange(num_categories))
+            elif op == "unassign":
+                match.unassign(agent)
+            elif op == "copy":
+                match = match.copy()
+            elif op == "from_matching":
+                match = GraphMatching.from_matching(match.to_matching(), num_categories)
+            else:
+                # random node sequences; apply_path rejects the ones that do
+                # not fit the matching
+                length = rng.randint(2, 5)
+                nodes = tuple(
+                    rng.randrange(num_agents if k % 2 else num_categories)
+                    for k in range(length)
+                )
+                kind = rng.choice((START_LOSES, START_UNMATCHED))
+                if kind == START_UNMATCHED:
+                    nodes = (agent,) + nodes[: length - 1]
+                try:
+                    match = apply_path(match, AlternatingPath(nodes, kind, END_VACANCY))
+                except PathInconsistent:
+                    pass
+            assert match.size() == matched(match)
 
 
 def test_determinism(grouped_six):

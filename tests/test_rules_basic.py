@@ -9,7 +9,13 @@ import pytest
 from util import fundamental_verdicts, mma_induced_matchings
 
 from reservematch import axioms
-from reservematch.bipartite import GraphMatching, build_graph, maximum_matching
+from reservematch.bipartite import (
+    EligibilityGraph,
+    GraphMatching,
+    build_graph,
+    maximum_matching,
+)
+from reservematch.cli import GeneratorSpec
 from reservematch.harness import oracle_maxima
 from reservematch.model import InstanceError, Matching, PriorityRanking, ReserveSystem
 from reservematch.rules_basic import (
@@ -122,6 +128,53 @@ def test_rev_four_axioms_all_baselines_small_sweep():
             out = rev_allocate(system, baseline)
             verdicts = fundamental_verdicts(system, out, maxima.m)
             assert all(v.passed for v in verdicts), (system, baseline, out)
+
+
+def _thresholded_graph(system, removed, thresh):
+    agent_adj = [
+        ()
+        if removed[a]
+        else tuple(
+            c for c in system.agent_categories(a) if system.position(c, a) < thresh[c]
+        )
+        for a in range(system.num_agents)
+    ]
+    category_adj = tuple(
+        tuple(a for a, adj in enumerate(agent_adj) if c in adj)
+        for c in range(system.num_categories)
+    )
+    return EligibilityGraph(tuple(agent_adj), category_adj, system.capacities)
+
+
+def _rev_reference(system, baseline):
+    """Reverse rejecting by its definition, one fresh maximum matching per
+    agent: reject i iff the graph without i and without the edges ranked
+    below i keeps a matching of the original size."""
+    removed = [False] * system.num_agents
+    thresh = [system.priorities[c].eligible_cutoff for c in range(system.num_categories)]
+    m = maximum_matching(_thresholded_graph(system, removed, thresh)).size()
+    for agent in reversed(baseline):
+        cut = list(thresh)
+        for c in system.agent_categories(agent):
+            cut[c] = min(cut[c], system.position(c, agent))
+        trial = removed[:agent] + [True] + removed[agent + 1 :]
+        if maximum_matching(_thresholded_graph(system, trial, cut)).size() == m:
+            removed, thresh = trial, cut
+    return maximum_matching(_thresholded_graph(system, removed, thresh)).to_matching()
+
+
+def test_rev_matches_definition_on_larger_instances():
+    rng = random.Random(2502)
+    for _ in range(40):
+        system = GeneratorSpec(
+            num_agents=rng.randint(20, 60),
+            num_categories=rng.randint(3, 6),
+            capacity="uniform:1:5",
+            density=rng.choice([0.2, 0.4, 0.7]),
+            seed=rng.randrange(1 << 30),
+        ).build()
+        baseline = rng.sample(range(system.num_agents), system.num_agents)
+        assert rev_allocate(system, baseline) == _rev_reference(system, baseline)
 
 
 def test_rev_baseline_dependence_witness(contested_pair):
