@@ -414,7 +414,6 @@ def run_bench(
     seed: int,
     categories: int = 10,
     density: float = 0.1,
-    timeout: float = 300.0,
 ) -> dict[str, Any]:
     """Timing table over generated instances; medians per (rule, size)."""
     rows: list[dict[str, Any]] = []
@@ -450,7 +449,6 @@ def run_bench(
                         "rep": rep,
                         "seed": seed + rep,
                         "seconds": elapsed,
-                        "timed_out": elapsed > timeout,
                     }
                 )
             if samples:
@@ -496,7 +494,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         args.seed,
         categories=args.categories,
         density=args.density,
-        timeout=args.timeout,
     )
     if args.format == "json":
         print(canonical_json(report), end="")
@@ -576,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--categories", type=int, default=10)
     bench.add_argument("--density", type=float, default=0.1)
-    bench.add_argument("--timeout", type=float, default=300.0)
     bench.set_defaults(func=cmd_bench)
     return parser
 

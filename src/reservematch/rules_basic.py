@@ -253,7 +253,6 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
 
 DISPLACED = "displaced"
 SKIPPED = "skipped"
-ACCEPTED = "accepted"
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,6 @@ class MMATrace:
             if entry.outcome == DISPLACED:
                 assert match.assignment[entry.displaced] == entry.category
                 match.unassign(entry.displaced)
-                match.assign(entry.agent, entry.category)
-            elif entry.outcome == ACCEPTED:
                 match.assign(entry.agent, entry.category)
         return match.to_matching()
 
@@ -349,12 +346,8 @@ def mma_allocate(
             if c in considered[agent]:
                 continue
             considered[agent].add(c)
-            if match.load[c] < graph.capacities[c]:
-                # unreachable from a maximum seed; kept for trace completeness
-                match.assign(agent, c)
-                heapq.heappush(occupants[c], (-system.position(c, agent), agent))
-                log.append(TraceEntry(agent, c, ACCEPTED))
-                break
+            # an unmatched agent next to a free slot contradicts a maximum seed
+            assert match.load[c] == graph.capacities[c]
             if not occupants[c]:
                 continue  # zero-capacity category
             neg_lowest, lowest = occupants[c][0]

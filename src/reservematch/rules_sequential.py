@@ -7,10 +7,9 @@ Three interchangeable implementations of the same rule:
 * ``compact``: the same checks on the grouped network; fixed agents are
   removed from the network (group, group-edge, category and class-target
   bounds all shrink by one).
-* ``bipartite``: maintains an explicit matching and certifies each candidate
-  by an alternating-structure search (cycle through the vacated category,
-  equal-class category endpoints, or an unmatched-agent entry paired with a
-  drop).
+* ``bipartite``: explicit matching plus one residual-cycle search per
+  candidate: a breadth-first search through the pinned edge in the residual
+  reserve network of the working matching.
 
 All three return the identical matching; the fixed set equals the matched
 set on termination, which is asserted every run.
@@ -18,18 +17,15 @@ set on termination, which is asserted every run.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .bipartite import (
-    AlternatingPath,
     EligibilityGraph,
     GraphMatching,
-    START_UNMATCHED,
     build_graph,
-    forward_reach,
     maximum_matching,
-    send_reach,
 )
 from .model import (
     AnySystem,
@@ -259,8 +255,8 @@ def _scu_compact(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> Mat
 
 @dataclass
 class SCUState:
-    """Working state: fixed agents in insertion order, processed categories,
-    the evolving matching, and the two maxima."""
+    """Working state: fixed agents in insertion order, the evolving matching,
+    and the two maxima."""
 
     graph: EligibilityGraph
     mu: GraphMatching
@@ -268,7 +264,6 @@ class SCUState:
     m: int
     X: list[tuple[int, int]] = field(default_factory=list)
     in_x: set[int] = field(default_factory=set)
-    Y: set[int] = field(default_factory=set)
     fixed_count: dict[int, int] = field(default_factory=dict)
 
     def fix(self, agent: int, category: int) -> None:
@@ -285,6 +280,7 @@ def scu_state_init(system: AnySystem) -> SCUState:
 
 FIXED = "fixed"
 NO_CHANGE = "no-change"
+_SOURCE = -1
 
 
 def scu_bipartite_step(
@@ -292,175 +288,110 @@ def scu_bipartite_step(
 ) -> str:
     """One candidate evaluation while ``category`` is being processed.
 
-    Case 1: already matched there -> fix. Case 2: unmatched -> replace the
-    lowest-priority occupant. Case 3: matched elsewhere -> apply a
-    rebalancing alternating structure when one exists.
+    An agent already matched there is fixed in place. Otherwise the step
+    applies a cycle through the pinned edge (agent, category) in the residual
+    reserve network of the working matching, if one exists. It exists exactly
+    when some matching keeps every fix, assigns the agent to the category and
+    keeps both maxima (feasible flows with lower bounds), which is the
+    question ``scu_feasibility_check`` answers.
     """
     seq = as_sequential(system)
-    graph, mu = state.graph, state.mu
-    cur = mu.assignment[agent]
-    if cur == category:
-        state.fix(agent, category)
-        _check_state(seq, state)
-        return FIXED
-    if cur is None:
-        if seq.capacities[category] == 0:
+    mu = state.mu
+    cycle: Optional[list[int]] = []
+    if mu.assignment[agent] != category:
+        cycle = _residual_cycle(seq, state, agent, category)
+        if cycle is None:
             return NO_CHANGE
-        assert mu.load[category] == seq.capacities[category], (
-            "an unmatched eligible agent next to a slack category contradicts "
-            "maximum cardinality"
-        )
-        lowest = max(
-            mu.members[category], key=lambda a: seq.base.position(category, a)
-        )
-        if seq.base.position(category, agent) < seq.base.position(category, lowest):
-            assert lowest not in state.in_x
-            mu.unassign(lowest)
-            mu.assign(agent, category)
-            state.fix(agent, category)
-            _check_state(seq, state)
-            return FIXED
-        return NO_CHANGE
-    moves = _case3_plan(seq, state, agent, category)
-    if moves is None:
-        return NO_CHANGE
-    for mover, target in moves:
-        if target is None:
-            mu.unassign(mover)
-        else:
-            mu.assign(mover, target)
+    n = state.graph.num_agents
+    for node, target in zip(cycle, cycle[1:]):
+        if 0 <= node < n:  # each agent on the cycle moves to the next node
+            if target == _SOURCE:
+                mu.unassign(node)
+            else:
+                mu.assign(node, target - n)
     state.fix(agent, category)
-    _check_state(seq, state)
+    _check_state(seq, state, cycle)
     return FIXED
 
 
-def _path_moves(path: AlternatingPath) -> list[tuple[int, Optional[int]]]:
-    nodes = path.nodes
-    offset = 0 if path.start_kind == START_UNMATCHED else 1
-    return [(nodes[p], nodes[p + 1]) for p in range(offset, len(nodes) - 1, 2)]
-
-
-def _case3_plan(
+def _residual_cycle(
     seq: SequentialReserveSystem, state: SCUState, agent: int, c: int
-) -> Optional[list[tuple[int, Optional[int]]]]:
-    """Certificate search for matching ``agent`` (currently elsewhere) to c.
+) -> Optional[list[int]]:
+    """Breadth-first search from category ``c`` back to ``agent``; the
+    returned nodes run from c to the agent and back to c along the pinned
+    edge.
 
-    Any valid alternative matching differs from the current one by a single
-    alternating component through the forced move, so it is one of: the bare
-    move (same class, room); a shed chain from c into a vacancy of the vacated
-    category's class (the vacated slot itself closes a cycle); a refill chain
-    into the vacated category from an equal-class loser; both chains with
-    equal-class far endpoints; or an unmatched-agent refill paired with a
-    dropped occupant.
+    Nodes are agents 0..n-1, category d as n + d, class k (1 = preferential)
+    as n + K + k, and the source as -1. Residual arcs: a category to each
+    unfixed member (it leaves) and to its class if it has a free slot; a
+    class to each of its categories with load > 0 (that category gives up a
+    unit); an agent to each other category it is eligible for (it enters)
+    and to the source if matched (it drops out); the source to each
+    unmatched agent (it enters; fixed agents are matched). Class totals stay
+    at b and m - b, so no arc runs through the sink.
     """
-    graph, mu = state.graph, state.mu
-    caps = seq.capacities
-    cls = [1 if seq.is_beneficial(d) else 0 for d in range(seq.num_categories)]
+    graph, mu, in_x = state.graph, state.mu, state.in_x
+    n, num_categories = graph.num_agents, graph.num_categories
+    caps, preferential = seq.capacities, seq.preferential
     cur = mu.assignment[agent]
-    assert cur is not None and cur != c
-    if caps[c] == 0:
-        return None
-    room = mu.load[c] < caps[c]
-    forced: list[tuple[int, Optional[int]]] = [(agent, c)]
-    if room and cls[c] == cls[cur]:
-        return forced
-
-    frozen_a = state.in_x | {agent}
-    frozen_c = set(state.Y)
-    fwd = forward_reach(graph, mu, c, frozen_a, frozen_c, no_expand=frozenset({cur}))
-
-    def forward_path_moves(target: int) -> list[tuple[int, Optional[int]]]:
-        moves: list[tuple[int, Optional[int]]] = []
-        node = target
-        while node != c:
-            prev, mover = fwd.parent[node]
-            moves.append((mover, node))
-            node = prev
-        moves.reverse()
-        return moves
-
-    # shed chain ending in the vacated category's class (cycle closes at cur)
-    if cur in fwd.entered:
-        return forced + forward_path_moves(cur)
-    for target in sorted(fwd.entered):
-        if target == cur:
-            continue
-        if mu.load[target] < caps[target] and cls[target] == cls[cur]:
-            return forced + forward_path_moves(target)
-
-    send = send_reach(graph, mu, cur, frozen_a, frozen_c | {c})
-
-    def send_path_moves(origin: int) -> list[tuple[int, Optional[int]]]:
-        moves: list[tuple[int, Optional[int]]] = []
-        node = origin
-        while node != cur:
-            nxt, mover = send.parent[node]
-            moves.append((mover, nxt))
-            node = nxt
-        return moves
-
-    # refill chain into the vacated slot from an equal-class loser
-    if room:
-        for origin in sorted(send.senders):
-            if cls[origin] == cls[c]:
-                return forced + send_path_moves(origin)
-
-    # both chains, far endpoints of equal class
-    for klass in (0, 1):
-        target = next(
-            (
-                t
-                for t in sorted(fwd.entered)
-                if t != cur and cls[t] == klass and mu.load[t] < caps[t]
-            ),
-            None,
-        )
-        origin = next(
-            (o for o in sorted(send.senders) if cls[o] == klass), None
-        )
-        if target is not None and origin is not None:
-            return forced + forward_path_moves(target) + send_path_moves(origin)
-
-    # unmatched-agent refill paired with a dropped occupant
-    refill: Optional[list[tuple[int, Optional[int]]]] = None
-    for w in range(graph.num_agents):
-        if w in frozen_a or mu.assignment[w] is not None:
-            continue
-        for e in graph.agent_adj[w]:
-            if e == cur:
-                refill = [(w, cur)]
-                break
-            if e in send.senders:
-                refill = [(w, e)] + send_path_moves(e)
-                break
-        if refill is not None:
-            break
-    if refill is not None:
-        droppable = [x for x in mu.members[c] if x not in state.in_x]
-        if droppable:
-            victim = max(droppable, key=lambda x: seq.base.position(c, x))
-            return forced + [(victim, None)] + refill
-        if room:
-            for other in range(seq.num_categories):
-                if other in (c, cur) or other in frozen_c or cls[other] != cls[c]:
-                    continue
-                candidates = [x for x in mu.members[other] if x not in frozen_a]
-                if candidates:
-                    victim = max(
-                        candidates, key=lambda x: seq.base.position(other, x)
-                    )
-                    return forced + [(victim, None)] + refill
+    # the candidate is reached only from here: stop on discovering it
+    goal = _SOURCE if cur is None else n + cur
+    start = n + c
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == _SOURCE:
+            succ = [x for x in range(n) if mu.assignment[x] is None]
+        elif node < n:
+            here = mu.assignment[node]
+            succ = [n + d for d in graph.agent_adj[node] if d != here]
+            if here is not None:
+                succ.append(_SOURCE)
+        elif node < n + num_categories:
+            d = node - n
+            succ = sorted(x for x in mu.members[d] if x not in in_x)
+            if mu.load[d] < caps[d]:
+                succ.append(n + num_categories + (d in preferential))
+        else:
+            pref = node - n - num_categories == 1
+            succ = [
+                n + d
+                for d in range(num_categories)
+                if (d in preferential) == pref and mu.load[d] > 0
+            ]
+        for nxt in succ:
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if nxt == goal:
+                path = [nxt]
+                while nxt != start:
+                    nxt = parent[nxt]
+                    path.append(nxt)
+                path.reverse()
+                return path + [agent, start]
+            queue.append(nxt)
     return None
 
 
-def _check_state(seq: SequentialReserveSystem, state: SCUState) -> None:
+def _check_state(
+    seq: SequentialReserveSystem, state: SCUState, cycle: Sequence[int]
+) -> None:
+    """Invariants after one fix, checked on what the step changed: the
+    agents and categories on ``cycle`` and the last fix."""
     mu = state.mu
-    for c, cap in enumerate(seq.capacities):
-        assert mu.load[c] <= cap, f"category {c} over capacity"
+    n = state.graph.num_agents
+    agent, c = state.X[-1]
+    assert mu.assignment[agent] == c, f"agent {agent} not placed in category {c}"
+    for node in cycle:
+        if 0 <= node < n:
+            assert node == agent or node not in state.in_x, f"fixed agent {node} moved"
+        elif n <= node < n + seq.num_categories:
+            d = node - n
+            assert mu.load[d] <= seq.capacities[d], f"category {d} over capacity"
     assert mu.size() == state.m, "cardinality must stay maximal"
     assert _beneficiary_load(mu, seq) == state.b, "beneficiary count must stay maximal"
-    for a, c in state.X:
-        assert mu.assignment[a] == c, f"fixed agent {a} moved"
 
 
 def _scu_bipartite(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> Matching:
@@ -479,8 +410,9 @@ def _scu_bipartite(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> M
                 _emit(sink, "fixed", seq=seq, fixed=state.X, processed=processed,
                       agent=agent, category=c,
                       matching=list(state.mu.assignment))
-        state.Y.add(c)
         processed.append(c)
+    for a, c in state.X:
+        assert state.mu.assignment[a] == c, f"fixed agent {a} moved"
     matching = state.mu.to_matching()
     assert set(matching.matched_agents()) == state.in_x, (
         "fixed set must equal matched set"

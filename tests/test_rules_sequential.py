@@ -224,8 +224,11 @@ def test_step_no_change_when_all_branches_fail():
     )
     state = scu_state_init(system)
     assert state.mu.assignment[0] == 0
+    assert scu_bipartite_step(system, state, 0, 0) == FIXED
+    before = list(state.mu.assignment)
     assert scu_bipartite_step(system, state, 1, 0) == NO_CHANGE
-    assert state.X == []
+    assert state.X == [(0, 0)]
+    assert list(state.mu.assignment) == before
 
 
 def test_step_reroute_case(grouped_six):
@@ -237,7 +240,6 @@ def test_step_reroute_case(grouped_six):
             break
         if agent not in state.in_x:
             scu_bipartite_step(grouped_six, state, agent, 0)
-    state.Y.add(0)
     assert state.mu.assignment[1] == 0
     candidates = [a for a in grouped_six.base.eligible_agents(1) if a not in state.in_x]
     fixed = None
@@ -247,3 +249,23 @@ def test_step_reroute_case(grouped_six):
             break
     assert fixed == 3
     assert state.mu.assignment[3] == 1
+
+
+def test_step_agrees_with_feasibility_check():
+    """Every step the rule takes fixes its candidate exactly when the flow
+    feasibility check says some matching keeps the fixes, places the
+    candidate and keeps both maxima."""
+    rng = random.Random(31337)
+    for _ in range(200):
+        seq = as_sequential(random_sequential(rng))
+        state = scu_state_init(seq)
+        for c in seq.precedence.strict_sequence():
+            for agent in seq.base.eligible_agents(c):
+                if agent in state.in_x:
+                    continue
+                if state.fixed_count.get(c, 0) == seq.capacities[c]:
+                    break
+                expected = scu_feasibility_check(
+                    seq, state.X, agent, c, state.b, state.m
+                )
+                assert (scu_bipartite_step(seq, state, agent, c) == FIXED) == expected
