@@ -25,6 +25,7 @@ from .netflow import (
     PREF_CLASS,
     build_reserve_network,
     feasible_flow,
+    flow_to_matching,
 )
 
 ELIGIBILITY = "eligibility"
@@ -232,8 +233,6 @@ def _alternative_exists_flow(
     flow = feasible_flow(net)
     if flow is None:
         return None
-    from .netflow import flow_to_matching
-
     alt = flow_to_matching(rn, flow)
     return {str(a): c for a, c in enumerate(alt.assignment)}
 

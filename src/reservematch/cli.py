@@ -15,6 +15,7 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from . import axioms, harness
+from .bipartite import GraphMatching, InvalidSeed
 from .model import (
     AnySystem,
     InstanceError,
@@ -32,11 +33,30 @@ from .model import (
     parse_instance,
     parse_matching,
 )
-from .netflow import build_compact_network, build_reserve_network
-from .rules_basic import da_allocate, mma_allocate, rev_allocate
+from .netflow import Infeasible, build_compact_network, build_reserve_network
+from .rules_basic import (
+    NotMaximumSeed,
+    PrefsNotEligible,
+    da_allocate,
+    mma_allocate,
+    rev_allocate,
+)
 from .rules_sequential import IMPLEMENTATIONS, dual_maximum_matching, scu_allocate
 
 RULES = ("da", "rev", "mma", "scu")
+
+# Errors that mean the input was bad (exit 2), as opposed to a failed check.
+_INPUT_ERRORS = (
+    InstanceError,
+    OSError,
+    json.JSONDecodeError,
+    InvalidSeed,
+    NotMaximumSeed,
+    PrefsNotEligible,
+    axioms.NotHybridInstance,
+    axioms.OracleBoundExceeded,
+    Infeasible,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +151,10 @@ class GeneratorSpec:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise InstanceError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
@@ -147,8 +170,6 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
         if args.seed_matching:
             with open(args.seed_matching, "r", encoding="utf-8") as handle:
                 seed_matching = parse_matching(handle.read(), base)
-            from .bipartite import GraphMatching
-
             seed = GraphMatching.from_matching(seed_matching, base.num_categories)
         agent_order = _parse_int_list(args.agent_order) if args.agent_order else None
         cat_order = (
@@ -365,13 +386,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for idx, system in enumerate(systems):
         entry: dict[str, Any] = {"instance": idx}
         reports = [
-            harness.test_no_incentive_to_hide(rule_fn, system, seed=args.seed),
-            harness.test_respect_improvements(rule_fn, system, seed=args.seed),
-            harness.test_consistency(rule_fn, system),
+            harness.report_no_incentive_to_hide(rule_fn, system, seed=args.seed),
+            harness.report_respect_improvements(rule_fn, system, seed=args.seed),
+            harness.report_consistency(rule_fn, system),
         ]
         if args.rule == "rev":
             reports.append(
-                harness.test_independence_of_baseline(
+                harness.report_independence_of_baseline(
                     lambda sys_, order: rev_allocate(base_of(sys_), order),
                     base_of(system),
                     seed=args.seed,
@@ -584,7 +605,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.axiom = ["all"]
     try:
         return args.func(args)
-    except (InstanceError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

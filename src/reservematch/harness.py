@@ -256,7 +256,7 @@ class PerturbationReport:
 _EXHAUSTIVE_AGENTS = 5
 
 
-def test_no_incentive_to_hide(
+def report_no_incentive_to_hide(
     rule: Rule,
     system: AnySystem,
     trials: int = 200,
@@ -299,7 +299,7 @@ def test_no_incentive_to_hide(
     return report
 
 
-def test_respect_improvements(
+def report_respect_improvements(
     rule: Rule,
     system: AnySystem,
     trials: int = 200,
@@ -328,7 +328,7 @@ def test_respect_improvements(
     return report
 
 
-def test_consistency(rule: Rule, system: AnySystem) -> PerturbationReport:
+def report_consistency(rule: Rule, system: AnySystem) -> PerturbationReport:
     """Two fresh runs on the same instance: identical matchings for the
     matching level, identical matched sets for the weaker agent level."""
     report = PerturbationReport("consistency")
@@ -345,7 +345,7 @@ def test_consistency(rule: Rule, system: AnySystem) -> PerturbationReport:
     return report
 
 
-def test_independence_of_baseline(
+def report_independence_of_baseline(
     rule_with_baseline: Callable[[AnySystem, Sequence[int]], Matching],
     system: AnySystem,
     baselines: Optional[Sequence[Sequence[int]]] = None,

@@ -280,19 +280,42 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _integer(value: Any, what: str, category: Optional[int] = None) -> int:
+    """An integer-valued scalar field; bools and floats are rejected rather
+    than truncated."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    where = what if category is None else f"{what} of category {category}"
+    raise InstanceError(f"{where} must be an integer, got {value!r}")
+
+
 def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     """Validate parsed instance data; returns a sequential instance only when
-    the data carries a preferential set or tiers."""
+    the data carries a preferential set or tiers. Malformed data of any shape
+    raises InstanceError."""
     try:
-        num_agents = int(raw["agents"])
-        categories = list(raw["categories"])
-    except (KeyError, TypeError) as exc:
+        return _validate_instance(raw)
+    except InstanceError:
+        raise
+    except KeyError as exc:
+        raise InstanceError(f"malformed instance data: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
         raise InstanceError(f"malformed instance data: {exc}") from exc
+
+
+def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
+    num_agents = _integer(raw["agents"], "agents")
+    categories = list(raw["categories"])
     if num_agents < 0:
         raise InstanceError(f"negative agent count {num_agents}")
 
     num_categories = len(categories)
-    ids = sorted(int(entry["id"]) for entry in categories)
+    ids = sorted(_integer(entry["id"], "category id") for entry in categories)
     if ids != list(range(num_categories)):
         raise InstanceError(
             f"category ids must be exactly 0..{num_categories - 1}, got {ids}"
@@ -303,9 +326,9 @@ def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     priorities = []
     for c in range(num_categories):
         entry = by_id[c]
-        capacities.append(int(entry["capacity"]))
+        capacities.append(_integer(entry["capacity"], "capacity", c))
         ranking = tuple(int(a) for a in entry["ranking"])
-        cutoff = int(entry["eligible_cutoff"])
+        cutoff = _integer(entry["eligible_cutoff"], "eligible_cutoff", c)
         priorities.append(PriorityRanking(ranking, cutoff))
     base = ReserveSystem(num_agents, num_categories, tuple(capacities), tuple(priorities))
 
@@ -329,7 +352,9 @@ def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     return SequentialReserveSystem(
         base=base,
         preferential=preferential,
-        precedence=PrecedenceOrder(tuple(int(t) for t in tiers)),
+        precedence=PrecedenceOrder(
+            tuple(_integer(t, "tier", c) for c, t in enumerate(tiers))
+        ),
         hybrid=hybrid,
     )
 
@@ -387,16 +412,19 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     base = base_of(system)
     try:
         entries = dict(raw["assignment"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed matching data: {exc}") from exc
     assignment: list[Optional[int]] = [None] * base.num_agents
     for key, value in entries.items():
-        agent = int(key)
+        try:
+            agent = int(key)
+        except ValueError:
+            raise InstanceError(f"matching names non-integer agent {key!r}") from None
         if not 0 <= agent < base.num_agents:
             raise InstanceError(f"matching names unknown agent {agent}")
         if value is None:
             continue
-        c = int(value)
+        c = value if type(value) is int else _integer(value, f"category of agent {agent}")
         if not 0 <= c < base.num_categories:
             raise InstanceError(
                 f"matching assigns agent {agent} to unknown category {c}"

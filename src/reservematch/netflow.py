@@ -2,10 +2,12 @@
 
 Provides max-flow (Dinic), feasibility under lower bounds via the standard
 circulation transformation (subtract lower bounds, add an excess/deficit
-supernode pair, saturate), and the three-layer reserve networks: one node
-per agent, or the compact variant with one node per group of agents sharing
-an eligibility set. All flows are integral; augmentation order is fixed by
-edge id, so results are deterministic.
+supernode pair, saturate), a warm-started feasible flow (``WarmFlow``) that
+takes unit lower bounds one at a time with one residual-cycle search each,
+and the three-layer reserve networks: one node per agent, or the compact
+variant with one node per group of agents sharing an eligibility set. All
+flows are integral; augmentation and search order are fixed by edge id, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class Flow:
 
 
 class BoundedFlowNetwork:
-    """Edge list with mutable bounds; solved by fresh single-use passes."""
+    """Edge list with mutable bounds, solved by ``feasible_flow`` and
+    ``max_flow`` or kept feasible by a ``WarmFlow``."""
 
     __slots__ = ("num_nodes", "source", "sink", "names", "src", "dst", "lower", "upper")
 
@@ -237,6 +240,119 @@ def max_flow(network: BoundedFlowNetwork) -> Flow:
     return Flow(tuple(values), base.total + extra)
 
 
+class WarmFlow:
+    """A feasible integral flow kept feasible while unit lower bounds are
+    pinned one edge at a time.
+
+    A feasible flow with lower bound 1 on an empty edge exists exactly when
+    the residual graph of the current flow has a cycle through that edge
+    (feasible flows with lower bounds: Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993, ch. 6), so each pin is one breadth-first search instead of
+    a fresh solve. The residual graph is the one ``feasible_flow`` solves:
+    every edge plus an uncapacitated sink -> source arc carrying ``total``.
+    """
+
+    __slots__ = ("network", "values", "total", "_incident")
+
+    def __init__(self, network: BoundedFlowNetwork, flow: Flow):
+        self.network = network
+        self.values = list(flow.values)
+        self.total = flow.total
+        _verify(network, self.values)
+        # arcs at each node in edge-id order; -1 is the sink -> source arc
+        self._incident: list[list[int]] = [[] for _ in range(network.num_nodes)]
+        for e in range(network.num_edges()):
+            self._incident[network.src[e]].append(e)
+            if network.dst[e] != network.src[e]:
+                self._incident[network.dst[e]].append(e)
+        self._incident[network.source].append(-1)
+        self._incident[network.sink].append(-1)
+
+    def flow(self) -> Flow:
+        """Snapshot of the maintained flow, checked in full."""
+        _verify(self.network, self.values)
+        return Flow(tuple(self.values), self.total)
+
+    def pin(self, edge: int) -> bool:
+        """Raise ``edge``'s lower bound to 1 and keep the flow feasible; False
+        (and nothing changed) when no feasible flow carries a unit there."""
+        net, values = self.network, self.values
+        if values[edge] >= 1:
+            net.set_lower(edge, max(net.lower[edge], 1))
+            return True
+        if net.upper[edge] < 1:
+            return False
+        cycle = self._residual_path(net.dst[edge], net.src[edge])
+        if cycle is None:
+            return False
+        cycle.append((edge, 1))
+        for e, step in cycle:
+            if e < 0:
+                self.total += step
+                assert self.total >= 0, "sink -> source flow went negative"
+            else:
+                values[e] += step
+                assert net.lower[e] <= values[e] <= net.upper[e], (
+                    f"edge {e} flow {values[e]} outside "
+                    f"[{net.lower[e]}, {net.upper[e]}]"
+                )
+        net.set_lower(edge, 1)
+        return True
+
+    def _residual_path(self, start: int, goal: int) -> Optional[list[tuple[int, int]]]:
+        """Shortest residual path as (edge, +1 forward / -1 backward) steps,
+        closing as soon as ``goal`` is discovered."""
+        net, values = self.network, self.values
+        src, dst, lower, upper = net.src, net.dst, net.lower, net.upper
+        source, sink = net.source, net.sink
+        parent: dict[int, tuple[int, int, int]] = {start: (start, 0, 0)}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for e in self._incident[u]:
+                if e < 0:
+                    if u == sink:
+                        v, step = source, 1
+                    elif self.total > 0:
+                        v, step = sink, -1
+                    else:
+                        continue
+                elif src[e] == u:
+                    if values[e] >= upper[e]:
+                        continue
+                    v, step = dst[e], 1
+                else:
+                    if values[e] <= lower[e]:
+                        continue
+                    v, step = src[e], -1
+                if v in parent:
+                    continue
+                parent[v] = (u, e, step)
+                if v == goal:
+                    path = []
+                    while v != start:
+                        v, e, step = parent[v]
+                        path.append((e, step))
+                    path.reverse()
+                    return path
+                queue.append(v)
+        return None
+
+    def drop_unit(self, path: list[int]) -> None:
+        """Take one unit off a source-to-sink path of edges whose bounds the
+        caller has just lowered by the unit it removed."""
+        net, values = self.network, self.values
+        assert net.src[path[0]] == net.source and net.dst[path[-1]] == net.sink
+        for a, b in zip(path, path[1:]):
+            assert net.dst[a] == net.src[b], "edges do not form a path"
+        for e in path:
+            values[e] -= 1
+            assert net.lower[e] <= values[e] <= net.upper[e], (
+                f"edge {e} flow {values[e]} outside [{net.lower[e]}, {net.upper[e]}]"
+            )
+        self.total -= 1
+
+
 # ---------------------------------------------------------------------------
 # Reserve networks
 
@@ -318,23 +434,35 @@ def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
     return rn
 
 
+def _eligibility_classes(
+    system: SequentialReserveSystem,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(eligible categories, members) per distinct eligibility set, in
+    ascending order of each set's smallest member; one pass over the
+    eligible lists."""
+    cats: list[list[int]] = [[] for _ in range(system.num_agents)]
+    for c in range(system.num_categories):
+        for a in system.base.eligible_agents(c):
+            cats[a].append(c)
+    by_set: dict[tuple[int, ...], list[int]] = {}
+    for a in range(system.num_agents):
+        by_set.setdefault(tuple(cats[a]), []).append(a)
+    return [(key, tuple(members)) for key, members in by_set.items()]
+
+
 def agent_groups(system: SequentialReserveSystem) -> dict[int, tuple[int, ...]]:
     """Partition agents by identical eligible-category sets.
 
     Group ids are assigned in ascending order of each group's smallest member.
     """
-    by_set: dict[tuple[int, ...], list[int]] = {}
-    for a in range(system.num_agents):
-        key = system.base.agent_categories(a)
-        by_set.setdefault(key, []).append(a)
-    ordered = sorted(by_set.values(), key=lambda members: members[0])
-    return {k: tuple(members) for k, members in enumerate(ordered)}
+    return {k: members for k, (_, members) in enumerate(_eligibility_classes(system))}
 
 
 def build_compact_network(system: SequentialReserveSystem) -> CompactReserveNetwork:
     base = system.base
     total_capacity = sum(base.capacities)
-    groups = agent_groups(system)
+    classes = _eligibility_classes(system)
+    groups = {k: members for k, (_, members) in enumerate(classes)}
     names = ["s"]
     group_node = {}
     for k in sorted(groups):
@@ -360,10 +488,9 @@ def build_compact_network(system: SequentialReserveSystem) -> CompactReserveNetw
         category_node=category_node,
         class_node={OPEN_CLASS: open_node, PREF_CLASS: pref_node},
     )
-    for k in sorted(groups):
-        size = len(groups[k])
+    for k, (eligible, members) in enumerate(classes):
+        size = len(members)
         cn.group_edge[k] = net.add_edge(0, group_node[k], 0, size)
-        eligible = system.base.agent_categories(groups[k][0])
         for c in eligible:
             cn.assign_edge[(k, c)] = net.add_edge(
                 group_node[k], category_node[c], 0, size

@@ -2,11 +2,12 @@
 
 Three interchangeable implementations of the same rule:
 
-* ``flow``: the reference form; every candidate fix is a feasibility check
-  on the full three-layer network with accumulating lower bounds.
-* ``compact``: the same checks on the grouped network; fixed agents are
+* ``flow``: the reference form; a feasible flow on the full three-layer
+  network is kept warm, and every candidate fix pins a unit lower bound on
+  its edge with one residual-cycle search (``WarmFlow.pin``).
+* ``compact``: the same pins on the grouped network; fixed agents are
   removed from the network (group, group-edge, category and class-target
-  bounds all shrink by one).
+  bounds all shrink by one, and so does the flow on those edges).
 * ``bipartite``: explicit matching plus one residual-cycle search per
   candidate: a breadth-first search through the pinned edge in the residual
   reserve network of the working matching.
@@ -36,6 +37,7 @@ from .model import (
 from .netflow import (
     OPEN_CLASS,
     PREF_CLASS,
+    WarmFlow,
     build_compact_network,
     build_reserve_network,
     feasible_flow,
@@ -46,6 +48,9 @@ from .netflow import (
 TraceSink = Callable[[dict], None]
 
 IMPLEMENTATIONS = ("flow", "compact", "bipartite")
+
+FIXED = "fixed"
+NO_CHANGE = "no-change"
 
 
 def dual_maximum_matching(system: AnySystem) -> tuple[GraphMatching, int, int]:
@@ -105,10 +110,8 @@ def scu_allocate(
     """Run the sequential rule; basic instances are coerced to an empty
     preferential set and a single tier."""
     seq = as_sequential(system)
-    if impl == "flow":
-        return _scu_flow(seq, trace_sink)
-    if impl == "compact":
-        return _scu_compact(seq, trace_sink)
+    if impl in ("flow", "compact"):
+        return _scu_network(seq, impl == "compact", trace_sink)
     if impl == "bipartite":
         return _scu_bipartite(seq, trace_sink)
     raise ValueError(f"unknown implementation {impl!r}; expected one of {IMPLEMENTATIONS}")
@@ -135,117 +138,97 @@ def _emit(
 
 
 # ---------------------------------------------------------------------------
-# Reference flow implementation
+# Flow implementations (reference and compact)
 
 
-def _scu_flow(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> Matching:
-    rn = build_reserve_network(seq)
-    net = rn.network
-    open_edge = rn.class_edge[OPEN_CLASS]
-    pref_edge = rn.class_edge[PREF_CLASS]
-    total_capacity = sum(seq.capacities)
+class SCUNetworkState:
+    """Working state of the ``flow`` and ``compact`` rules: the reserve
+    network (full or grouped) with a warm feasible flow on it, the fixes in
+    insertion order and the two maxima.
 
-    net.set_upper(open_edge, 0)
-    b = max_flow(net).total
-    net.set_upper(open_edge, total_capacity)
-    net.set_lower(pref_edge, b)
-    m = max_flow(net).total
-    net.set_lower(open_edge, m - b)
+    The warm flow starts from the maximum flow that yields m, which already
+    meets the class bounds b and m - b; each candidate is then one pin on
+    it (``WarmFlow.pin``) instead of a fresh feasibility solve.
+    """
 
-    fixed: list[tuple[int, int]] = []
-    in_x: set[int] = set()
-    fixed_count = [0] * seq.num_categories
-    processed: list[int] = []
-    _emit(sink, "init", seq=seq, fixed=fixed, processed=processed, b=b, m=m)
-    for c in seq.precedence.strict_sequence():
-        for agent in seq.base.eligible_agents(c):
-            if agent in in_x:
-                continue
-            if fixed_count[c] == seq.capacities[c]:
-                break
-            edge = rn.assign_edge[(agent, c)]
-            net.set_lower(edge, 1)
-            if feasible_flow(net) is not None:
-                fixed.append((agent, c))
-                in_x.add(agent)
-                fixed_count[c] += 1
-                _emit(sink, "fixed", seq=seq, fixed=fixed, processed=processed,
-                      agent=agent, category=c)
-            else:
-                net.set_lower(edge, 0)
-        processed.append(c)
-    final = feasible_flow(net)
-    assert final is not None
-    matching = flow_to_matching(rn, final)
-    assert set(matching.matched_agents()) == in_x, "fixed set must equal matched set"
-    assert matching.matched_count() == m
-    assert matching.beneficiary_count(seq.preferential) == b
-    _emit(sink, "done", seq=seq, fixed=fixed, processed=processed)
-    return matching
+    def __init__(self, seq: SequentialReserveSystem, compact: bool):
+        self.seq = seq
+        self.compact = compact
+        self.reserve = build_compact_network(seq) if compact else build_reserve_network(seq)
+        net = self.reserve.network
+        open_edge = self.reserve.class_edge[OPEN_CLASS]
+        pref_edge = self.reserve.class_edge[PREF_CLASS]
+        net.set_upper(open_edge, 0)
+        self.b = max_flow(net).total
+        net.set_upper(open_edge, sum(seq.capacities))
+        net.set_lower(pref_edge, self.b)
+        start = max_flow(net)
+        self.m = start.total
+        net.set_lower(open_edge, self.m - self.b)
+        self.warm = WarmFlow(net, start)
+        self.X: list[tuple[int, int]] = []
+        self.in_x: set[int] = set()
+        self.fixed_count = [0] * seq.num_categories
 
-
-# ---------------------------------------------------------------------------
-# Compact flow implementation
-
-
-def _scu_compact(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> Matching:
-    cn = build_compact_network(seq)
-    net = cn.network
-    open_edge = cn.class_edge[OPEN_CLASS]
-    pref_edge = cn.class_edge[PREF_CLASS]
-    total_capacity = sum(seq.capacities)
-
-    net.set_upper(open_edge, 0)
-    b = max_flow(net).total
-    net.set_upper(open_edge, total_capacity)
-    net.set_lower(pref_edge, b)
-    m = max_flow(net).total
-
-    need_pref, need_open = b, m - b
-    net.set_lower(pref_edge, need_pref)
-    net.set_lower(open_edge, need_open)
-
-    ledger: list[tuple[int, int]] = []
-    in_x: set[int] = set()
-    fixed_count = [0] * seq.num_categories
-    processed: list[int] = []
-    _emit(sink, "init", seq=seq, fixed=ledger, processed=processed, b=b, m=m)
-    for c in seq.precedence.strict_sequence():
-        for agent in seq.base.eligible_agents(c):
-            if agent in in_x:
-                continue
-            if fixed_count[c] == seq.capacities[c]:
-                break
-            k = cn.group_of[agent]
-            edge = cn.assign_edge[(k, c)]
-            if net.upper[edge] < 1:
-                continue
-            net.set_lower(edge, 1)
-            feasible = feasible_flow(net) is not None
+    def step(self, agent: int, c: int) -> str:
+        """Fix ``agent`` at ``c`` if some matching keeps every fix, places
+        the agent there and keeps both maxima."""
+        rn, net = self.reserve, self.reserve.network
+        if not self.compact:
+            if not self.warm.pin(rn.assign_edge[(agent, c)]):
+                return NO_CHANGE
+        else:
+            k = rn.group_of[agent]
+            edge = rn.assign_edge[(k, c)]
+            if not self.warm.pin(edge):
+                return NO_CHANGE
             net.set_lower(edge, 0)
-            if feasible:
-                ledger.append((agent, c))
-                in_x.add(agent)
-                fixed_count[c] += 1
-                # remove the fixed unit from the remaining network
-                net.set_upper(cn.group_edge[k], net.upper[cn.group_edge[k]] - 1)
-                net.set_upper(edge, net.upper[edge] - 1)
-                net.set_upper(cn.category_edge[c], net.upper[cn.category_edge[c]] - 1)
-                if seq.is_beneficial(c):
-                    need_pref -= 1
-                    net.set_lower(pref_edge, need_pref)
-                else:
-                    need_open -= 1
-                    net.set_lower(open_edge, need_open)
-                _emit(sink, "fixed", seq=seq, fixed=ledger, processed=processed,
+            # remove the fixed unit from the remaining network
+            group_edge, category_edge = rn.group_edge[k], rn.category_edge[c]
+            class_edge = rn.class_edge[PREF_CLASS if self.seq.is_beneficial(c) else OPEN_CLASS]
+            for e in (group_edge, edge, category_edge):
+                net.set_upper(e, net.upper[e] - 1)
+            net.set_lower(class_edge, net.lower[class_edge] - 1)
+            self.warm.drop_unit([group_edge, edge, category_edge, class_edge])
+        self.X.append((agent, c))
+        self.in_x.add(agent)
+        self.fixed_count[c] += 1
+        return FIXED
+
+    def finish(self) -> Matching:
+        final = self.warm.flow()
+        seq = self.seq
+        if self.compact:
+            matching = flow_to_matching(self.reserve, final, self.X)
+        else:
+            matching = flow_to_matching(self.reserve, final)
+            assert set(matching.matched_agents()) == self.in_x, (
+                "fixed set must equal matched set"
+            )
+        assert matching.matched_count() == self.m, "fixed set must equal matched set"
+        assert matching.beneficiary_count(seq.preferential) == self.b
+        return matching
+
+
+def _scu_network(
+    seq: SequentialReserveSystem, compact: bool, sink: Optional[TraceSink]
+) -> Matching:
+    state = SCUNetworkState(seq, compact)
+    processed: list[int] = []
+    _emit(sink, "init", seq=seq, fixed=state.X, processed=processed,
+          b=state.b, m=state.m)
+    for c in seq.precedence.strict_sequence():
+        for agent in seq.base.eligible_agents(c):
+            if agent in state.in_x:
+                continue
+            if state.fixed_count[c] == seq.capacities[c]:
+                break
+            if state.step(agent, c) == FIXED:
+                _emit(sink, "fixed", seq=seq, fixed=state.X, processed=processed,
                       agent=agent, category=c)
         processed.append(c)
-    final = feasible_flow(net)
-    assert final is not None
-    matching = flow_to_matching(cn, final, ledger)
-    assert matching.matched_count() == m, "fixed set must equal matched set"
-    assert matching.beneficiary_count(seq.preferential) == b
-    _emit(sink, "done", seq=seq, fixed=ledger, processed=processed)
+    matching = state.finish()
+    _emit(sink, "done", seq=seq, fixed=state.X, processed=processed)
     return matching
 
 
@@ -278,8 +261,6 @@ def scu_state_init(system: AnySystem) -> SCUState:
     return SCUState(graph=build_graph(seq.base), mu=mu, b=b, m=m)
 
 
-FIXED = "fixed"
-NO_CHANGE = "no-change"
 _SOURCE = -1
 
 

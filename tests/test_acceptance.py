@@ -25,10 +25,10 @@ from reservematch.harness import (
     MatchingSpace,
     corpus,
     oracle_maxima,
-    test_consistency as consistency_report,
-    test_independence_of_baseline as independence_report,
-    test_no_incentive_to_hide as hide_report,
-    test_respect_improvements as improvements_report,
+    report_consistency,
+    report_independence_of_baseline,
+    report_no_incentive_to_hide,
+    report_respect_improvements,
 )
 from reservematch.model import Matching, as_sequential, base_of
 from reservematch.netflow import (
@@ -239,14 +239,14 @@ def test_criterion_08_incentive_consistency(contested_pair, da_gap):
             seed=rng.randrange(1 << 30),
         )
         system = spec.build()
-        hide = hide_report(rule, system)
-        improve = improvements_report(rule, system)
-        consistent = consistency_report(rule, system)
+        hide = report_no_incentive_to_hide(rule, system)
+        improve = report_respect_improvements(rule, system)
+        consistent = report_consistency(rule, system)
         assert hide.ok and improve.ok and consistent.ok, system
         trials += hide.trials + improve.trials + consistent.trials
 
     # required negative witnesses in the corpus
-    dependence = independence_report(
+    dependence = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), contested_pair
     )
     assert not dependence.ok

@@ -379,3 +379,82 @@ def test_text_format_solve(capsys, corpus_dir):
     assert code == 0
     assert "matched: 2" in out
     assert "assignment: 1->1, 2->0" in out
+
+
+def _bad_input_exit(capsys, *argv) -> None:
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", None),  # None: the key is missing
+        ("capacity", "x"),
+        ("capacity", 1.5),
+        ("capacity", True),
+        ("eligible_cutoff", 2.0),
+        ("id", False),
+    ],
+)
+def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
+    raw = json.loads((corpus_dir / "contested_pair.json").read_text())
+    if value is None:
+        del raw["categories"][0][field]
+    else:
+        raw["categories"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "da")
+
+
+@pytest.mark.parametrize("field, value", [("agents", 3.0), ("agents", True), ("tiers", [0, 1.5])])
+def test_non_integer_scalars_exit_2(capsys, corpus_dir, tmp_path, field, value):
+    raw = json.loads((corpus_dir / "precedence_chain.json").read_text())
+    raw[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "scu")
+
+
+def test_bad_baseline_exits_2(capsys, corpus_dir):
+    _bad_input_exit(
+        capsys,
+        "solve",
+        "-i",
+        str(corpus_dir / "contested_pair.json"),
+        "--rule",
+        "rev",
+        "--baseline",
+        "0,x",
+    )
+
+
+def test_directory_as_instance_exits_2(capsys, tmp_path):
+    _bad_input_exit(capsys, "solve", "-i", str(tmp_path), "--rule", "da")
+
+
+def test_hybrid_axiom_on_plain_instance_exits_2(capsys, corpus_dir, tmp_path):
+    matching = tmp_path / "m.json"
+    matching.write_text(matching_to_json(Matching((None, 1, 0))))
+    _bad_input_exit(
+        capsys,
+        "check",
+        "-i",
+        str(corpus_dir / "precedence_chain.json"),
+        "-m",
+        str(matching),
+        "--axiom",
+        "order-preservation-hybrid",
+    )
+
+
+@pytest.mark.parametrize("assignment", [{"x": 0}, {"0": 1.0}, {"0": True}])
+def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
+    matching = tmp_path / "m.json"
+    matching.write_text(json.dumps({"assignment": assignment}))
+    _bad_input_exit(
+        capsys, "check", "-i", str(corpus_dir / "contested_pair.json"), "-m", str(matching)
+    )

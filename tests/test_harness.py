@@ -12,10 +12,10 @@ from reservematch.harness import (
     hide_categories,
     oracle_maxima,
     promotions,
-    test_consistency as consistency_report,
-    test_independence_of_baseline as independence_report,
-    test_no_incentive_to_hide as hide_report,
-    test_respect_improvements as improvements_report,
+    report_consistency,
+    report_independence_of_baseline,
+    report_no_incentive_to_hide,
+    report_respect_improvements,
 )
 from reservematch.model import Matching, PriorityRanking, ReserveSystem, base_of
 from reservematch.rules_basic import da_allocate, mma_allocate, rev_allocate
@@ -130,9 +130,9 @@ def test_scu_passes_hide_and_improvements():
             seed=rng.randrange(1 << 30),
         )
         system = spec.build()
-        assert hide_report(rule, system).ok
-        assert improvements_report(rule, system).ok
-        assert consistency_report(rule, system).ok
+        assert report_no_incentive_to_hide(rule, system).ok
+        assert report_respect_improvements(rule, system).ok
+        assert report_consistency(rule, system).ok
 
 
 def test_da_and_rev_pass_incentive_properties():
@@ -148,10 +148,10 @@ def test_da_and_rev_pass_incentive_properties():
         system = spec.build()
         da_rule = lambda s: da_allocate(base_of(s))
         rev_rule = lambda s: rev_allocate(base_of(s), list(range(base_of(s).num_agents)))
-        assert hide_report(da_rule, system).ok
-        assert improvements_report(da_rule, system).ok
-        assert hide_report(rev_rule, system).ok
-        assert improvements_report(rev_rule, system).ok
+        assert report_no_incentive_to_hide(da_rule, system).ok
+        assert report_respect_improvements(da_rule, system).ok
+        assert report_no_incentive_to_hide(rev_rule, system).ok
+        assert report_respect_improvements(rev_rule, system).ok
 
 
 def test_greedy_strawman_fails_hide():
@@ -180,14 +180,14 @@ def test_greedy_strawman_fails_hide():
         (1, 1),
         (PriorityRanking((0, 1), 1), PriorityRanking((1, 0), 2)),
     )
-    report = hide_report(strawman, system)
+    report = report_no_incentive_to_hide(strawman, system)
     assert not report.ok
     assert report.counterexamples[0]["agent"] == 0
 
 
 def test_single_category_hide_trivial():
     system = ReserveSystem(1, 1, (1,), (PriorityRanking((0,), 1),))
-    report = hide_report(lambda s: da_allocate(base_of(s)), system)
+    report = report_no_incentive_to_hide(lambda s: da_allocate(base_of(s)), system)
     assert report.ok
 
 
@@ -196,16 +196,16 @@ def test_consistency_two_levels(contested_pair):
 
     toggle = iter([Matching((None, 0, 1)), Matching((0, 1, None))])
     flaky = lambda system: next(toggle)
-    report = consistency_report(flaky, contested_pair)
+    report = report_consistency(flaky, contested_pair)
     assert not report.ok
     assert report.counterexamples[0]["level"] == "matched-agents"
 
     toggle2 = iter([Matching((None, 0, 1)), Matching((None, 0, 1))])
-    assert consistency_report(lambda s: next(toggle2), contested_pair).ok
+    assert report_consistency(lambda s: next(toggle2), contested_pair).ok
 
 
 def test_rev_baseline_dependence_found(contested_pair):
-    report = independence_report(
+    report = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), contested_pair
     )
     assert not report.ok  # the corpus witness
@@ -213,12 +213,12 @@ def test_rev_baseline_dependence_found(contested_pair):
 
 def test_baseline_independence_trivial_cases(contested_pair):
     # a rule that ignores its baseline passes; single agent passes
-    report = independence_report(
+    report = report_independence_of_baseline(
         lambda system, order: da_allocate(base_of(system)), contested_pair
     )
     assert report.ok
     single = ReserveSystem(1, 1, (1,), (PriorityRanking((0,), 1),))
-    report = independence_report(
+    report = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), single
     )
     assert report.ok

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from reservematch.netflow import (
     Infeasible,
     OPEN_CLASS,
     PREF_CLASS,
+    WarmFlow,
+    _verify,
     agent_groups,
     build_compact_network,
     build_reserve_network,
@@ -235,3 +238,69 @@ def test_dot_export(grouped_six):
     assert dot.startswith("digraph")
     assert '"(0, 3)"' in dot  # class edges carry their bound pair
     assert '"C*"' in dot and '"C0"' in dot
+
+
+def _random_network(rng):
+    n = rng.randint(2, 7)
+    net = BoundedFlowNetwork(n, 0, n - 1)
+    if rng.random() < 0.4:
+        net.add_edge(0, n - 1, 0, rng.randint(1, 2))
+    for _ in range(rng.randint(1, 12)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            upper = rng.randint(0, 3)
+            net.add_edge(u, v, rng.choice([0, 0, 0, min(1, upper)]), upper)
+    return net
+
+
+def _with_lower(net, edge, value):
+    copy = BoundedFlowNetwork(net.num_nodes, net.source, net.sink)
+    for e in range(net.num_edges()):
+        lower = value if e == edge else net.lower[e]
+        copy.add_edge(net.src[e], net.dst[e], 0, net.upper[e])
+        copy.set_lower(e, lower)
+    return copy
+
+
+def test_warm_pin_agrees_with_fresh_solve():
+    rng = random.Random(2718)
+    pins = successes = 0
+    for _ in range(400):
+        net = _random_network(rng)
+        start = feasible_flow(net)
+        if start is None or net.num_edges() == 0:
+            continue
+        warm = WarmFlow(net, start)
+        for _ in range(rng.randint(1, 6)):
+            e = rng.randrange(net.num_edges())
+            expected = feasible_flow(_with_lower(net, e, max(1, net.lower[e]))) is not None
+            before = (list(warm.values), warm.total, list(net.lower), list(net.upper))
+            assert warm.pin(e) == expected
+            pins += 1
+            if expected:
+                successes += 1
+                assert net.lower[e] >= 1
+                _verify(net, warm.values)
+                out_of_source = sum(
+                    warm.values[d] for d in range(net.num_edges()) if net.src[d] == net.source
+                ) - sum(
+                    warm.values[d] for d in range(net.num_edges()) if net.dst[d] == net.source
+                )
+                assert warm.total == out_of_source
+            else:
+                assert (list(warm.values), warm.total, list(net.lower), list(net.upper)) == before
+    assert 0 < successes < pins
+
+
+def test_warm_drop_unit_removes_a_pinned_unit(grouped_six):
+    cn = build_compact_network(grouped_six)
+    net = cn.network
+    warm = WarmFlow(net, max_flow(net))
+    edge = cn.assign_edge[(0, 0)]
+    assert warm.pin(edge)
+    path = [cn.group_edge[0], edge, cn.category_edge[0], cn.class_edge[PREF_CLASS]]
+    for e in path:
+        net.set_upper(e, net.upper[e] - 1)
+    net.set_lower(edge, 0)
+    warm.drop_unit(path)
+    assert warm.flow().total == 2

@@ -19,6 +19,7 @@ from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import (
     FIXED,
     NO_CHANGE,
+    SCUNetworkState,
     dual_maximum_matching,
     scu_allocate,
     scu_bipartite_step,
@@ -269,3 +270,25 @@ def test_step_agrees_with_feasibility_check():
                     seq, state.X, agent, c, state.b, state.m
                 )
                 assert (scu_bipartite_step(seq, state, agent, c) == FIXED) == expected
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
+def test_network_step_agrees_with_feasibility_check(compact):
+    """The flow and compact rules fix each candidate exactly when the
+    one-shot feasibility check says some matching keeps the fixes, places
+    the candidate and keeps both maxima."""
+    rng = random.Random(4711)
+    for _ in range(200):
+        seq = as_sequential(random_sequential(rng))
+        state = SCUNetworkState(seq, compact)
+        for c in seq.precedence.strict_sequence():
+            for agent in seq.base.eligible_agents(c):
+                if agent in state.in_x:
+                    continue
+                if state.fixed_count[c] == seq.capacities[c]:
+                    break
+                expected = scu_feasibility_check(
+                    seq, state.X, agent, c, state.b, state.m
+                )
+                assert (state.step(agent, c) == FIXED) == expected
+        state.finish()
