@@ -101,24 +101,35 @@ def check_respect_priorities(system: AnySystem, matching: Matching) -> AxiomVerd
 
 
 def check_nonwasteful(system: AnySystem, matching: Matching) -> AxiomVerdict:
+    """No unmatched agent is eligible for a category with a free slot. The
+    witness is the lowest-index such agent with its lowest-index such
+    category; only the eligible prefixes of non-full categories are read."""
     base = base_of(system)
+    assignment = matching.assignment
     loads = matching.loads(base.num_categories)
-    for agent in range(base.num_agents):
-        if matching.assignment[agent] is not None:
-            continue
-        for c in base.agent_categories(agent):
-            if loads[c] < base.capacities[c]:
-                return AxiomVerdict(
-                    NON_WASTEFULNESS,
-                    False,
-                    {
-                        "agent": agent,
-                        "category": c,
-                        "load": loads[c],
-                        "capacity": base.capacities[c],
-                    },
-                )
-    return AxiomVerdict(NON_WASTEFULNESS, True)
+    witness = min(
+        (
+            (a, c)
+            for c, cap in enumerate(base.capacities)
+            if loads[c] < cap
+            for a in base.eligible_agents(c)
+            if assignment[a] is None
+        ),
+        default=None,
+    )
+    if witness is None:
+        return AxiomVerdict(NON_WASTEFULNESS, True)
+    agent, c = witness
+    return AxiomVerdict(
+        NON_WASTEFULNESS,
+        False,
+        {
+            "agent": agent,
+            "category": c,
+            "load": loads[c],
+            "capacity": base.capacities[c],
+        },
+    )
 
 
 def check_max_cardinality(

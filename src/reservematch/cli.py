@@ -95,11 +95,17 @@ class GeneratorSpec:
 
     def _capacity_for(self, rng: random.Random) -> int:
         kind, _, rest = self.capacity.partition(":")
-        if kind == "const":
-            return int(rest)
-        if kind == "uniform":
-            lo, hi = (int(x) for x in rest.split(":"))
-            return rng.randint(lo, hi)
+        try:
+            if kind == "const":
+                return int(rest)
+            if kind == "uniform":
+                lo, hi = (int(x) for x in rest.split(":"))
+                return rng.randint(lo, hi)
+        except ValueError:
+            raise InstanceError(
+                f"bad capacity spec {self.capacity!r}: expected const:Q or "
+                f"uniform:LO:HI with integers LO <= HI"
+            ) from None
         raise InstanceError(f"unknown capacity spec {self.capacity!r}")
 
     def build(self) -> AnySystem:
@@ -135,7 +141,13 @@ class GeneratorSpec:
             tiers = list(range(ncat))
             rng.shuffle(tiers)
         elif self.tier_scheme.startswith("random:"):
-            k = int(self.tier_scheme.split(":", 1)[1])
+            try:
+                k = int(self.tier_scheme.split(":", 1)[1])
+            except ValueError:
+                raise InstanceError(
+                    f"bad tier scheme {self.tier_scheme!r}: expected random:K "
+                    f"with an integer K"
+                ) from None
             tiers = [rng.randrange(max(1, k)) for _ in range(ncat)]
         else:
             raise InstanceError(f"unknown tier scheme {self.tier_scheme!r}")
@@ -253,7 +265,9 @@ def run_checks(
     need_b = axioms.MAX_BENEFICIARY in names or axioms.RESPECT_PRECEDENCE in names
     m = b = None
     if need_m or need_b:
-        _, b, m = dual_maximum_matching(seq)
+        # seeded from the matching under check: a maximum one is certified
+        # by one search that finds no augmenting path
+        _, b, m = dual_maximum_matching(seq, start=matching)
     verdicts = []
     for name in names:
         if name == axioms.ELIGIBILITY:

@@ -46,23 +46,35 @@ class PriorityRanking:
     """A strict total order over all agents plus an eligibility cutoff.
 
     Agents at positions < ``eligible_cutoff`` are eligible; the relative
-    order of agents below the cutoff carries no meaning.
+    order of agents below the cutoff carries no meaning. Only the eligible
+    prefix gets a rank map up front; the map over all agents is built on the
+    first ``position`` query for an ineligible agent.
     """
 
     ordered_agents: tuple[int, ...]
     eligible_cutoff: int
-    _pos: dict[int, int] = field(init=False, repr=False, compare=False)
+    _rank: dict[int, int] = field(init=False, repr=False, compare=False)
+    _full: Optional[dict[int, int]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_pos", {a: p for p, a in enumerate(self.ordered_agents)}
-        )
+        prefix = self.ordered_agents[: max(self.eligible_cutoff, 0)]
+        object.__setattr__(self, "_rank", dict(zip(prefix, range(len(prefix)))))
 
     def position(self, agent: int) -> int:
-        return self._pos[agent]
+        try:
+            return self._rank[agent]
+        except KeyError:
+            pass
+        if self._full is None:
+            object.__setattr__(
+                self, "_full", {a: p for p, a in enumerate(self.ordered_agents)}
+            )
+        return self._full[agent]
 
     def is_eligible(self, agent: int) -> bool:
-        return self._pos[agent] < self.eligible_cutoff
+        return agent in self._rank
 
     def eligible(self) -> tuple[int, ...]:
         """Eligible agents, highest priority first."""
@@ -90,7 +102,16 @@ class ReserveSystem:
         for c, q in enumerate(self.capacities):
             if q < 0:
                 raise NegativeCapacity(f"category {c} has negative capacity {q}")
+        n = self.num_agents
         for c, ranking in enumerate(self.priorities):
+            r = ranking.ordered_agents
+            if (
+                len(r) == n == len(set(r))
+                and (n == 0 or (0 <= min(r) and max(r) < n))
+                and 0 <= ranking.eligible_cutoff <= n
+            ):
+                continue
+            # a bad ranking: rescan it to raise the first error in order
             seen: set[int] = set()
             for a in ranking.ordered_agents:
                 if a in seen:
@@ -327,7 +348,11 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     for c in range(num_categories):
         entry = by_id[c]
         capacities.append(_integer(entry["capacity"], "capacity", c))
-        ranking = tuple(int(a) for a in entry["ranking"])
+        ranking = entry["ranking"]
+        if set(map(type, ranking)) <= {int}:
+            ranking = tuple(ranking)
+        else:
+            ranking = tuple(_integer(a, "ranking element", c) for a in ranking)
         cutoff = _integer(entry["eligible_cutoff"], "eligible_cutoff", c)
         priorities.append(PriorityRanking(ranking, cutoff))
     base = ReserveSystem(num_agents, num_categories, tuple(capacities), tuple(priorities))
@@ -337,7 +362,9 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     if not has_pref and not has_tiers:
         return base
 
-    preferential = frozenset(int(c) for c in raw.get("preferential") or [])
+    preferential = frozenset(
+        _integer(c, "preferential category") for c in raw.get("preferential") or []
+    )
     tiers = raw["tiers"] if has_tiers else [0] * num_categories
     if len(tiers) != num_categories:
         raise TierCountMismatch(
@@ -346,8 +373,12 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     hybrid = None
     if raw.get("hybrid") is not None:
         hybrid = HybridMarker(
-            open_early=frozenset(int(c) for c in raw["hybrid"]["open_early"]),
-            open_late=frozenset(int(c) for c in raw["hybrid"]["open_late"]),
+            open_early=frozenset(
+                _integer(c, "hybrid category") for c in raw["hybrid"]["open_early"]
+            ),
+            open_late=frozenset(
+                _integer(c, "hybrid category") for c in raw["hybrid"]["open_late"]
+            ),
         )
     return SequentialReserveSystem(
         base=base,

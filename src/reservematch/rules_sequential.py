@@ -53,20 +53,60 @@ FIXED = "fixed"
 NO_CHANGE = "no-change"
 
 
-def dual_maximum_matching(system: AnySystem) -> tuple[GraphMatching, int, int]:
+def dual_maximum_matching(
+    system: AnySystem,
+    start: Optional[Matching] = None,
+    graph: Optional[EligibilityGraph] = None,
+) -> tuple[GraphMatching, int, int]:
     """A matching that is simultaneously maximum-cardinality and maximum in
     preferential-category assignments: match the preferential subgraph to its
     maximum first, then augment in the full graph (augmentation preserves all
-    per-category loads except the endpoint gain)."""
+    per-category loads except the endpoint gain).
+
+    With ``start``, each stage is seeded from its eligible pairs that fit
+    the capacities, so a maximum ``start`` is certified by one search that
+    finds no augmenting path (Berge); b and m do not depend on the seed.
+    ``graph`` is the instance's eligibility graph, if the caller has it.
+    """
     seq = as_sequential(system)
-    graph = build_graph(seq.base)
-    category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
-    stage1 = maximum_matching(graph, category_mask=category_mask)
+    if graph is None:
+        graph = build_graph(seq.base)
+    stage1 = GraphMatching(graph.num_agents, graph.num_categories)
+    if seq.preferential:
+        if start is not None:
+            _seed_from(stage1, start, seq, preferential=True)
+        category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
+        stage1 = maximum_matching(graph, seed=stage1, category_mask=category_mask)
     b = stage1.size()
+    if start is not None:
+        _seed_from(stage1, start, seq, preferential=False)
     match = maximum_matching(graph, seed=stage1)
     m = match.size()
     assert _beneficiary_load(match, seq) == b
     return match, b, m
+
+
+def _seed_from(
+    match: GraphMatching,
+    start: Matching,
+    seq: SequentialReserveSystem,
+    preferential: bool,
+) -> None:
+    """Add the pairs of ``start`` in preferential (or open) categories whose
+    agent is still unmatched in ``match``, is eligible there and finds a
+    free slot."""
+    caps, pref, is_eligible = seq.capacities, seq.preferential, seq.base.is_eligible
+    assignment, load = match.assignment, match.load
+    for agent, c in enumerate(start.assignment):
+        if (
+            c is not None
+            and 0 <= c < len(caps)
+            and (c in pref) == preferential
+            and assignment[agent] is None
+            and load[c] < caps[c]
+            and is_eligible(agent, c)
+        ):
+            match.assign(agent, c)
 
 
 def _beneficiary_load(match: GraphMatching, seq: SequentialReserveSystem) -> int:
@@ -257,8 +297,9 @@ class SCUState:
 
 def scu_state_init(system: AnySystem) -> SCUState:
     seq = as_sequential(system)
-    mu, b, m = dual_maximum_matching(seq)
-    return SCUState(graph=build_graph(seq.base), mu=mu, b=b, m=m)
+    graph = build_graph(seq.base)
+    mu, b, m = dual_maximum_matching(seq, graph=graph)
+    return SCUState(graph=graph, mu=mu, b=b, m=m)
 
 
 _SOURCE = -1

@@ -94,6 +94,44 @@ def test_nonwasteful_no_eligible():
     assert axioms.check_nonwasteful(system, Matching((None,))).passed
 
 
+def _nonwasteful_reference(system, matching):
+    """Agent first, category second, every pair: the O(n·K) definition."""
+    loads = matching.loads(system.num_categories)
+    for agent, assigned in enumerate(matching.assignment):
+        if assigned is not None:
+            continue
+        for c in range(system.num_categories):
+            if system.is_eligible(agent, c) and loads[c] < system.capacities[c]:
+                return {"agent": agent, "category": c, "load": loads[c],
+                        "capacity": system.capacities[c]}
+    return None
+
+
+def test_nonwasteful_matches_reference_scan():
+    rng = random.Random(3131)
+    failures = 0
+    for _ in range(300):
+        system = GeneratorSpec(
+            num_agents=rng.randint(0, 12),
+            num_categories=rng.randint(0, 5),
+            capacity=rng.choice(["uniform:0:3", "const:1", "const:0"]),
+            density=rng.choice([0.0, 0.3, 0.7, 1.0]),
+            seed=rng.randrange(1 << 30),
+        ).build()
+        k = system.num_categories
+        # arbitrary pairs: ineligible ones and overfilled categories included
+        matching = Matching(tuple(
+            rng.randrange(k) if k and rng.random() < rng.random() else None
+            for _ in range(system.num_agents)
+        ))
+        verdict = axioms.check_nonwasteful(system, matching)
+        expected = _nonwasteful_reference(system, matching)
+        assert verdict.passed == (expected is None)
+        assert verdict.witness == expected
+        failures += expected is not None
+    assert 50 < failures < 250  # both verdicts are exercised
+
+
 def test_max_cardinality(contested_pair):
     assert axioms.check_max_cardinality(contested_pair, Matching((None, 0, 1)), 2).passed
     short = axioms.check_max_cardinality(contested_pair, Matching((None, 0, None)), 2)

