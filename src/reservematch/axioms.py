@@ -37,6 +37,8 @@ ORDER_PRESERVATION_SWAP = "order-preservation-swap"
 RESPECT_PRECEDENCE = "respect-precedence"
 ORDER_PRESERVATION_HYBRID = "order-preservation-hybrid"
 
+Assignment = tuple[Optional[int], ...]
+
 FUNDAMENTAL = (ELIGIBILITY, RESPECT_PRIORITIES, NON_WASTEFULNESS, MAX_CARDINALITY)
 SEQUENTIAL = (MAX_BENEFICIARY, ORDER_PRESERVATION_SWAP, RESPECT_PRECEDENCE)
 
@@ -155,33 +157,100 @@ def check_max_beneficiary(
     )
 
 
+def _own_ranks(base: ReserveSystem, assignment: Assignment) -> list[Optional[int]]:
+    """Each occupant's position at its own category, None for an unmatched
+    agent. An occupant that is not eligible there gets the category's cutoff:
+    every eligible agent ranks above it, as above its true position."""
+    own: list[Optional[int]] = []
+    for agent, c in enumerate(assignment):
+        if c is None:
+            own.append(None)
+            continue
+        ranking = base.priorities[c]
+        own.append(
+            ranking.position(agent)
+            if ranking.is_eligible(agent)
+            else ranking.eligible_cutoff
+        )
+    return own
+
+
+def _swap_bounds(
+    base: ReserveSystem,
+    assignment: Assignment,
+    own: list[Optional[int]],
+    allowed: list[list[bool]],
+) -> list[list[int]]:
+    """bound[d][e]: the lowest rank at d among d's occupants who are eligible
+    for e, over the category pairs with allowed[d][e] (-1 where there is
+    none). An agent held at e who is eligible for d outranks such an occupant
+    iff its position at d is below bound[d][e]. One pass over the eligible
+    prefixes."""
+    k = base.num_categories
+    bound = [[-1] * k for _ in range(k)]
+    for e in range(k):
+        for j in base.eligible_agents(e):
+            d = assignment[j]
+            if d is not None and allowed[d][e] and own[j] > bound[d][e]:
+                bound[d][e] = own[j]
+    return bound
+
+
+def _first_outranking(
+    base: ReserveSystem, assignment: Assignment, bound: list[list[int]]
+) -> Optional[int]:
+    """The lowest-index matched agent i, held at e, with a category d it is
+    eligible for where its position is below bound[d][e]. Only the prefix
+    of each eligible list above the row's largest bound is read."""
+    first: Optional[int] = None
+    for d, row in enumerate(bound):
+        eligible = base.eligible_agents(d)
+        for p in range(max(row, default=-1)):
+            i = eligible[p]
+            e = assignment[i]
+            if e is not None and p < row[e] and (first is None or i < first):
+                first = i
+    return first
+
+
+def _swap_partner(
+    seq: SequentialReserveSystem, matching: Matching, i: int
+) -> Optional[dict[str, Any]]:
+    """The witness for agent i: its first swap partner j in index order."""
+    base = seq.base
+    ci = matching.assignment[i]
+    for j in range(base.num_agents):
+        if i == j:
+            continue
+        cj = matching.assignment[j]
+        if cj is None or not seq.precedence.before(cj, ci):
+            continue
+        if not base.is_eligible(i, cj) or not base.is_eligible(j, ci):
+            continue
+        if base.position(cj, i) < base.position(cj, j):
+            return {"i": i, "j": j, "category_i": ci, "category_j": cj}
+    return None
+
+
 def check_order_preservation_swap(
     system: AnySystem, matching: Matching
 ) -> AxiomVerdict:
     """No matched pair may swap so that the higher-priority agent moves into
     the strictly earlier category: flags (i, j) with μ(j) earlier than μ(i),
-    i above j at μ(j), and mutual eligibility."""
+    i above j at μ(j), and mutual eligibility. The witness is the first such
+    pair in index order; O(n + edges + K²), plus O(n) for the witness."""
     seq = as_sequential(system)
     base = seq.base
-    for i in range(base.num_agents):
-        ci = matching.assignment[i]
-        if ci is None:
-            continue
-        for j in range(base.num_agents):
-            if i == j:
-                continue
-            cj = matching.assignment[j]
-            if cj is None or not seq.precedence.before(cj, ci):
-                continue
-            if not base.is_eligible(i, cj) or not base.is_eligible(j, ci):
-                continue
-            if base.position(cj, i) < base.position(cj, j):
-                return AxiomVerdict(
-                    ORDER_PRESERVATION_SWAP,
-                    False,
-                    {"i": i, "j": j, "category_i": ci, "category_j": cj},
-                )
-    return AxiomVerdict(ORDER_PRESERVATION_SWAP, True)
+    assignment = matching.assignment
+    tier = seq.precedence.tier_of
+    allowed = [[td < te for te in tier] for td in tier]
+    bound = _swap_bounds(base, assignment, _own_ranks(base, assignment), allowed)
+    i = _first_outranking(base, assignment, bound)
+    if i is None:
+        return AxiomVerdict(ORDER_PRESERVATION_SWAP, True)
+    return AxiomVerdict(
+        ORDER_PRESERVATION_SWAP, False, _swap_partner(seq, matching, i)
+    )
 
 
 def _precedence_flags(seq: SequentialReserveSystem, matching: Matching):
@@ -190,26 +259,35 @@ def _precedence_flags(seq: SequentialReserveSystem, matching: Matching):
     which holds a lower-priority occupant j -- or, with j = None, has a free
     slot i is eligible for. The free-slot form is what makes the axiom pin
     down a unique matching among the maxima: without it, an agent parked late
-    next to an empty earlier category forms no pair at all."""
+    next to an empty earlier category forms no pair at all.
+
+    Flags come by c, then i, with j the first qualifying occupant in index
+    order. A full category is read only down to its lowest eligible
+    occupant, and j is looked up only for a flag that is yielded."""
     base = seq.base
-    loads = matching.loads(base.num_categories)
-    for cj in range(base.num_categories):
-        occupants = matching.agents_in(cj)
-        for i in range(base.num_agents):
-            ci = matching.assignment[i]
-            if ci == cj:
-                continue
-            if ci is not None and not seq.precedence.before(cj, ci):
-                continue
-            if not base.is_eligible(i, cj):
-                continue
-            for j in occupants:
-                if base.is_eligible(j, cj) and base.position(cj, i) < base.position(cj, j):
-                    yield i, j, cj
-                    break
+    assignment = matching.assignment
+    tier = seq.precedence.tier_of
+    own = _own_ranks(base, assignment)
+    occupants: list[list[int]] = [[] for _ in range(base.num_categories)]
+    for agent, c in enumerate(assignment):
+        if c is not None:
+            occupants[c].append(agent)
+    for cj, occ in enumerate(occupants):
+        cutoff = base.priorities[cj].eligible_cutoff
+        lowest = max((own[j] for j in occ if own[j] < cutoff), default=-1)
+        eligible = base.eligible_agents(cj)
+        if len(occ) >= base.capacities[cj]:
+            eligible = eligible[: max(lowest, 0)]
+        flagged = sorted(
+            (i, p)
+            for p, i in enumerate(eligible)
+            if assignment[i] is None or tier[cj] < tier[assignment[i]]
+        )
+        for i, p in flagged:
+            if p < lowest:
+                yield i, next(j for j in occ if p < own[j] < cutoff), cj
             else:
-                if loads[cj] < base.capacities[cj]:
-                    yield i, None, cj
+                yield i, None, cj
 
 
 def _alternative_exists_flow(
@@ -222,7 +300,8 @@ def _alternative_exists_flow(
 ) -> Optional[dict[str, Any]]:
     """Feasibility of the alternative matching in flow form: pin the earlier
     categories' occupants, pin cj's higher-priority occupants, force i into
-    cj, and require both class totals."""
+    cj, and require both class totals. A pin on an ineligible pair has no
+    edge: no eligibility-compliant alternative keeps it."""
     base = seq.base
     rn = build_reserve_network(seq)
     net = rn.network
@@ -230,7 +309,10 @@ def _alternative_exists_flow(
     for c in range(base.num_categories):
         if seq.precedence.before(c, cj):
             for k in matching.agents_in(c):
-                net.set_lower(rn.assign_edge[(k, c)], 1)
+                edge = rn.assign_edge.get((k, c))
+                if edge is None:
+                    return None
+                net.set_lower(edge, 1)
                 pinned.add(k)
     for ell in matching.agents_in(cj):
         if base.position(cj, ell) < base.position(cj, i):
@@ -326,46 +408,72 @@ def check_respect_precedence(
     return AxiomVerdict(RESPECT_PRECEDENCE, True)
 
 
+def _hybrid_witness(
+    seq: SequentialReserveSystem, matching: Matching, i: int
+) -> Optional[dict[str, Any]]:
+    """The witness for agent i: its first partner j in index order that
+    meets either clause, clause 1 tested first."""
+    base = seq.base
+    early, late = seq.hybrid.open_early, seq.hybrid.open_late
+    pref = seq.preferential
+    ci = matching.assignment[i]
+    for j in range(base.num_agents):
+        if i == j:
+            continue
+        cj = matching.assignment[j]
+        if cj is None:
+            continue
+        if not base.is_eligible(i, cj):
+            continue
+        if base.position(cj, i) >= base.position(cj, j):
+            continue
+        # clause 1: i held by preferential or late-open, j eligible there
+        if (
+            ci is not None
+            and (ci in pref or ci in late)
+            and base.is_eligible(j, ci)
+            and cj in early
+        ):
+            return {"clause": 1, "i": i, "j": j, "category_i": ci, "category_j": cj}
+        # clause 2: j held by preferential or early-open, i parked late-open
+        if (cj in pref or cj in early) and ci is not None and ci in late:
+            return {"clause": 2, "i": i, "j": j, "category_i": ci, "category_j": cj}
+    return None
+
+
 def check_order_preservation_hybrid(
     system: AnySystem, matching: Matching
 ) -> AxiomVerdict:
     """The two-clause form specific to an early-open / preferential /
-    late-open split. Requires the instance's hybrid marker."""
+    late-open split. Requires the instance's hybrid marker. Clause 1 is the
+    swap scan from early-open into preferential or late-open categories;
+    clause 2 needs one lowest-occupant rank per preferential or early-open
+    category. O(n + edges + K²), plus O(n) for the witness."""
     seq = as_sequential(system)
     if seq.hybrid is None:
         raise NotHybridInstance("instance carries no hybrid marker")
     base = seq.base
     early, late = seq.hybrid.open_early, seq.hybrid.open_late
-    pref = seq.preferential
-    for i in range(base.num_agents):
-        ci = matching.assignment[i]
-        for j in range(base.num_agents):
-            if i == j:
-                continue
-            cj = matching.assignment[j]
-            if cj is None:
-                continue
-            if not base.is_eligible(i, cj):
-                continue
-            if base.position(cj, i) >= base.position(cj, j):
-                continue
-            # clause 1: i held by preferential or late-open, j eligible there
-            if (
-                ci is not None
-                and (ci in pref or ci in late)
-                and base.is_eligible(j, ci)
-                and cj in early
-            ):
-                return AxiomVerdict(
-                    ORDER_PRESERVATION_HYBRID,
-                    False,
-                    {"clause": 1, "i": i, "j": j, "category_i": ci, "category_j": cj},
-                )
-            # clause 2: j held by preferential or early-open, i parked late-open
-            if (cj in pref or cj in early) and ci is not None and ci in late:
-                return AxiomVerdict(
-                    ORDER_PRESERVATION_HYBRID,
-                    False,
-                    {"clause": 2, "i": i, "j": j, "category_i": ci, "category_j": cj},
-                )
-    return AxiomVerdict(ORDER_PRESERVATION_HYBRID, True)
+    held_before = seq.preferential | early
+    assignment = matching.assignment
+    k = base.num_categories
+    allowed = [
+        [d in early and e not in early for e in range(k)] for d in range(k)
+    ]
+    own = _own_ranks(base, assignment)
+    bound = _swap_bounds(base, assignment, own, allowed)
+    # clause 2 asks nothing of j's eligibility: every occupant of an earlier
+    # category counts against an agent parked late-open
+    lowest = [-1] * k
+    for j, d in enumerate(assignment):
+        if d is not None and d in held_before and own[j] > lowest[d]:
+            lowest[d] = own[j]
+    for d in held_before:
+        for e in late:
+            bound[d][e] = max(bound[d][e], lowest[d])
+    i = _first_outranking(base, assignment, bound)
+    if i is None:
+        return AxiomVerdict(ORDER_PRESERVATION_HYBRID, True)
+    return AxiomVerdict(
+        ORDER_PRESERVATION_HYBRID, False, _hybrid_witness(seq, matching, i)
+    )

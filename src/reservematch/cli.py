@@ -7,6 +7,7 @@ unexpected counterexample, 2 on usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import statistics
@@ -173,7 +174,7 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
     if args.rule == "da":
         return da_allocate(base_of(system))
     if args.rule == "rev":
-        if not args.baseline:
+        if args.baseline is None:
             raise InstanceError("rev requires --baseline")
         return rev_allocate(base_of(system), _parse_int_list(args.baseline))
     if args.rule == "mma":
@@ -612,9 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call rather than at import, so
+    importing stays cheap and later in-process calls reuse it. Each
+    parse_args call returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if getattr(args, "axiom", None) is None and args.command == "check":
         args.axiom = ["all"]
     try:

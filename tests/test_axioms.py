@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from util import hybrid_instance as _hybrid_instance
 
 from reservematch import axioms
-from reservematch.cli import GeneratorSpec
+from reservematch.cli import GeneratorSpec, main
 from reservematch.harness import MatchingSpace, oracle_maxima
 from reservematch.model import (
     HybridMarker,
@@ -17,6 +18,8 @@ from reservematch.model import (
     ReserveSystem,
     SequentialReserveSystem,
     as_sequential,
+    instance_to_json,
+    matching_to_json,
 )
 from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import scu_allocate
@@ -182,6 +185,240 @@ def test_order_preservation_swap_witness():
     assert verdict.witness == {"i": 0, "j": 1, "category_i": 1, "category_j": 0}
     # exhaustive cross-check: the equal-priority reverse matching passes
     assert axioms.check_order_preservation_swap(system, Matching((0, 1))).passed
+
+
+def _swap_reference(system, matching):
+    """The definition as a quadratic scan over (i, j) in index order."""
+    seq = as_sequential(system)
+    base = seq.base
+    for i in range(base.num_agents):
+        ci = matching.assignment[i]
+        if ci is None:
+            continue
+        for j in range(base.num_agents):
+            if i == j:
+                continue
+            cj = matching.assignment[j]
+            if cj is None or not seq.precedence.before(cj, ci):
+                continue
+            if not base.is_eligible(i, cj) or not base.is_eligible(j, ci):
+                continue
+            if base.position(cj, i) < base.position(cj, j):
+                return False, {"i": i, "j": j, "category_i": ci, "category_j": cj}
+    return True, None
+
+
+def _precedence_flags_reference(seq, matching):
+    """Every (i, j, c) premise by category, then agent, then occupant, all in
+    index order: category × agent × occupant."""
+    base = seq.base
+    loads = matching.loads(base.num_categories)
+    flags = []
+    for cj in range(base.num_categories):
+        occupants = matching.agents_in(cj)
+        for i in range(base.num_agents):
+            ci = matching.assignment[i]
+            if ci == cj:
+                continue
+            if ci is not None and not seq.precedence.before(cj, ci):
+                continue
+            if not base.is_eligible(i, cj):
+                continue
+            for j in occupants:
+                if base.is_eligible(j, cj) and base.position(cj, i) < base.position(cj, j):
+                    flags.append((i, j, cj))
+                    break
+            else:
+                if loads[cj] < base.capacities[cj]:
+                    flags.append((i, None, cj))
+    return flags
+
+
+def _hybrid_reference(seq, matching):
+    """Both clauses over every (i, j) in index order, clause 1 first."""
+    base = seq.base
+    early, late = seq.hybrid.open_early, seq.hybrid.open_late
+    pref = seq.preferential
+    for i in range(base.num_agents):
+        ci = matching.assignment[i]
+        for j in range(base.num_agents):
+            if i == j:
+                continue
+            cj = matching.assignment[j]
+            if cj is None or not base.is_eligible(i, cj):
+                continue
+            if base.position(cj, i) >= base.position(cj, j):
+                continue
+            if (
+                ci is not None
+                and (ci in pref or ci in late)
+                and base.is_eligible(j, ci)
+                and cj in early
+            ):
+                return False, {"clause": 1, "i": i, "j": j, "category_i": ci, "category_j": cj}
+            if (cj in pref or cj in early) and ci is not None and ci in late:
+                return False, {"clause": 2, "i": i, "j": j, "category_i": ci, "category_j": cj}
+    return True, None
+
+
+def _random_matching(rng, system, eligible_only):
+    """Capacity-respecting; with eligible_only False, pairs are drawn from all
+    categories, so ineligible ones show up."""
+    base = system.base if isinstance(system, SequentialReserveSystem) else system
+    loads = [0] * base.num_categories
+    assignment = [None] * base.num_agents
+    for agent in rng.sample(range(base.num_agents), base.num_agents):
+        options = (
+            base.agent_categories(agent) if eligible_only else range(base.num_categories)
+        )
+        room = [c for c in options if loads[c] < base.capacities[c]]
+        if room and rng.random() < 0.8:
+            assignment[agent] = rng.choice(room)
+            loads[assignment[agent]] += 1
+    return Matching(tuple(assignment))
+
+
+def _sequential_sweep(rng, count):
+    """Random sequential instances (strict, equal and tied tiers, zero
+    capacities included) and hybrid ones, each with solver outputs and
+    random matchings."""
+    for index in range(count):
+        if index % 3 == 2:
+            system = _hybrid_instance(rng, rng.randint(1, 12))
+        else:
+            system = as_sequential(GeneratorSpec(
+                num_agents=rng.randint(1, 30),
+                num_categories=rng.randint(1, 6),
+                capacity=rng.choice(["uniform:0:3", "const:0", "const:1", "uniform:1:5"]),
+                density=rng.choice([0.0, 0.3, 0.6, 1.0]),
+                preferential_fraction=rng.choice([0.0, 0.4]),
+                tier_scheme=rng.choice(["equal", "strict", "random:2", "random:3"]),
+                seed=rng.randrange(1 << 30),
+            ).build())
+        matchings = [
+            scu_allocate(system),
+            mma_allocate(system.base)[0],
+            _random_matching(rng, system, True),
+            _random_matching(rng, system, False),
+            _random_matching(rng, system, False),
+        ]
+        for matching in matchings:
+            yield system, matching
+
+
+def test_sequential_scans_match_quadratic_references():
+    rng = random.Random(90210)
+    swaps, flag_counts, hybrids = set(), set(), set()
+    for system, matching in _sequential_sweep(rng, 240):
+        verdict = axioms.check_order_preservation_swap(system, matching)
+        expected = _swap_reference(system, matching)
+        assert (verdict.passed, verdict.witness) == expected, (system, matching)
+        swaps.add(verdict.passed)
+        flags = list(axioms._precedence_flags(system, matching))
+        assert flags == _precedence_flags_reference(system, matching), (system, matching)
+        flag_counts.add(min(len(flags), 2))
+        if system.hybrid is not None:
+            verdict = axioms.check_order_preservation_hybrid(system, matching)
+            expected = _hybrid_reference(system, matching)
+            assert (verdict.passed, verdict.witness) == expected, (system, matching)
+            hybrids.add(expected[1]["clause"] if expected[1] else 0)
+    # both verdicts, empty and longer flag lists, and both hybrid clauses
+    assert swaps == {True, False}
+    assert flag_counts == {0, 1, 2}
+    assert hybrids == {0, 1, 2}
+
+
+def test_respect_precedence_ineligible_pin_agrees_with_oracle():
+    """A flag whose pins include an occupant held where it is not eligible
+    has no eligibility-compliant alternative: the flow search answers that
+    (it once raised KeyError on the missing edge), as the oracle does."""
+    rng = random.Random(6060)
+    compared = 0
+    for _ in range(80):
+        system = GeneratorSpec(
+            num_agents=rng.randint(2, 6),
+            num_categories=rng.randint(2, 4),
+            capacity="uniform:1:2",
+            density=rng.choice([0.3, 0.6]),
+            preferential_fraction=rng.choice([0.0, 0.4]),
+            tier_scheme="strict",
+            seed=rng.randrange(1 << 30),
+        ).build()
+        maxima = oracle_maxima(system)
+        for _ in range(3):
+            matching = _random_matching(rng, system, False)
+            if axioms.check_eligibility(system, matching).passed:
+                continue
+            verdicts = [
+                axioms.check_respect_precedence(
+                    system, matching, search=search, b=maxima.b, m=maxima.m
+                ).passed
+                for search in ("flow", "oracle")
+            ]
+            assert verdicts[0] == verdicts[1], (system, matching)
+            compared += 1
+    assert compared > 50
+
+
+def test_check_ineligible_earlier_pin_exits_1_not_traceback(tmp_path, capsys):
+    # agent 0 sits in c0, which does not admit it; agent 1 could take the
+    # free seat of the later c1, and that flag pins agent 0 in c0
+    system = SequentialReserveSystem(
+        base=ReserveSystem(
+            2, 2, (1, 1), (PriorityRanking((1, 0), 1), PriorityRanking((1, 0), 2))
+        ),
+        preferential=frozenset(),
+        precedence=PrecedenceOrder((0, 1)),
+    )
+    inst, held = tmp_path / "inst.json", tmp_path / "m.json"
+    inst.write_text(instance_to_json(system))
+    held.write_text(matching_to_json(Matching((0, None))))
+    verdicts = {}
+    for search in ("flow", "oracle"):
+        code = main(["--format", "json", "check", "-i", str(inst), "-m", str(held),
+                     "--axiom", "eligibility", "--axiom", "respect-precedence",
+                     "--search", search])
+        assert code == 1
+        verdicts[search] = [
+            (v["axiom"], v["pass"]) for v in json.loads(capsys.readouterr().out)
+        ]
+    assert verdicts["flow"] == verdicts["oracle"] == [
+        ("eligibility", False), ("respect-precedence", True)
+    ]
+
+
+def test_passing_check_rank_lookups_grow_linearly(tmp_path, monkeypatch, capsys):
+    """Counts, not timings: a return to a pair scan multiplies the lookups
+    by about 16 when the agents grow 4×."""
+    counts = {"lookups": 0}
+    for name in ("position", "is_eligible"):
+        original = getattr(PriorityRanking, name)
+
+        def counted(self, agent, _original=original):
+            counts["lookups"] += 1
+            return _original(self, agent)
+
+        monkeypatch.setattr(PriorityRanking, name, counted)
+    per_size = []
+    for n in (400, 1600):
+        system = GeneratorSpec(
+            num_agents=n,
+            num_categories=10,
+            capacity=f"const:{n // 20}",
+            density=0.3,
+            preferential_fraction=0.4,
+            tier_scheme="strict",
+            seed=1,
+        ).build()
+        inst, out = tmp_path / f"inst{n}.json", tmp_path / f"out{n}.json"
+        inst.write_text(instance_to_json(system))
+        out.write_text(matching_to_json(scu_allocate(system)))
+        counts["lookups"] = 0
+        assert main(["check", "-i", str(inst), "-m", str(out)]) == 0
+        per_size.append(counts["lookups"])
+    capsys.readouterr()
+    assert per_size[0] > 0
+    assert per_size[1] < 6 * per_size[0], per_size
 
 
 def test_respect_precedence_verdicts(precedence_chain):

@@ -121,6 +121,52 @@ def test_solve_rev_requires_baseline(capsys, corpus_dir):
     assert code == 2
 
 
+def _zero_agent_instance(tmp_path):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({
+        "agents": 0,
+        "categories": [{"id": 0, "capacity": 1, "ranking": [], "eligible_cutoff": 0}],
+    }))
+    return inst
+
+
+def test_solve_rev_empty_baseline_is_the_empty_order(capsys, tmp_path):
+    inst = _zero_agent_instance(tmp_path)
+    for rule, extra in (("rev", ["--baseline", ""]), ("mma", [])):
+        code, out = run_cli(capsys, "--format", "json", "solve", "-i", str(inst),
+                            "--rule", rule, *extra)
+        assert code == 0, rule
+        assert json.loads(out)["matching"]["assignment"] == {}
+    # an absent --baseline is still an error
+    code, _ = run_cli(capsys, "solve", "-i", str(inst), "--rule", "rev")
+    assert code == 2
+
+
+def test_solve_rev_empty_baseline_on_agents_exits_2(capsys, corpus_dir):
+    code = main(["solve", "-i", str(corpus_dir / "contested_pair.json"),
+                 "--rule", "rev", "--baseline", ""])
+    assert code == 2
+    assert "permutation" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_share_no_parsed_state(capsys, corpus_dir, tmp_path):
+    matching = tmp_path / "m.json"
+    matching.write_text(matching_to_json(Matching((None, 0, 1))))
+    check = ["--format", "json", "check", "-i", str(corpus_dir / "contested_pair.json"),
+             "-m", str(matching)]
+
+    def axioms_reported(*extra):
+        code, out = run_cli(capsys, *check, *extra)
+        assert code == 0
+        return [v["axiom"] for v in json.loads(out)]
+
+    everything = ["eligibility", "respect-priorities", "non-wastefulness", "max-cardinality"]
+    assert axioms_reported("--axiom", "eligibility") == ["eligibility"]
+    assert axioms_reported() == everything
+    assert axioms_reported("--axiom", "non-wastefulness") == ["non-wastefulness"]
+    assert axioms_reported() == everything
+
+
 def test_solve_mma_order_override(capsys, corpus_dir, tmp_path):
     seed_file = tmp_path / "seed.json"
     seed_file.write_text(matching_to_json(Matching((0, None, 1))))
