@@ -77,29 +77,40 @@ def check_eligibility(system: AnySystem, matching: Matching) -> AxiomVerdict:
 def check_respect_priorities(system: AnySystem, matching: Matching) -> AxiomVerdict:
     """No unmatched agent ranks above an occupant of any category. The
     witness is the first failing (unmatched agent, category) pair in index
-    order, with the lowest-index occupant it outranks there; O(n·K)."""
+    order, with the lowest-index occupant it outranks there. Only each
+    category's ranking above its lowest occupant is read, so an
+    eligibility-compliant matching never needs a rank map beyond the
+    eligible prefixes; O(n·K) at worst."""
     base = base_of(system)
+    assignment = matching.assignment
     occupants: list[list[int]] = [[] for _ in range(base.num_categories)]
-    for agent, c in enumerate(matching.assignment):
+    for agent, c in enumerate(assignment):
         if c is not None:
             occupants[c].append(agent)
     lowest = [
         max((base.position(c, b) for b in occ), default=-1)
         for c, occ in enumerate(occupants)
     ]
-    for agent, assigned in enumerate(matching.assignment):
-        if assigned is not None:
-            continue
-        for c in range(base.num_categories):
-            pos = base.position(c, agent)
-            if pos < lowest[c]:
-                other = next(b for b in occupants[c] if pos < base.position(c, b))
-                return AxiomVerdict(
-                    RESPECT_PRIORITIES,
-                    False,
-                    {"unmatched": agent, "matched": other, "category": c},
-                )
-    return AxiomVerdict(RESPECT_PRIORITIES, True)
+    witness = min(
+        (
+            (agent, c, pos)
+            for c in range(base.num_categories)
+            for pos, agent in enumerate(
+                base.priorities[c].ordered_agents[: max(lowest[c], 0)]
+            )
+            if assignment[agent] is None
+        ),
+        default=None,
+    )
+    if witness is None:
+        return AxiomVerdict(RESPECT_PRIORITIES, True)
+    agent, c, pos = witness
+    other = next(b for b in occupants[c] if pos < base.position(c, b))
+    return AxiomVerdict(
+        RESPECT_PRIORITIES,
+        False,
+        {"unmatched": agent, "matched": other, "category": c},
+    )
 
 
 def check_nonwasteful(system: AnySystem, matching: Matching) -> AxiomVerdict:

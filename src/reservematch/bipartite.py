@@ -146,23 +146,20 @@ def _validate_seed(graph: EligibilityGraph, seed: GraphMatching) -> None:
 def maximum_matching(
     graph: EligibilityGraph,
     seed: Optional[GraphMatching] = None,
-    agent_mask: Optional[Sequence[bool]] = None,
     category_mask: Optional[Sequence[bool]] = None,
 ) -> GraphMatching:
     """Maximum-cardinality matching via Hopcroft-Karp with category loads.
 
     Augments the seed when one is given: matched agents never become
-    unmatched, only reassigned along augmenting paths. Masks restrict the
-    search to a subgraph (used for the preferential-side initial matching).
+    unmatched, only reassigned along augmenting paths. ``category_mask``
+    restricts the search to the categories it marks (used for the
+    preferential-side initial matching).
     """
     if seed is not None:
         _validate_seed(graph, seed)
         match = seed.copy()
     else:
         match = GraphMatching(graph.num_agents, graph.num_categories)
-
-    def agent_ok(a: int) -> bool:
-        return agent_mask is None or agent_mask[a]
 
     def cat_ok(c: int) -> bool:
         return category_mask is None or category_mask[c]
@@ -173,7 +170,7 @@ def maximum_matching(
     def bfs() -> bool:
         queue: deque[int] = deque()
         for a in range(n):
-            if agent_ok(a) and match.assignment[a] is None:
+            if match.assignment[a] is None:
                 dist[a] = 0
                 queue.append(a)
             else:
@@ -249,7 +246,7 @@ def maximum_matching(
     while bfs():
         dead.clear()
         for a in range(n):
-            if agent_ok(a) and match.assignment[a] is None:
+            if match.assignment[a] is None:
                 dfs(a)
     return match
 

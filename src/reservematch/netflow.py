@@ -4,10 +4,10 @@ Provides max-flow (Dinic), feasibility under lower bounds via the standard
 circulation transformation (subtract lower bounds, add an excess/deficit
 supernode pair, saturate), a warm-started feasible flow (``WarmFlow``) that
 takes unit lower bounds one at a time with one residual-cycle search each,
-and the three-layer reserve networks: one node per agent, or the compact
-variant with one node per group of agents sharing an eligibility set. All
-flows are integral; augmentation and search order are fixed by edge id, so
-results are deterministic.
+and the three-layer reserve network with one node per group of agents
+sharing an eligibility set; the full network is the case of one agent per
+group. All flows are integral; augmentation and search order are fixed by
+edge id, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class Infeasible(ValueError):
 
 
 class DecodeAmbiguity(ValueError):
-    """Compact flow carries units not pinned by the assignment ledger."""
+    """A flow unit names no single agent: it sits on a group of several
+    agents, or on an agent that already has an assignment."""
 
 
 @dataclass(frozen=True)
@@ -362,30 +363,17 @@ PREF_CLASS = "preferential"
 
 @dataclass
 class ReserveNetwork:
-    """Three-layer network: source -> agents -> categories -> class nodes -> sink."""
-
-    network: BoundedFlowNetwork
-    agent_node: dict[int, int]
-    category_node: dict[int, int]
-    class_node: dict[str, int]
-    agent_edge: dict[int, int] = field(default_factory=dict)
-    assign_edge: dict[tuple[int, int], int] = field(default_factory=dict)
-    category_edge: dict[int, int] = field(default_factory=dict)
-    class_edge: dict[str, int] = field(default_factory=dict)
-
-    def class_of(self, system: SequentialReserveSystem, c: int) -> str:
-        return PREF_CLASS if system.is_beneficial(c) else OPEN_CLASS
-
-
-@dataclass
-class CompactReserveNetwork:
-    """Same layering with agents grouped by identical eligibility sets."""
+    """Three-layer network: source -> groups -> categories -> class nodes ->
+    sink, where a group is a set of agents with one eligibility set. The full
+    network has one group per agent (``group_of`` is the identity), the
+    compact one a group per distinct eligibility set; a group's edges carry
+    up to its size in units."""
 
     network: BoundedFlowNetwork
     group_of: dict[int, int]
-    group_members: dict[int, tuple[int, ...]]
-    group_node: dict[int, int]
-    category_node: dict[int, int]
+    group_members: list[tuple[int, ...]]
+    group_node: list[int]
+    category_node: list[int]
     class_node: dict[str, int]
     group_edge: dict[int, int] = field(default_factory=dict)
     assign_edge: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -393,45 +381,57 @@ class CompactReserveNetwork:
     class_edge: dict[str, int] = field(default_factory=dict)
 
 
-def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
-    base = system.base
-    total_capacity = sum(base.capacities)
-    names = ["s"]
-    agent_node = {}
-    for a in range(base.num_agents):
-        agent_node[a] = len(names)
-        names.append(f"i{a}")
-    category_node = {}
-    for c in range(base.num_categories):
-        category_node[c] = len(names)
-        names.append(f"c{c}")
-    open_node = len(names)
-    names.append("C0")
-    pref_node = len(names)
-    names.append("C*")
-    sink = len(names)
-    names.append("t")
-    net = BoundedFlowNetwork(len(names), source=0, sink=sink, names=names)
-
-    rn = ReserveNetwork(
-        network=net,
-        agent_node=agent_node,
-        category_node=category_node,
-        class_node={OPEN_CLASS: open_node, PREF_CLASS: pref_node},
+def _layers(
+    system: SequentialReserveSystem, label: str, groups: list[tuple[int, ...]]
+) -> ReserveNetwork:
+    """The nodes of a reserve network with ``groups`` as its group layer
+    (named ``label`` plus the group id), and no edges yet."""
+    num_groups, num_categories = len(groups), system.num_categories
+    names = (
+        ["s"]
+        + [f"{label}{k}" for k in range(num_groups)]
+        + [f"c{c}" for c in range(num_categories)]
+        + ["C0", "C*", "t"]
     )
-    for a in range(base.num_agents):
-        rn.agent_edge[a] = net.add_edge(0, agent_node[a], 0, 1)
-    for c in range(base.num_categories):
-        for a in base.eligible_agents(c):
-            rn.assign_edge[(a, c)] = net.add_edge(agent_node[a], category_node[c], 0, 1)
-    for c in range(base.num_categories):
+    open_node = 1 + num_groups + num_categories
+    return ReserveNetwork(
+        network=BoundedFlowNetwork(len(names), source=0, sink=open_node + 2, names=names),
+        group_of={a: k for k, members in enumerate(groups) for a in members},
+        group_members=groups,
+        group_node=list(range(1, 1 + num_groups)),
+        category_node=list(range(1 + num_groups, open_node)),
+        class_node={OPEN_CLASS: open_node, PREF_CLASS: open_node + 1},
+    )
+
+
+def _add_class_edges(system: SequentialReserveSystem, rn: ReserveNetwork) -> ReserveNetwork:
+    """Category -> class edges with the capacities, then the uncapacitated
+    class -> sink edges."""
+    net = rn.network
+    total_capacity = sum(system.capacities)
+    open_node, pref_node = rn.class_node[OPEN_CLASS], rn.class_node[PREF_CLASS]
+    for c in range(system.num_categories):
         target = pref_node if system.is_beneficial(c) else open_node
         rn.category_edge[c] = net.add_edge(
-            category_node[c], target, 0, base.capacities[c]
+            rn.category_node[c], target, 0, system.capacities[c]
         )
-    rn.class_edge[OPEN_CLASS] = net.add_edge(open_node, sink, 0, total_capacity)
-    rn.class_edge[PREF_CLASS] = net.add_edge(pref_node, sink, 0, total_capacity)
+    rn.class_edge[OPEN_CLASS] = net.add_edge(open_node, net.sink, 0, total_capacity)
+    rn.class_edge[PREF_CLASS] = net.add_edge(pref_node, net.sink, 0, total_capacity)
     return rn
+
+
+def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
+    """The full network: one unit group per agent, agent edges first, then
+    the assignment edges category by category."""
+    base = system.base
+    rn = _layers(system, "i", [(a,) for a in range(base.num_agents)])
+    net, agent_node = rn.network, rn.group_node
+    for a in range(base.num_agents):
+        rn.group_edge[a] = net.add_edge(0, agent_node[a], 0, 1)
+    for c in range(base.num_categories):
+        for a in base.eligible_agents(c):
+            rn.assign_edge[(a, c)] = net.add_edge(agent_node[a], rn.category_node[c], 0, 1)
+    return _add_class_edges(system, rn)
 
 
 def _eligibility_classes(
@@ -458,89 +458,49 @@ def agent_groups(system: SequentialReserveSystem) -> dict[int, tuple[int, ...]]:
     return {k: members for k, (_, members) in enumerate(_eligibility_classes(system))}
 
 
-def build_compact_network(system: SequentialReserveSystem) -> CompactReserveNetwork:
-    base = system.base
-    total_capacity = sum(base.capacities)
+def build_compact_network(system: SequentialReserveSystem) -> ReserveNetwork:
+    """The grouped network: one group per distinct eligibility set, each
+    group edge followed by that group's assignment edges."""
     classes = _eligibility_classes(system)
-    groups = {k: members for k, (_, members) in enumerate(classes)}
-    names = ["s"]
-    group_node = {}
-    for k in sorted(groups):
-        group_node[k] = len(names)
-        names.append(f"k{k}")
-    category_node = {}
-    for c in range(base.num_categories):
-        category_node[c] = len(names)
-        names.append(f"c{c}")
-    open_node = len(names)
-    names.append("C0")
-    pref_node = len(names)
-    names.append("C*")
-    sink = len(names)
-    names.append("t")
-    net = BoundedFlowNetwork(len(names), source=0, sink=sink, names=names)
-
-    cn = CompactReserveNetwork(
-        network=net,
-        group_of={a: k for k, members in groups.items() for a in members},
-        group_members=groups,
-        group_node=group_node,
-        category_node=category_node,
-        class_node={OPEN_CLASS: open_node, PREF_CLASS: pref_node},
-    )
+    rn = _layers(system, "k", [members for _, members in classes])
+    net = rn.network
     for k, (eligible, members) in enumerate(classes):
         size = len(members)
-        cn.group_edge[k] = net.add_edge(0, group_node[k], 0, size)
+        rn.group_edge[k] = net.add_edge(0, rn.group_node[k], 0, size)
         for c in eligible:
-            cn.assign_edge[(k, c)] = net.add_edge(
-                group_node[k], category_node[c], 0, size
+            rn.assign_edge[(k, c)] = net.add_edge(
+                rn.group_node[k], rn.category_node[c], 0, size
             )
-    for c in range(base.num_categories):
-        target = pref_node if system.is_beneficial(c) else open_node
-        cn.category_edge[c] = net.add_edge(
-            category_node[c], target, 0, base.capacities[c]
-        )
-    cn.class_edge[OPEN_CLASS] = net.add_edge(open_node, sink, 0, total_capacity)
-    cn.class_edge[PREF_CLASS] = net.add_edge(pref_node, sink, 0, total_capacity)
-    return cn
+    return _add_class_edges(system, rn)
 
 
 def flow_to_matching(
-    reserve,
+    reserve: ReserveNetwork,
     flow: Flow,
     ledger: Optional[list[tuple[int, int]]] = None,
 ) -> Matching:
-    """Decode a flow into a matching.
+    """Decode a flow into a matching: the ledger's fixes, plus each unit on
+    a single-agent group as that agent's assignment.
 
-    Full networks decode directly from the agent->category unit edges. The
-    compact case needs the fix ledger built up by the sequential procedure;
-    any group flow beyond the ledger is ambiguous by construction and
-    rejected.
+    The sequential procedure takes fixed units off the network as it pins
+    them and keeps them in its ledger, so a unit still on a group of several
+    agents names no agent and is rejected as ambiguous.
     """
-    if isinstance(reserve, ReserveNetwork):
-        num_agents = len(reserve.agent_node)
-        assignment: list[Optional[int]] = [None] * num_agents
-        for (a, c), e in reserve.assign_edge.items():
-            if flow.values[e] == 1:
-                if assignment[a] is not None:
-                    raise DecodeAmbiguity(f"agent {a} carries two units")
-                assignment[a] = c
-        return Matching(tuple(assignment))
-
-    if not isinstance(reserve, CompactReserveNetwork):
-        raise TypeError(f"cannot decode against {type(reserve).__name__}")
-    ledger = ledger or []
-    num_agents = len(reserve.group_of)
-    assignment: list[Optional[int]] = [None] * num_agents
-    for a, c in ledger:
+    assignment: list[Optional[int]] = [None] * len(reserve.group_of)
+    for a, c in ledger or ():
         if assignment[a] is not None:
             raise DecodeAmbiguity(f"ledger fixes agent {a} twice")
         assignment[a] = c
-    # Fixed units are removed from the compact network as they are pinned,
-    # so a terminal flow carries no group units at all.
     for (k, c), e in reserve.assign_edge.items():
-        if flow.values[e] > 0:
+        units = flow.values[e]
+        if units == 0:
+            continue
+        members = reserve.group_members[k]
+        if len(members) > 1:
             raise DecodeAmbiguity(
-                f"group {k} carries {flow.values[e]} unpinned units into category {c}"
+                f"group {k} carries {units} unpinned units into category {c}"
             )
+        if assignment[members[0]] is not None:
+            raise DecodeAmbiguity(f"agent {members[0]} carries two units")
+        assignment[members[0]] = c
     return Matching(tuple(assignment))

@@ -1,26 +1,30 @@
 """Sequential category updating over a precedence order.
 
-Three interchangeable implementations of the same rule:
+One candidate loop, ``scu_allocate``, walks the categories in precedence
+order and offers each unfixed eligible agent to a working state's ``step``.
+Three interchangeable states answer whether some matching keeps every
+earlier fix, places the candidate and keeps both maxima:
 
-* ``flow``: the reference form; a feasible flow on the full three-layer
-  network is kept warm, and every candidate fix pins a unit lower bound on
-  its edge with one residual-cycle search (``WarmFlow.pin``).
-* ``compact``: the same pins on the grouped network; fixed agents are
-  removed from the network (group, group-edge, category and class-target
-  bounds all shrink by one, and so does the flow on those edges).
+* ``flow``: the reference form; a feasible flow on the full reserve network
+  (one group per agent) is kept warm, and every candidate pins a unit lower
+  bound on its edge with one residual-cycle search (``WarmFlow.pin``).
+* ``compact``: the same pins on the grouped network (one group per
+  eligibility set). Both network states take each fixed unit off the
+  network: group, group-edge, category and class-target bounds all shrink
+  by one, and so does the flow on those edges.
 * ``bipartite``: explicit matching plus one residual-cycle search per
   candidate: a breadth-first search through the pinned edge in the residual
   reserve network of the working matching.
 
-All three return the identical matching; the fixed set equals the matched
-set on termination, which is asserted every run.
+All three keep one fix ledger (``FixLedger``) and return the identical
+matching; the fixed set equals the matched set on termination, which is
+asserted every run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .bipartite import (
     EligibilityGraph,
@@ -148,21 +152,42 @@ def scu_allocate(
     trace_sink: Optional[TraceSink] = None,
 ) -> Matching:
     """Run the sequential rule; basic instances are coerced to an empty
-    preferential set and a single tier."""
+    preferential set and a single tier.
+
+    Each category in precedence order offers its unfixed eligible agents,
+    highest priority first, to the state's ``step`` until its fixes fill
+    its capacity."""
     seq = as_sequential(system)
-    if impl in ("flow", "compact"):
-        return _scu_network(seq, impl == "compact", trace_sink)
+    state: Union[SCUState, SCUNetworkState]
     if impl == "bipartite":
-        return _scu_bipartite(seq, trace_sink)
-    raise ValueError(f"unknown implementation {impl!r}; expected one of {IMPLEMENTATIONS}")
+        state = scu_state_init(seq)
+    elif impl in ("flow", "compact"):
+        state = SCUNetworkState(seq, impl == "compact")
+    else:
+        raise ValueError(f"unknown implementation {impl!r}; expected one of {IMPLEMENTATIONS}")
+    processed: list[int] = []
+    _emit(trace_sink, "init", state, processed, b=state.b, m=state.m)
+    for c in seq.precedence.strict_sequence():
+        for agent in seq.base.eligible_agents(c):
+            if agent in state.in_x:
+                continue
+            if state.fixed_count[c] == seq.capacities[c]:
+                break
+            if state.step(agent, c) == FIXED:
+                _emit(trace_sink, "fixed", state, processed, agent=agent, category=c)
+        processed.append(c)
+    matching = state.finish()
+    assert set(matching.matched_agents()) == state.in_x, "fixed set must equal matched set"
+    assert matching.matched_count() == state.m, "cardinality must stay maximal"
+    assert matching.beneficiary_count(seq.preferential) == state.b
+    _emit(trace_sink, "done", state, processed)
+    return matching
 
 
 def _emit(
     sink: Optional[TraceSink],
     event: str,
-    *,
-    seq: SequentialReserveSystem,
-    fixed: Sequence[tuple[int, int]],
+    state: Union[SCUState, SCUNetworkState],
     processed: Sequence[int],
     **extra,
 ) -> None:
@@ -170,21 +195,37 @@ def _emit(
         return
     record = {
         "event": event,
-        "fixed": [[a, c] for a, c in fixed],
+        "fixed": [[a, c] for a, c in state.X],
         "processed_categories": sorted(processed),
     }
     record.update(extra)
+    record.update(state.trace_fields())
     sink(record)
+
+
+class FixLedger:
+    """The fixes of a run: pairs in insertion order, the fixed agents, and
+    the number of fixes per category."""
+
+    def __init__(self, num_categories: int):
+        self.X: list[tuple[int, int]] = []
+        self.in_x: set[int] = set()
+        self.fixed_count = [0] * num_categories
+
+    def fix(self, agent: int, category: int) -> None:
+        self.X.append((agent, category))
+        self.in_x.add(agent)
+        self.fixed_count[category] += 1
 
 
 # ---------------------------------------------------------------------------
 # Flow implementations (reference and compact)
 
 
-class SCUNetworkState:
+class SCUNetworkState(FixLedger):
     """Working state of the ``flow`` and ``compact`` rules: the reserve
-    network (full or grouped) with a warm feasible flow on it, the fixes in
-    insertion order and the two maxima.
+    network (one group per agent, or per eligibility set) with a warm
+    feasible flow on it, the fix ledger and the two maxima.
 
     The warm flow starts from the maximum flow that yields m, which already
     meets the class bounds b and m - b; each candidate is then one pin on
@@ -192,8 +233,8 @@ class SCUNetworkState:
     """
 
     def __init__(self, seq: SequentialReserveSystem, compact: bool):
+        super().__init__(seq.num_categories)
         self.seq = seq
-        self.compact = compact
         self.reserve = build_compact_network(seq) if compact else build_reserve_network(seq)
         net = self.reserve.network
         open_edge = self.reserve.class_edge[OPEN_CLASS]
@@ -206,100 +247,73 @@ class SCUNetworkState:
         self.m = start.total
         net.set_lower(open_edge, self.m - self.b)
         self.warm = WarmFlow(net, start)
-        self.X: list[tuple[int, int]] = []
-        self.in_x: set[int] = set()
-        self.fixed_count = [0] * seq.num_categories
 
     def step(self, agent: int, c: int) -> str:
         """Fix ``agent`` at ``c`` if some matching keeps every fix, places
         the agent there and keeps both maxima."""
         rn, net = self.reserve, self.reserve.network
-        if not self.compact:
-            if not self.warm.pin(rn.assign_edge[(agent, c)]):
-                return NO_CHANGE
-        else:
-            k = rn.group_of[agent]
-            edge = rn.assign_edge[(k, c)]
-            if not self.warm.pin(edge):
-                return NO_CHANGE
-            net.set_lower(edge, 0)
-            # remove the fixed unit from the remaining network
-            group_edge, category_edge = rn.group_edge[k], rn.category_edge[c]
-            class_edge = rn.class_edge[PREF_CLASS if self.seq.is_beneficial(c) else OPEN_CLASS]
-            for e in (group_edge, edge, category_edge):
-                net.set_upper(e, net.upper[e] - 1)
-            net.set_lower(class_edge, net.lower[class_edge] - 1)
-            self.warm.drop_unit([group_edge, edge, category_edge, class_edge])
-        self.X.append((agent, c))
-        self.in_x.add(agent)
-        self.fixed_count[c] += 1
+        k = rn.group_of[agent]
+        edge = rn.assign_edge[(k, c)]
+        if not self.warm.pin(edge):
+            return NO_CHANGE
+        net.set_lower(edge, 0)
+        # remove the fixed unit from the remaining network
+        group_edge, category_edge = rn.group_edge[k], rn.category_edge[c]
+        class_edge = rn.class_edge[PREF_CLASS if self.seq.is_beneficial(c) else OPEN_CLASS]
+        for e in (group_edge, edge, category_edge):
+            net.set_upper(e, net.upper[e] - 1)
+        net.set_lower(class_edge, net.lower[class_edge] - 1)
+        self.warm.drop_unit([group_edge, edge, category_edge, class_edge])
+        self.fix(agent, c)
         return FIXED
 
     def finish(self) -> Matching:
-        final = self.warm.flow()
-        seq = self.seq
-        if self.compact:
-            matching = flow_to_matching(self.reserve, final, self.X)
-        else:
-            matching = flow_to_matching(self.reserve, final)
-            assert set(matching.matched_agents()) == self.in_x, (
-                "fixed set must equal matched set"
-            )
-        assert matching.matched_count() == self.m, "fixed set must equal matched set"
-        assert matching.beneficiary_count(seq.preferential) == self.b
-        return matching
+        return flow_to_matching(self.reserve, self.warm.flow(), self.X)
 
-
-def _scu_network(
-    seq: SequentialReserveSystem, compact: bool, sink: Optional[TraceSink]
-) -> Matching:
-    state = SCUNetworkState(seq, compact)
-    processed: list[int] = []
-    _emit(sink, "init", seq=seq, fixed=state.X, processed=processed,
-          b=state.b, m=state.m)
-    for c in seq.precedence.strict_sequence():
-        for agent in seq.base.eligible_agents(c):
-            if agent in state.in_x:
-                continue
-            if state.fixed_count[c] == seq.capacities[c]:
-                break
-            if state.step(agent, c) == FIXED:
-                _emit(sink, "fixed", seq=seq, fixed=state.X, processed=processed,
-                      agent=agent, category=c)
-        processed.append(c)
-    matching = state.finish()
-    _emit(sink, "done", seq=seq, fixed=state.X, processed=processed)
-    return matching
+    def trace_fields(self) -> dict:
+        return {}
 
 
 # ---------------------------------------------------------------------------
 # Bipartite implementation
 
 
-@dataclass
-class SCUState:
-    """Working state: fixed agents in insertion order, the evolving matching,
-    and the two maxima."""
+class SCUState(FixLedger):
+    """Working state of the ``bipartite`` rule: the evolving matching on the
+    eligibility graph, the fix ledger and the two maxima."""
 
-    graph: EligibilityGraph
-    mu: GraphMatching
-    b: int
-    m: int
-    X: list[tuple[int, int]] = field(default_factory=list)
-    in_x: set[int] = field(default_factory=set)
-    fixed_count: dict[int, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        seq: SequentialReserveSystem,
+        graph: EligibilityGraph,
+        mu: GraphMatching,
+        b: int,
+        m: int,
+    ):
+        super().__init__(seq.num_categories)
+        self.seq = seq
+        self.graph = graph
+        self.mu = mu
+        self.b = b
+        self.m = m
 
-    def fix(self, agent: int, category: int) -> None:
-        self.X.append((agent, category))
-        self.in_x.add(agent)
-        self.fixed_count[category] = self.fixed_count.get(category, 0) + 1
+    def step(self, agent: int, c: int) -> str:
+        return scu_bipartite_step(self.seq, self, agent, c)
+
+    def finish(self) -> Matching:
+        for a, c in self.X:
+            assert self.mu.assignment[a] == c, f"fixed agent {a} moved"
+        return self.mu.to_matching()
+
+    def trace_fields(self) -> dict:
+        return {"matching": list(self.mu.assignment)}
 
 
 def scu_state_init(system: AnySystem) -> SCUState:
     seq = as_sequential(system)
     graph = build_graph(seq.base)
     mu, b, m = dual_maximum_matching(seq, graph=graph)
-    return SCUState(graph=graph, mu=mu, b=b, m=m)
+    return SCUState(seq, graph, mu, b, m)
 
 
 _SOURCE = -1
@@ -415,32 +429,3 @@ def _check_state(
     assert mu.size() == state.m, "cardinality must stay maximal"
     assert _beneficiary_load(mu, seq) == state.b, "beneficiary count must stay maximal"
 
-
-def _scu_bipartite(seq: SequentialReserveSystem, sink: Optional[TraceSink]) -> Matching:
-    state = scu_state_init(seq)
-    processed: list[int] = []
-    _emit(sink, "init", seq=seq, fixed=state.X, processed=processed,
-          b=state.b, m=state.m, matching=list(state.mu.assignment))
-    for c in seq.precedence.strict_sequence():
-        for agent in seq.base.eligible_agents(c):
-            if agent in state.in_x:
-                continue
-            if state.fixed_count.get(c, 0) == seq.capacities[c]:
-                break
-            action = scu_bipartite_step(seq, state, agent, c)
-            if action == FIXED:
-                _emit(sink, "fixed", seq=seq, fixed=state.X, processed=processed,
-                      agent=agent, category=c,
-                      matching=list(state.mu.assignment))
-        processed.append(c)
-    for a, c in state.X:
-        assert state.mu.assignment[a] == c, f"fixed agent {a} moved"
-    matching = state.mu.to_matching()
-    assert set(matching.matched_agents()) == state.in_x, (
-        "fixed set must equal matched set"
-    )
-    assert matching.matched_count() == state.m
-    assert matching.beneficiary_count(seq.preferential) == state.b
-    _emit(sink, "done", seq=seq, fixed=state.X, processed=processed,
-          matching=list(state.mu.assignment))
-    return matching

@@ -54,9 +54,30 @@ def _respect_priorities_reference(system, matching):
     return True, None
 
 
+def _respect_priorities_rank_scan(system, matching):
+    """The O(n·K) form of the check that reads every unmatched agent's
+    position at every category against the category's lowest occupant rank,
+    building each category's full rank map."""
+    occupants = [matching.agents_in(c) for c in range(system.num_categories)]
+    lowest = [
+        max((system.position(c, b) for b in occ), default=-1)
+        for c, occ in enumerate(occupants)
+    ]
+    for agent, assigned in enumerate(matching.assignment):
+        if assigned is not None:
+            continue
+        for c in range(system.num_categories):
+            pos = system.position(c, agent)
+            if pos < lowest[c]:
+                other = next(b for b in occupants[c] if pos < system.position(c, b))
+                return False, {"unmatched": agent, "matched": other, "category": c}
+    return True, None
+
+
 def test_respect_priorities_matches_quadratic_scan():
     rng = random.Random(4711)
     outcomes = set()
+    ineligible_occupants = 0
     for _ in range(150):
         system = GeneratorSpec(
             num_agents=rng.randint(1, 30),
@@ -77,12 +98,29 @@ def test_respect_priorities_matches_quadratic_scan():
             if room and rng.random() < 0.7:
                 assignment[agent] = rng.choice(room)
                 loads[assignment[agent]] += 1
-        for matching in (Matching(tuple(assignment)), mma_allocate(system)[0]):
+        compliant = Matching(tuple(assignment))
+        # the check of a compliant matching reads only the eligible prefixes
+        assert all(r._full is None for r in system.priorities)
+        axioms.check_respect_priorities(system, compliant)
+        assert all(r._full is None for r in system.priorities)
+        # any pairs within capacities, ineligible ones included
+        loads = [0] * system.num_categories
+        assignment = [None] * system.num_agents
+        for agent in rng.sample(range(system.num_agents), system.num_agents):
+            c = rng.randrange(system.num_categories)
+            if loads[c] < system.capacities[c] and rng.random() < 0.7:
+                assignment[agent] = c
+                loads[c] += 1
+        anywhere = Matching(tuple(assignment))
+        ineligible_occupants += not axioms.check_eligibility(system, anywhere).passed
+        for matching in (compliant, mma_allocate(system)[0], anywhere):
             verdict = axioms.check_respect_priorities(system, matching)
             expected = _respect_priorities_reference(system, matching)
             assert (verdict.passed, verdict.witness) == expected
+            assert _respect_priorities_rank_scan(system, matching) == expected
             outcomes.add(verdict.passed)
     assert outcomes == {True, False}
+    assert ineligible_occupants >= 50
 
 
 def test_nonwasteful(contested_pair):

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from reservematch.cli import GeneratorSpec
 from reservematch.model import Matching, as_sequential
 from reservematch.netflow import (
     BoundedFlowNetwork,
     DecodeAmbiguity,
+    Flow,
     Infeasible,
     OPEN_CLASS,
     PREF_CLASS,
@@ -45,7 +47,7 @@ def test_reserve_network_shape(grouped_six):
     net = rn.network
     # s + 6 agents + 3 categories + 2 class nodes + t
     assert net.num_nodes == 13
-    assert len(rn.agent_edge) == 6
+    assert len(rn.group_edge) == 6
     assert len(rn.assign_edge) == 12
     open_edge = rn.class_edge[OPEN_CLASS]
     pref_edge = rn.class_edge[PREF_CLASS]
@@ -209,7 +211,7 @@ def test_flow_to_matching_single_edge(grouped_six):
 
 def test_flow_to_matching_zero_flow(grouped_six):
     rn = build_reserve_network(grouped_six)
-    for e in rn.agent_edge.values():
+    for e in rn.group_edge.values():
         rn.network.set_upper(e, 0)
     flow = max_flow(rn.network)
     assert flow_to_matching(rn, flow) == Matching((None,) * 6)
@@ -221,6 +223,47 @@ def test_compact_decode_requires_ledger_pin(grouped_six):
     assert flow.total > 0
     with pytest.raises(DecodeAmbiguity):
         flow_to_matching(cn, flow, ledger=[])
+
+
+def test_compact_decode_equals_full_on_distinct_sets():
+    """With every eligibility set distinct, each group holds one agent, so
+    the compact network decodes a flow unit by unit like the full one."""
+    rng = random.Random(1618)
+    decoded = 0
+    for _ in range(200):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(1, 8),
+            num_categories=rng.randint(1, 4),
+            capacity="uniform:0:3",
+            density=rng.choice([0.3, 0.6]),
+            preferential_fraction=rng.choice([0.0, 0.5]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        if len(agent_groups(seq)) < seq.num_agents:
+            continue
+        loads = [0] * seq.num_categories
+        assignment = [None] * seq.num_agents
+        for agent in range(seq.num_agents):
+            room = [c for c in seq.base.agent_categories(agent) if loads[c] < seq.capacities[c]]
+            if room and rng.random() < 0.7:
+                assignment[agent] = rng.choice(room)
+                loads[assignment[agent]] += 1
+        matching = Matching(tuple(assignment))
+        for build in (build_reserve_network, build_compact_network):
+            rn = build(seq)
+            for (k, c), e in rn.assign_edge.items():
+                (agent,) = rn.group_members[k]
+                if assignment[agent] == c:
+                    rn.network.set_lower(e, 1)
+                else:
+                    rn.network.set_upper(e, 0)
+            assert flow_to_matching(rn, feasible_flow(rn.network)) == matching
+        decoded += 1
+    assert decoded >= 50
+    cn = build_compact_network(as_sequential(GeneratorSpec(3, 1, seed=5).build()))
+    idle = Flow((0,) * cn.network.num_edges(), 0)
+    with pytest.raises(DecodeAmbiguity):
+        flow_to_matching(cn, idle, ledger=[(0, 0), (0, 0)])
 
 
 def test_flow_values_verified_internally():

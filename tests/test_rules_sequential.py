@@ -229,9 +229,14 @@ def test_scu_output_preserves_maxima():
         assert out.beneficiary_count(seq.preferential) == b
 
 
-def test_scu_trace_records_fixes(grouped_six, tmp_path):
+def _without_matching(records):
+    return [{k: v for k, v in r.items() if k != "matching"} for r in records]
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_scu_trace_records_fixes(grouped_six, impl):
     records = []
-    scu_allocate(grouped_six, impl="bipartite", trace_sink=records.append)
+    scu_allocate(grouped_six, impl=impl, trace_sink=records.append)
     events = [r["event"] for r in records]
     assert events[0] == "init" and events[-1] == "done"
     fixes = [(r["agent"], r["category"]) for r in records if r["event"] == "fixed"]
@@ -240,6 +245,16 @@ def test_scu_trace_records_fixes(grouped_six, tmp_path):
     sizes = [len(r["fixed"]) for r in records]
     assert sizes == sorted(sizes)
     assert records[-1]["fixed"] == [[1, 0], [3, 1], [4, 2]]
+    # only bipartite carries its working matching; the rest of every record
+    # is the same for the three implementations
+    rng = random.Random(f"trace-{impl}")
+    systems = [grouped_six] + [random_sequential(rng) for _ in range(40)]
+    for system in systems:
+        records, reference = [], []
+        scu_allocate(system, impl=impl, trace_sink=records.append)
+        scu_allocate(system, impl="compact", trace_sink=reference.append)
+        assert all(("matching" in r) == (impl == "bipartite") for r in records)
+        assert _without_matching(records) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +309,7 @@ def test_step_reroute_case(grouped_six):
     state = scu_state_init(grouped_six)
     # drive processing of c0 to completion, then fix the first c1 candidate
     for agent in grouped_six.base.eligible_agents(0):
-        if state.fixed_count.get(0, 0) == 1:
+        if state.fixed_count[0] == 1:
             break
         if agent not in state.in_x:
             scu_bipartite_step(grouped_six, state, agent, 0)
@@ -321,7 +336,7 @@ def test_step_agrees_with_feasibility_check():
             for agent in seq.base.eligible_agents(c):
                 if agent in state.in_x:
                     continue
-                if state.fixed_count.get(c, 0) == seq.capacities[c]:
+                if state.fixed_count[c] == seq.capacities[c]:
                     break
                 expected = scu_feasibility_check(
                     seq, state.X, agent, c, state.b, state.m
