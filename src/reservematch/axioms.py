@@ -20,13 +20,7 @@ from .model import (
     as_sequential,
     base_of,
 )
-from .netflow import (
-    OPEN_CLASS,
-    PREF_CLASS,
-    build_reserve_network,
-    feasible_flow,
-    flow_to_matching,
-)
+from .netflow import pinned_alternative
 
 ELIGIBILITY = "eligibility"
 RESPECT_PRIORITIES = "respect-priorities"
@@ -301,81 +295,35 @@ def _precedence_flags(seq: SequentialReserveSystem, matching: Matching):
                 yield i, None, cj
 
 
-def _alternative_exists_flow(
-    seq: SequentialReserveSystem,
-    matching: Matching,
-    i: int,
-    cj: int,
-    b: int,
-    m: int,
-) -> Optional[dict[str, Any]]:
-    """Feasibility of the alternative matching in flow form: pin the earlier
-    categories' occupants, pin cj's higher-priority occupants, force i into
-    cj, and require both class totals. A pin on an ineligible pair has no
-    edge: no eligibility-compliant alternative keeps it."""
+def _alternative_pins(
+    seq: SequentialReserveSystem, matching: Matching, i: int, cj: int
+) -> Optional[list[tuple[int, int]]]:
+    """The pairs an alternative matching for the flag (i, cj) must hold:
+    the earlier categories' occupants, cj's higher-priority occupants and i
+    at cj; None when i is one of those occupants, which leaves no
+    alternative."""
     base = seq.base
-    rn = build_reserve_network(seq)
-    net = rn.network
-    pinned = set()
-    for c in range(base.num_categories):
-        if seq.precedence.before(c, cj):
-            for k in matching.agents_in(c):
-                edge = rn.assign_edge.get((k, c))
-                if edge is None:
-                    return None
-                net.set_lower(edge, 1)
-                pinned.add(k)
-    for ell in matching.agents_in(cj):
-        if base.position(cj, ell) < base.position(cj, i):
-            net.set_lower(rn.assign_edge[(ell, cj)], 1)
-            pinned.add(ell)
-    if i in pinned:
+    earlier = [c for c in range(base.num_categories) if seq.precedence.before(c, cj)]
+    pins = [(k, c) for c in earlier for k in matching.agents_in(c)]
+    rank = base.position(cj, i)
+    pins += [(ell, cj) for ell in matching.agents_in(cj) if base.position(cj, ell) < rank]
+    if any(k == i for k, _ in pins):
         return None
-    net.set_lower(rn.assign_edge[(i, cj)], 1)
-    net.set_lower(rn.class_edge[PREF_CLASS], b)
-    net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
-    flow = feasible_flow(net)
-    if flow is None:
-        return None
-    alt = flow_to_matching(rn, flow)
-    return {str(a): c for a, c in enumerate(alt.assignment)}
+    return pins + [(i, cj)]
 
 
-def _alternative_exists_oracle(
-    seq: SequentialReserveSystem,
-    matching: Matching,
-    i: int,
-    cj: int,
-    b: int,
-    m: int,
-    space,
-) -> Optional[dict[str, Any]]:
-    base = seq.base
-    earlier_pins = {
-        k: c
-        for c in range(base.num_categories)
-        if seq.precedence.before(c, cj)
-        for k in matching.agents_in(c)
-    }
-    priority_pins = {
-        ell: cj
-        for ell in matching.agents_in(cj)
-        if base.position(cj, ell) < base.position(cj, i)
-    }
-    if i in earlier_pins or i in priority_pins:
-        return None
+def _alternative_in_space(
+    seq: SequentialReserveSystem, pins: list[tuple[int, int]], b: int, m: int, space
+) -> Optional[Matching]:
+    """The first matching of the enumerated ``space`` that holds every pin
+    and both maxima."""
     for alt in space:
-        if alt.matched_count() != m:
-            continue
-        if alt.beneficiary_count(seq.preferential) != b:
-            continue
-        if alt.assignment[i] != cj:
-            continue
-        if any(alt.assignment[k] != c for k, c in earlier_pins.items()):
-            continue
-        if any(alt.assignment[k] != c for k, c in priority_pins.items()):
-            continue
-        return {str(a): c for a, c in enumerate(alt.assignment)}
+        if (
+            alt.matched_count() == m
+            and alt.beneficiary_count(seq.preferential) == b
+            and all(alt.assignment[k] == c for k, c in pins)
+        ):
+            return alt
     return None
 
 
@@ -406,15 +354,19 @@ def check_respect_precedence(
     elif search != "flow":
         raise ValueError(f"unknown search mode {search!r}")
     for i, j, cj in _precedence_flags(seq, matching):
+        pins = _alternative_pins(seq, matching, i, cj)
+        if pins is None:
+            continue
         if search == "flow":
-            alt = _alternative_exists_flow(seq, matching, i, cj, b, m)
+            alt = pinned_alternative(seq, pins, b, m)
         else:
-            alt = _alternative_exists_oracle(seq, matching, i, cj, b, m, space)
+            alt = _alternative_in_space(seq, pins, b, m, space)
         if alt is not None:
+            witness = {str(a): c for a, c in enumerate(alt.assignment)}
             return AxiomVerdict(
                 RESPECT_PRECEDENCE,
                 False,
-                {"i": i, "j": j, "category_j": cj, "alternative": alt},
+                {"i": i, "j": j, "category_j": cj, "alternative": witness},
             )
     return AxiomVerdict(RESPECT_PRECEDENCE, True)
 

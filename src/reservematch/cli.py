@@ -34,7 +34,7 @@ from .model import (
     parse_instance,
     parse_matching,
 )
-from .netflow import Infeasible, build_compact_network, build_reserve_network
+from .netflow import build_compact_network, build_reserve_network
 from .rules_basic import (
     NotMaximumSeed,
     PrefsNotEligible,
@@ -56,7 +56,6 @@ _INPUT_ERRORS = (
     PrefsNotEligible,
     axioms.NotHybridInstance,
     axioms.OracleBoundExceeded,
-    Infeasible,
 )
 
 
@@ -456,6 +455,7 @@ def run_bench(
     medians: dict[tuple[str, int], float] = {}
     for size in sizes:
         for rule in rules:
+            allocate = _rule_callable(rule)
             samples = []
             for rep in range(repetitions):
                 spec = GeneratorSpec(
@@ -466,17 +466,7 @@ def run_bench(
                     seed=seed + rep,
                 )
                 system = spec.build()
-                if rule == "mma":
-                    elapsed = _timed(lambda: mma_allocate(system))
-                elif rule == "rev":
-                    baseline = list(range(size))
-                    elapsed = _timed(lambda: rev_allocate(system, baseline))
-                elif rule == "da":
-                    elapsed = _timed(lambda: da_allocate(system))
-                elif rule == "scu":
-                    elapsed = _timed(lambda: scu_allocate(system))
-                else:
-                    raise InstanceError(f"unknown rule {rule!r}")
+                elapsed = _timed(lambda: allocate(system))
                 samples.append(elapsed)
                 rows.append(
                     {

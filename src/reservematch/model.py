@@ -317,8 +317,8 @@ def _integer(value: Any, what: str, category: Optional[int] = None) -> int:
 
 def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     """Validate parsed instance data; returns a sequential instance only when
-    the data carries a preferential set or tiers. Malformed data of any shape
-    raises InstanceError."""
+    the data carries a preferential set, tiers or a hybrid marker. Malformed
+    data of any shape raises InstanceError."""
     try:
         return _validate_instance(raw)
     except InstanceError:
@@ -359,7 +359,8 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
 
     has_pref = "preferential" in raw and raw["preferential"] is not None
     has_tiers = "tiers" in raw and raw["tiers"] is not None
-    if not has_pref and not has_tiers:
+    has_hybrid = raw.get("hybrid") is not None
+    if not has_pref and not has_tiers and not has_hybrid:
         return base
 
     preferential = frozenset(
@@ -371,7 +372,7 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
             f"expected {num_categories} tiers, got {len(tiers)}"
         )
     hybrid = None
-    if raw.get("hybrid") is not None:
+    if has_hybrid:
         hybrid = HybridMarker(
             open_early=frozenset(
                 _integer(c, "hybrid category") for c in raw["hybrid"]["open_early"]

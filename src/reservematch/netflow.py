@@ -1,26 +1,23 @@
 """Directed flow networks with per-edge lower and upper bounds.
 
-Provides max-flow (Dinic), feasibility under lower bounds via the standard
-circulation transformation (subtract lower bounds, add an excess/deficit
-supernode pair, saturate), a warm-started feasible flow (``WarmFlow``) that
-takes unit lower bounds one at a time with one residual-cycle search each,
-and the three-layer reserve network with one node per group of agents
-sharing an eligibility set; the full network is the case of one agent per
-group. All flows are integral; augmentation and search order are fixed by
-edge id, so results are deterministic.
+Provides feasibility under lower bounds via the standard circulation
+transformation (subtract lower bounds, add an excess/deficit supernode pair,
+saturate with Dinic), a warm-started feasible flow (``WarmFlow``) that takes
+unit lower bounds one at a time with one residual-cycle search each, and the
+three-layer reserve network with one node per group of agents sharing an
+eligibility set; the full network is the case of one agent per group. A
+matching and a reserve-network flow convert both ways (``matching_to_flow``,
+``flow_to_matching``). All flows are integral; augmentation and search order
+are fixed by edge id, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import Matching, SequentialReserveSystem
-
-
-class Infeasible(ValueError):
-    """No flow satisfies the lower bounds."""
 
 
 class DecodeAmbiguity(ValueError):
@@ -37,8 +34,8 @@ class Flow:
 
 
 class BoundedFlowNetwork:
-    """Edge list with mutable bounds, solved by ``feasible_flow`` and
-    ``max_flow`` or kept feasible by a ``WarmFlow``."""
+    """Edge list with mutable bounds, solved by ``feasible_flow`` or kept
+    feasible by a ``WarmFlow``."""
 
     __slots__ = ("num_nodes", "source", "sink", "names", "src", "dst", "lower", "upper")
 
@@ -204,41 +201,6 @@ def feasible_flow(network: BoundedFlowNetwork) -> Optional[Flow]:
         values[e] for e in range(network.num_edges()) if network.dst[e] == network.source
     )
     return Flow(tuple(values), total)
-
-
-def max_flow(network: BoundedFlowNetwork) -> Flow:
-    """Maximum integral source-to-sink flow; honors lower bounds when present.
-
-    Raises Infeasible when lower bounds admit no flow at all.
-    """
-    if all(lo == 0 for lo in network.lower):
-        dinic = _Dinic(network.num_nodes)
-        arcs = [
-            dinic.add(network.src[e], network.dst[e], network.upper[e])
-            for e in range(network.num_edges())
-        ]
-        total = dinic.max_flow(network.source, network.sink)
-        values = [dinic.flow_on(arcs[e], network.upper[e]) for e in range(network.num_edges())]
-        _verify(network, values)
-        return Flow(tuple(values), total)
-
-    base = feasible_flow(network)
-    if base is None:
-        raise Infeasible("lower bounds admit no feasible flow")
-    dinic = _Dinic(network.num_nodes)
-    arcs = []
-    for e in range(network.num_edges()):
-        arc = dinic.add(network.src[e], network.dst[e], network.upper[e] - base.values[e])
-        # allow pushing flow back down to the lower bound
-        dinic.cap[arc ^ 1] = base.values[e] - network.lower[e]
-        arcs.append(arc)
-    extra = dinic.max_flow(network.source, network.sink)
-    values = [
-        base.values[e] + (network.upper[e] - base.values[e] - dinic.cap[arcs[e]])
-        for e in range(network.num_edges())
-    ]
-    _verify(network, values)
-    return Flow(tuple(values), base.total + extra)
 
 
 class WarmFlow:
@@ -504,3 +466,48 @@ def flow_to_matching(
             raise DecodeAmbiguity(f"agent {members[0]} carries two units")
         assignment[members[0]] = c
     return Matching(tuple(assignment))
+
+
+def matching_to_flow(
+    reserve: ReserveNetwork, system: SequentialReserveSystem, matching: Matching
+) -> Flow:
+    """The flow that carries each matched agent's unit through its group,
+    its category and that category's class; the inverse of
+    ``flow_to_matching``. Every pair of ``matching`` must be eligible."""
+    values = [0] * reserve.network.num_edges()
+    for a, c in enumerate(matching.assignment):
+        if c is None:
+            continue
+        k = reserve.group_of[a]
+        klass = PREF_CLASS if system.is_beneficial(c) else OPEN_CLASS
+        for e in (
+            reserve.group_edge[k],
+            reserve.assign_edge[(k, c)],
+            reserve.category_edge[c],
+            reserve.class_edge[klass],
+        ):
+            values[e] += 1
+    return Flow(tuple(values), matching.matched_count())
+
+
+def pinned_alternative(
+    system: SequentialReserveSystem,
+    pins: Iterable[tuple[int, int]],
+    b: int,
+    m: int,
+) -> Optional[Matching]:
+    """A matching that holds every pinned (agent, category) pair and meets
+    the class totals b and m - b, decoded from a feasible flow on a fresh
+    full reserve network; None when none exists. A pin with no edge is an
+    ineligible pair, which no eligibility-compliant matching holds."""
+    rn = build_reserve_network(system)
+    net = rn.network
+    for pin in pins:
+        edge = rn.assign_edge.get(pin)
+        if edge is None:
+            return None
+        net.set_lower(edge, 1)
+    net.set_lower(rn.class_edge[PREF_CLASS], b)
+    net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+    flow = feasible_flow(net)
+    return None if flow is None else flow_to_matching(rn, flow)

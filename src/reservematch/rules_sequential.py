@@ -16,9 +16,9 @@ earlier fix, places the candidate and keeps both maxima:
   candidate: a breadth-first search through the pinned edge in the residual
   reserve network of the working matching.
 
-All three keep one fix ledger (``FixLedger``) and return the identical
-matching; the fixed set equals the matched set on termination, which is
-asserted every run.
+All three start from the dual maximum matching, keep one fix ledger
+(``FixLedger``) and return the identical matching; the fixed set equals the
+matched set on termination, which is asserted every run.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .netflow import (
     WarmFlow,
     build_compact_network,
     build_reserve_network,
-    feasible_flow,
     flow_to_matching,
-    max_flow,
+    matching_to_flow,
+    pinned_alternative,
 )
 
 TraceSink = Callable[[dict], None]
@@ -136,14 +136,7 @@ def scu_feasibility_check(
         raise ValueError(f"agent {agent} is already fixed")
     if b is None or m is None:
         _, b, m = dual_maximum_matching(seq)
-    rn = build_reserve_network(seq)
-    net = rn.network
-    for a, c in fixed:
-        net.set_lower(rn.assign_edge[(a, c)], 1)
-    net.set_lower(rn.assign_edge[(agent, category)], 1)
-    net.set_lower(rn.class_edge[PREF_CLASS], b)
-    net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
-    return feasible_flow(net) is not None
+    return pinned_alternative(seq, [*fixed, (agent, category)], b, m) is not None
 
 
 def scu_allocate(
@@ -227,26 +220,22 @@ class SCUNetworkState(FixLedger):
     network (one group per agent, or per eligibility set) with a warm
     feasible flow on it, the fix ledger and the two maxima.
 
-    The warm flow starts from the maximum flow that yields m, which already
-    meets the class bounds b and m - b; each candidate is then one pin on
-    it (``WarmFlow.pin``) instead of a fresh feasibility solve.
+    The warm flow starts from the dual maximum matching, the one the
+    ``bipartite`` rule starts from: it yields b and m and, carried unit by
+    unit through the network, already meets the class bounds b and m - b.
+    Each candidate is then one pin on it (``WarmFlow.pin``) instead of a
+    fresh feasibility solve.
     """
 
     def __init__(self, seq: SequentialReserveSystem, compact: bool):
         super().__init__(seq.num_categories)
         self.seq = seq
         self.reserve = build_compact_network(seq) if compact else build_reserve_network(seq)
+        mu, self.b, self.m = dual_maximum_matching(seq)
         net = self.reserve.network
-        open_edge = self.reserve.class_edge[OPEN_CLASS]
-        pref_edge = self.reserve.class_edge[PREF_CLASS]
-        net.set_upper(open_edge, 0)
-        self.b = max_flow(net).total
-        net.set_upper(open_edge, sum(seq.capacities))
-        net.set_lower(pref_edge, self.b)
-        start = max_flow(net)
-        self.m = start.total
-        net.set_lower(open_edge, self.m - self.b)
-        self.warm = WarmFlow(net, start)
+        net.set_lower(self.reserve.class_edge[PREF_CLASS], self.b)
+        net.set_lower(self.reserve.class_edge[OPEN_CLASS], self.m - self.b)
+        self.warm = WarmFlow(net, matching_to_flow(self.reserve, seq, mu.to_matching()))
 
     def step(self, agent: int, c: int) -> str:
         """Fix ``agent`` at ``c`` if some matching keeps every fix, places

@@ -497,6 +497,18 @@ def test_hybrid_axiom_on_plain_instance_exits_2(capsys, corpus_dir, tmp_path):
     )
 
 
+def test_hybrid_marker_outside_the_open_categories_exits_2(capsys, tmp_path):
+    # a hybrid marker alone makes the instance sequential, so it is checked
+    raw = {
+        "agents": 1,
+        "categories": [{"id": 0, "capacity": 1, "ranking": [0], "eligible_cutoff": 1}],
+        "hybrid": {"open_early": [7], "open_late": []},
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "scu")
+
+
 @pytest.mark.parametrize("assignment", [{"x": 0}, {"0": 1.0}, {"0": True}])
 def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
     matching = tmp_path / "m.json"

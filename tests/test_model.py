@@ -169,6 +169,25 @@ def test_hybrid_marker_must_partition_open():
         validate_instance(raw)
 
 
+def test_hybrid_marker_alone_makes_the_instance_sequential():
+    raw = {
+        "agents": 2,
+        "categories": [
+            {"id": 0, "capacity": 1, "ranking": [0, 1], "eligible_cutoff": 2},
+            {"id": 1, "capacity": 1, "ranking": [1, 0], "eligible_cutoff": 2},
+        ],
+        "hybrid": {"open_early": [0], "open_late": [1]},
+    }
+    system = validate_instance(raw)
+    assert isinstance(system, SequentialReserveSystem)
+    assert system.preferential == frozenset()
+    assert system.precedence.tier_of == (0, 0)
+    assert system.hybrid.open_late == frozenset({1})
+    raw["hybrid"]["open_early"] = [0, 7]  # not an open category of this instance
+    with pytest.raises(InstanceError, match="partition"):
+        validate_instance(raw)
+
+
 def test_matching_round_trip(contested_pair):
     matching = Matching((0, 1, None))
     text = matching_to_json(matching)

@@ -11,7 +11,6 @@ from reservematch.netflow import (
     BoundedFlowNetwork,
     DecodeAmbiguity,
     Flow,
-    Infeasible,
     OPEN_CLASS,
     PREF_CLASS,
     WarmFlow,
@@ -21,8 +20,9 @@ from reservematch.netflow import (
     build_reserve_network,
     feasible_flow,
     flow_to_matching,
-    max_flow,
+    matching_to_flow,
 )
+from reservematch.rules_sequential import dual_maximum_matching
 
 
 def enumerate_matchings(system):
@@ -76,29 +76,8 @@ def test_reserve_network_single_pair():
         precedence=PrecedenceOrder((0,)),
     )
     rn = build_reserve_network(system)
-    flow = max_flow(rn.network)
+    flow = matching_to_flow(rn, system, _dual_maximum(system))
     assert flow.total == 1
-
-
-def test_max_flow_beneficiary_cap(grouped_six):
-    rn = build_reserve_network(grouped_six)
-    rn.network.set_upper(rn.class_edge[OPEN_CLASS], 0)
-    assert max_flow(rn.network).total == 2  # one unit through each preferential category
-
-
-def test_max_flow_zero_uppers(grouped_six):
-    rn = build_reserve_network(grouped_six)
-    for e in range(rn.network.num_edges()):
-        rn.network.set_upper(e, 0)
-    assert max_flow(rn.network).total == 0
-
-
-def test_max_flow_with_lower_bound(grouped_six):
-    rn = build_reserve_network(grouped_six)
-    rn.network.set_lower(rn.class_edge[PREF_CLASS], 2)
-    flow = max_flow(rn.network)
-    assert flow.total == 3
-    assert flow.values[rn.class_edge[PREF_CLASS]] >= 2
 
 
 def test_feasible_with_witness(grouped_six):
@@ -117,8 +96,6 @@ def test_infeasible_conflicting_lowers(grouped_six):
     net.set_lower(rn.assign_edge[(0, 0)], 1)
     net.set_lower(rn.assign_edge[(0, 1)], 1)  # one agent cannot carry two units
     assert feasible_flow(net) is None
-    with pytest.raises(Infeasible):
-        max_flow(net)
 
 
 def test_all_zero_lowers_feasible(grouped_six):
@@ -126,34 +103,67 @@ def test_all_zero_lowers_feasible(grouped_six):
     assert feasible_flow(rn.network) is not None
 
 
+def _dual_maximum(system):
+    return dual_maximum_matching(system)[0].to_matching()
+
+
+def _class_bounds_feasible(build, seq, pref, open_):
+    rn = build(seq)
+    rn.network.set_lower(rn.class_edge[PREF_CLASS], pref)
+    rn.network.set_lower(rn.class_edge[OPEN_CLASS], open_)
+    return feasible_flow(rn.network) is not None
+
+
+def _maxima_are_tight(build, seq, b, m):
+    """The network carries class totals (b, m - b), and raising either
+    class lower bound by one leaves no feasible flow."""
+    return [
+        _class_bounds_feasible(build, seq, pref, open_)
+        for pref, open_ in ((b, m - b), (b + 1, m - b), (b, m - b + 1))
+    ] == [True, False, False]
+
+
 def test_flow_maxima_match_oracle(grouped_six, precedence_chain):
     for system in (grouped_six, precedence_chain):
         seq = as_sequential(system)
-        rn = build_reserve_network(seq)
-        total_cap = sum(seq.capacities)
-        rn.network.set_upper(rn.class_edge[OPEN_CLASS], 0)
-        b = max_flow(rn.network).total
-        rn.network.set_upper(rn.class_edge[OPEN_CLASS], total_cap)
-        rn.network.set_lower(rn.class_edge[PREF_CLASS], b)
-        m = max_flow(rn.network).total
         space = list(enumerate_matchings(seq))
-        assert b == max(mu.beneficiary_count(seq.preferential) for mu in space)
-        assert m == max(mu.matched_count() for mu in space)
+        b = max(mu.beneficiary_count(seq.preferential) for mu in space)
+        m = max(mu.matched_count() for mu in space)
+        for build in (build_reserve_network, build_compact_network):
+            assert _maxima_are_tight(build, seq, b, m)
 
 
 def test_compact_and_full_agree_on_maxima(grouped_six):
-    seq = grouped_six
-    total_cap = sum(seq.capacities)
-    values = []
     for build in (build_reserve_network, build_compact_network):
-        rn = build(seq)
-        rn.network.set_upper(rn.class_edge[OPEN_CLASS], 0)
-        b = max_flow(rn.network).total
-        rn.network.set_upper(rn.class_edge[OPEN_CLASS], total_cap)
-        rn.network.set_lower(rn.class_edge[PREF_CLASS], b)
-        m = max_flow(rn.network).total
-        values.append((b, m))
-    assert values[0] == values[1] == (2, 3)
+        assert _maxima_are_tight(build, grouped_six, 2, 3)
+
+
+def test_matching_to_flow_round_trip():
+    """The dual maximum carried through either network meets the class
+    totals (b, m - b) and totals m; the full network decodes it back."""
+    rng = random.Random(1957)
+    for _ in range(240):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(0, 12),
+            num_categories=rng.randint(1, 4),
+            capacity=rng.choice(["uniform:0:3", "const:0", "const:1"]),
+            density=rng.choice([0.2, 0.5, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["equal", "strict", "random:2"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        mu, b, m = dual_maximum_matching(seq)
+        matching = mu.to_matching()
+        for build in (build_reserve_network, build_compact_network):
+            rn = build(seq)
+            net = rn.network
+            net.set_lower(rn.class_edge[PREF_CLASS], b)
+            net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+            flow = matching_to_flow(rn, seq, matching)
+            _verify(net, list(flow.values))
+            assert flow.total == m
+            if build is build_reserve_network:
+                assert flow_to_matching(rn, flow) == matching
 
 
 def test_agent_groups(grouped_six):
@@ -213,13 +223,13 @@ def test_flow_to_matching_zero_flow(grouped_six):
     rn = build_reserve_network(grouped_six)
     for e in rn.group_edge.values():
         rn.network.set_upper(e, 0)
-    flow = max_flow(rn.network)
+    flow = feasible_flow(rn.network)
     assert flow_to_matching(rn, flow) == Matching((None,) * 6)
 
 
 def test_compact_decode_requires_ledger_pin(grouped_six):
     cn = build_compact_network(grouped_six)
-    flow = max_flow(cn.network)
+    flow = matching_to_flow(cn, grouped_six, _dual_maximum(grouped_six))
     assert flow.total > 0
     with pytest.raises(DecodeAmbiguity):
         flow_to_matching(cn, flow, ledger=[])
@@ -270,7 +280,8 @@ def test_flow_values_verified_internally():
     net = BoundedFlowNetwork(3, 0, 2, names=["s", "v", "t"])
     net.add_edge(0, 1, 0, 5)
     net.add_edge(1, 2, 0, 3)
-    flow = max_flow(net)
+    net.set_lower(1, 3)  # the edge into the sink must run full
+    flow = feasible_flow(net)
     assert flow.total == 3
     assert flow.values == (3, 3)
 
@@ -338,7 +349,7 @@ def test_warm_pin_agrees_with_fresh_solve():
 def test_warm_drop_unit_removes_a_pinned_unit(grouped_six):
     cn = build_compact_network(grouped_six)
     net = cn.network
-    warm = WarmFlow(net, max_flow(net))
+    warm = WarmFlow(net, matching_to_flow(cn, grouped_six, _dual_maximum(grouped_six)))
     edge = cn.assign_edge[(0, 0)]
     assert warm.pin(edge)
     path = [cn.group_edge[0], edge, cn.category_edge[0], cn.class_edge[PREF_CLASS]]

@@ -135,6 +135,21 @@ def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
     assert (state.mu, state.b, state.m) == (match, b, m)
 
 
+@pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
+def test_network_state_starts_without_a_flow_solve(grouped_six, monkeypatch, compact):
+    """The network states start from the dual maximum matching, so building
+    one runs no Dinic pass."""
+    from reservematch import netflow
+
+    def no_dinic(*args, **kwargs):
+        raise AssertionError("a Dinic pass ran while the state was built")
+
+    monkeypatch.setattr(netflow, "_Dinic", no_dinic)
+    state = SCUNetworkState(grouped_six, compact)
+    _, b, m = dual_maximum_matching(grouped_six)
+    assert (state.b, state.m, state.warm.total) == (b, m, m)
+
+
 # ---------------------------------------------------------------------------
 # feasibility checks
 
