@@ -42,7 +42,12 @@ from .rules_basic import (
     mma_allocate,
     rev_allocate,
 )
-from .rules_sequential import IMPLEMENTATIONS, dual_maximum_matching, scu_allocate
+from .rules_sequential import (
+    DEFAULT_IMPL,
+    IMPLEMENTATIONS,
+    dual_maximum_matching,
+    scu_allocate,
+)
 
 RULES = ("da", "rev", "mma", "scu")
 
@@ -362,7 +367,7 @@ def _rule_callable(rule: str) -> Callable[[AnySystem], Matching]:
     if rule == "mma":
         return lambda system: mma_allocate(base_of(system))[0]
     if rule == "scu":
-        return lambda system: scu_allocate(system, impl="compact")
+        return scu_allocate
     raise InstanceError(f"unknown rule {rule!r}")
 
 
@@ -451,6 +456,8 @@ def run_bench(
     density: float = 0.1,
 ) -> dict[str, Any]:
     """Timing table over generated instances; medians per (rule, size)."""
+    if categories < 1:
+        raise InstanceError(f"--categories must be at least 1, got {categories}")
     rows: list[dict[str, Any]] = []
     medians: dict[tuple[str, int], float] = {}
     for size in sizes:
@@ -555,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed-matching", help="matching file seeding mma")
     solve.add_argument("--agent-order", help="comma-separated scan order (mma)")
     solve.add_argument("--category-order", help="comma-separated proposal order (mma)")
-    solve.add_argument("--impl", choices=IMPLEMENTATIONS, default="compact")
+    solve.add_argument("--impl", choices=IMPLEMENTATIONS, default=DEFAULT_IMPL)
     solve.add_argument("--trace", help="JSON-lines step trace (scu)")
     solve.add_argument("--output", "-o", help="write the matching file here")
     solve.add_argument("--dot", help="export the full reserve network as DOT")

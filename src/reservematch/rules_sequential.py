@@ -12,9 +12,13 @@ earlier fix, places the candidate and keeps both maxima:
   eligibility set). Both network states take each fixed unit off the
   network: group, group-edge, category and class-target bounds all shrink
   by one, and so does the flow on those edges.
-* ``bipartite``: explicit matching plus one residual-cycle search per
-  candidate: a breadth-first search through the pinned edge in the residual
-  reserve network of the working matching.
+* ``bipartite`` (the default): explicit matching plus one residual-cycle
+  search per candidate through the pinned edge in the residual reserve
+  network of the working matching. The search runs on the network's
+  category quotient, K + 3 nodes (categories, the two classes and the
+  source), whose arcs the state keeps as sets of agents updated in O(deg)
+  per moved agent; a candidate costs O(K^2) plus its cycle, whatever the
+  number of agents.
 
 All three start from the dual maximum matching, keep one fix ledger
 (``FixLedger``) and return the identical matching; the fixed set equals the
@@ -23,7 +27,7 @@ matched set on termination, which is asserted every run.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Optional, Sequence, Union
 
 from .bipartite import (
@@ -52,6 +56,7 @@ from .netflow import (
 TraceSink = Callable[[dict], None]
 
 IMPLEMENTATIONS = ("flow", "compact", "bipartite")
+DEFAULT_IMPL = "bipartite"
 
 FIXED = "fixed"
 NO_CHANGE = "no-change"
@@ -141,7 +146,7 @@ def scu_feasibility_check(
 
 def scu_allocate(
     system: AnySystem,
-    impl: str = "compact",
+    impl: str = DEFAULT_IMPL,
     trace_sink: Optional[TraceSink] = None,
 ) -> Matching:
     """Run the sequential rule; basic instances are coerced to an empty
@@ -269,7 +274,17 @@ class SCUNetworkState(FixLedger):
 
 class SCUState(FixLedger):
     """Working state of the ``bipartite`` rule: the evolving matching on the
-    eligibility graph, the fix ledger and the two maxima."""
+    eligibility graph, the fix ledger, the two maxima and the rows of the
+    category quotient of the residual reserve network:
+
+    * ``via[d][e]``: the unfixed members of d eligible for e. Every member of
+      d is eligible for d, so ``via[d][d]`` is the set ``unfixed[d]``, the
+      unfixed members of d;
+    * ``free[e]``: the unmatched agents eligible for e.
+
+    Move agents only through ``move`` and fix them only through ``fix``:
+    both keep the rows in step with the matching in O(deg) per agent.
+    """
 
     def __init__(
         self,
@@ -285,9 +300,53 @@ class SCUState(FixLedger):
         self.mu = mu
         self.b = b
         self.m = m
+        k = graph.num_categories
+        self.unfixed: list[set[int]] = [set() for _ in range(k)]
+        self.via: list[defaultdict[int, set[int]]] = [
+            defaultdict(set, {d: self.unfixed[d]}) for d in range(k)
+        ]
+        self.free: list[set[int]] = [set() for _ in range(k)]
+        # the categories of each class node: open (0) and preferential (1)
+        self.classes = tuple(
+            [d for d in range(k) if (d in seq.preferential) == pref] for pref in (False, True)
+        )
+        for agent, here in enumerate(mu.assignment):
+            rows = self._rows_at(here)
+            for e in graph.agent_adj[agent]:
+                rows[e].add(agent)
 
     def step(self, agent: int, c: int) -> str:
         return scu_bipartite_step(self.seq, self, agent, c)
+
+    def _rows_at(self, here: Optional[int]) -> Union[list[set[int]], defaultdict[int, set[int]]]:
+        """The rows that list an unfixed agent at ``here`` (None: unmatched),
+        indexed by the categories it is eligible for."""
+        return self.free if here is None else self.via[here]
+
+    def move(self, agent: int, target: Optional[int]) -> None:
+        """Reassign an unfixed agent to ``target`` (None: unmatch it)."""
+        adj = self.graph.agent_adj[agent]
+        rows = self._rows_at(self.mu.assignment[agent])
+        for e in adj:
+            rows[e].discard(agent)
+        if target is None:
+            self.mu.unassign(agent)
+        else:
+            self.mu.assign(agent, target)
+        rows = self._rows_at(target)
+        for e in adj:
+            rows[e].add(agent)
+
+    def fix(self, agent: int, category: int) -> None:
+        """Fix an unfixed agent in ``category``, moving it there first if it
+        is elsewhere; a fixed agent is listed in no row."""
+        here = self.mu.assignment[agent]
+        rows = self._rows_at(here)
+        for e in self.graph.agent_adj[agent]:
+            rows[e].discard(agent)
+        if here != category:
+            self.mu.assign(agent, category)
+        super().fix(agent, category)
 
     def finish(self) -> Matching:
         for a, c in self.X:
@@ -305,7 +364,9 @@ def scu_state_init(system: AnySystem) -> SCUState:
     return SCUState(seq, graph, mu, b, m)
 
 
-_SOURCE = -1
+# A move: (agent, its category before the step, its category after), with
+# None for unmatched.
+Move = tuple[int, Optional[int], Optional[int]]
 
 
 def scu_bipartite_step(
@@ -318,103 +379,121 @@ def scu_bipartite_step(
     reserve network of the working matching, if one exists. It exists exactly
     when some matching keeps every fix, assigns the agent to the category and
     keeps both maxima (feasible flows with lower bounds), which is the
-    question ``scu_feasibility_check`` answers.
+    question ``scu_feasibility_check`` answers. The cycle is found on the
+    category quotient (``_quotient_path``) and then expanded to one moving
+    agent per arc, so a candidate costs O(K^2) plus its cycle, whatever n is.
     """
     seq = as_sequential(system)
-    mu = state.mu
-    cycle: Optional[list[int]] = []
-    if mu.assignment[agent] != category:
-        cycle = _residual_cycle(seq, state, agent, category)
-        if cycle is None:
+    cur = state.mu.assignment[agent]
+    moves: list[Move] = []
+    if cur != category:
+        path = _quotient_path(seq, state, cur, category)
+        if path is None:
             return NO_CHANGE
-    n = state.graph.num_agents
-    for node, target in zip(cycle, cycle[1:]):
-        if 0 <= node < n:  # each agent on the cycle moves to the next node
-            if target == _SOURCE:
-                mu.unassign(node)
-            else:
-                mu.assign(node, target - n)
+        moves = _movers(state, path)
+        for x, _, target in moves:
+            state.move(x, target)
     state.fix(agent, category)
-    _check_state(seq, state, cycle)
+    _check_state(seq, state, moves + [(agent, cur, category)])
     return FIXED
 
 
-def _residual_cycle(
-    seq: SequentialReserveSystem, state: SCUState, agent: int, c: int
+def _quotient_path(
+    seq: SequentialReserveSystem, state: SCUState, cur: Optional[int], c: int
 ) -> Optional[list[int]]:
-    """Breadth-first search from category ``c`` back to ``agent``; the
-    returned nodes run from c to the agent and back to c along the pinned
-    edge.
+    """Breadth-first search on the category quotient of the residual reserve
+    network, from category ``c`` to the node the candidate leaves: its
+    category ``cur``, or the source when it is unmatched (``cur`` None).
 
-    Nodes are agents 0..n-1, category d as n + d, class k (1 = preferential)
-    as n + K + k, and the source as -1. Residual arcs: a category to each
-    unfixed member (it leaves) and to its class if it has a free slot; a
-    class to each of its categories with load > 0 (that category gives up a
-    unit); an agent to each other category it is eligible for (it enters)
-    and to the source if matched (it drops out); the source to each
-    unmatched agent (it enters; fixed agents are matched). Class totals stay
-    at b and m - b, so no arc runs through the sink.
+    Nodes are category d as d, class k (1 = preferential) as K + k and the
+    source as K + 2. An agent node of the residual network has one in-arc,
+    from its category or from the source, so reachability is the same on
+    the quotient, whose arcs are: d to e if some unfixed member of d is
+    eligible for e (it moves there); d to the source if d has an unfixed
+    member (it drops out); d to its class if d has a free slot; a class to
+    each of its categories with load > 0 (that category gives up a unit);
+    the source to e if some unmatched agent is eligible for e. Class totals
+    stay at b and m - b, so no arc runs through the sink. Each of the K + 3
+    nodes is expanded at most once.
     """
-    graph, mu, in_x = state.graph, state.mu, state.in_x
-    n, num_categories = graph.num_agents, graph.num_categories
+    mu, via, free, unfixed = state.mu, state.via, state.free, state.unfixed
+    num_categories = len(via)
     caps, preferential = seq.capacities, seq.preferential
-    cur = mu.assignment[agent]
-    # the candidate is reached only from here: stop on discovering it
-    goal = _SOURCE if cur is None else n + cur
-    start = n + c
-    parent = {start: start}
-    queue = deque([start])
+    source = num_categories + 2
+    goal = source if cur is None else cur
+    parent = {c: c}
+    queue = deque([c])
     while queue:
         node = queue.popleft()
-        if node == _SOURCE:
-            succ = [x for x in range(n) if mu.assignment[x] is None]
-        elif node < n:
-            here = mu.assignment[node]
-            succ = [n + d for d in graph.agent_adj[node] if d != here]
-            if here is not None:
-                succ.append(_SOURCE)
-        elif node < n + num_categories:
-            d = node - n
-            succ = sorted(x for x in mu.members[d] if x not in in_x)
-            if mu.load[d] < caps[d]:
-                succ.append(n + num_categories + (d in preferential))
+        if node < num_categories:
+            succ = [e for e, members in via[node].items() if members]
+            if unfixed[node]:
+                succ.append(source)
+            if mu.load[node] < caps[node]:
+                succ.append(num_categories + (node in preferential))
+        elif node == source:
+            succ = [e for e in range(num_categories) if free[e]]
         else:
-            pref = node - n - num_categories == 1
-            succ = [
-                n + d
-                for d in range(num_categories)
-                if (d in preferential) == pref and mu.load[d] > 0
-            ]
+            succ = [d for d in state.classes[node - num_categories] if mu.load[d] > 0]
         for nxt in succ:
             if nxt in parent:
                 continue
             parent[nxt] = node
             if nxt == goal:
                 path = [nxt]
-                while nxt != start:
+                while nxt != c:
                     nxt = parent[nxt]
                     path.append(nxt)
                 path.reverse()
-                return path + [agent, start]
+                return path
             queue.append(nxt)
     return None
 
 
+def _movers(state: SCUState, path: Sequence[int]) -> list[Move]:
+    """One move per agent arc of a quotient path; class arcs move no agent.
+    Each node of the simple path gives up at most one agent and the
+    candidate sits at its last node, so the movers are distinct and none is
+    the candidate."""
+    num_categories = len(state.via)
+    source = num_categories + 2
+    moves: list[Move] = []
+    for u, v in zip(path, path[1:]):
+        if u == source:
+            moves.append((next(iter(state.free[v])), None, v))
+        elif u < num_categories and v == source:
+            moves.append((next(iter(state.unfixed[u])), u, None))
+        elif u < num_categories and v < num_categories:
+            moves.append((next(iter(state.via[u][v])), u, v))
+    return moves
+
+
 def _check_state(
-    seq: SequentialReserveSystem, state: SCUState, cycle: Sequence[int]
+    seq: SequentialReserveSystem, state: SCUState, moves: Sequence[Move]
 ) -> None:
-    """Invariants after one fix, checked on what the step changed: the
-    agents and categories on ``cycle`` and the last fix."""
+    """Invariants after one fix, checked on what the step changed: the last
+    fix and the ``moves`` (the candidate's last), O(deg) per moved agent."""
     mu = state.mu
-    n = state.graph.num_agents
     agent, c = state.X[-1]
     assert mu.assignment[agent] == c, f"agent {agent} not placed in category {c}"
-    for node in cycle:
-        if 0 <= node < n:
-            assert node == agent or node not in state.in_x, f"fixed agent {node} moved"
-        elif n <= node < n + seq.num_categories:
-            d = node - n
-            assert mu.load[d] <= seq.capacities[d], f"category {d} over capacity"
+    for x, old, target in moves:
+        assert x == agent or x not in state.in_x, f"fixed agent {x} moved"
+        assert mu.assignment[x] == target, f"agent {x} not moved to {target}"
+        if target is not None:
+            assert mu.load[target] <= seq.capacities[target], f"category {target} over capacity"
+        _check_rows(state, x, old)
     assert mu.size() == state.m, "cardinality must stay maximal"
     assert _beneficiary_load(mu, seq) == state.b, "beneficiary count must stay maximal"
 
+
+def _check_rows(state: SCUState, agent: int, old: Optional[int]) -> None:
+    """The agent's quotient rows match its category and fixed status: every
+    ``free`` row, and the ``via`` rows of its category and of ``old``."""
+    here = state.mu.assignment[agent]
+    unfixed = here is not None and agent not in state.in_x
+    for e in state.graph.agent_adj[agent]:
+        assert (agent in state.free[e]) == (here is None), f"free[{e}] wrong for agent {agent}"
+        for d in (old, here):
+            if d is not None:
+                listed = agent in state.via[d].get(e, ())
+                assert listed == (unfixed and d == here), f"via[{d}][{e}] wrong for agent {agent}"

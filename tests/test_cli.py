@@ -406,6 +406,11 @@ def test_bench_zero_repetitions(capsys):
     assert json.loads(out)["rows"] == []
 
 
+def test_bench_zero_categories_exits_2(capsys):
+    # the generated capacity divides the size by the category count
+    _bad_input_exit(capsys, "bench", "--sizes", "10", "--rules", "mma", "--categories", "0")
+
+
 def test_malformed_instance_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"agents": 2}')

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
 from reservematch import axioms
-from reservematch.cli import GeneratorSpec
+from reservematch.cli import GeneratorSpec, main
 from reservematch.harness import oracle_maxima
 from reservematch.model import (
     Matching,
@@ -14,6 +15,7 @@ from reservematch.model import (
     ReserveSystem,
     SequentialReserveSystem,
     as_sequential,
+    matching_to_json,
 )
 from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import (
@@ -148,6 +150,23 @@ def test_network_state_starts_without_a_flow_solve(grouped_six, monkeypatch, com
     state = SCUNetworkState(grouped_six, compact)
     _, b, m = dual_maximum_matching(grouped_six)
     assert (state.b, state.m, state.warm.total) == (b, m, m)
+
+
+def test_default_implementation_is_bipartite(grouped_six, corpus_dir, tmp_path, monkeypatch):
+    """``scu_allocate`` and ``solve --rule scu`` without ``--impl`` run the
+    bipartite rule, which builds no reserve network."""
+    from reservematch import rules_sequential
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("the default scu rule built a reserve network")
+
+    monkeypatch.setattr(rules_sequential, "SCUNetworkState", no_network)
+    expected = Matching((None, 0, None, 1, 2, None))
+    assert scu_allocate(grouped_six) == expected
+    out = tmp_path / "matching.json"
+    instance = str(corpus_dir / "grouped_six.json")
+    assert main(["solve", "-i", instance, "--rule", "scu", "-o", str(out)]) == 0
+    assert out.read_text() == matching_to_json(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +314,8 @@ def test_step_case_unmatched_displaces():
         precedence=PrecedenceOrder((0,)),
     )
     state = scu_state_init(system)
-    state.mu.unassign(0)
-    state.mu.assign(1, 0)
+    state.move(0, None)
+    state.move(1, 0)
     assert scu_bipartite_step(system, state, 0, 0) == FIXED
     assert state.mu.assignment[0] == 0 and state.mu.assignment[1] is None
 
@@ -357,6 +376,91 @@ def test_step_agrees_with_feasibility_check():
                     seq, state.X, agent, c, state.b, state.m
                 )
                 assert (scu_bipartite_step(seq, state, agent, c) == FIXED) == expected
+
+
+def _quotient_rows(state):
+    """The three row families of the category quotient, recomputed from the
+    matching and the fixed set; ``via`` rows list only non-empty sets."""
+    k = state.graph.num_categories
+    via = [{} for _ in range(k)]
+    free = [set() for _ in range(k)]
+    unfixed = [set() for _ in range(k)]
+    for agent, here in enumerate(state.mu.assignment):
+        if here is None:
+            for e in state.graph.agent_adj[agent]:
+                free[e].add(agent)
+        elif agent not in state.in_x:
+            unfixed[here].add(agent)
+            for e in state.graph.agent_adj[agent]:
+                via[here].setdefault(e, set()).add(agent)
+    return via, free, unfixed
+
+
+def test_quotient_rows_follow_every_step():
+    """After every step, the rows the state keeps equal the rows recomputed
+    from its matching and fixed set, on instances with zero capacities, tied
+    tiers and every category preferential among them."""
+    rng = random.Random(9090)
+    kinds = set()
+    for _ in range(240):
+        seq = as_sequential(random_sequential(rng))
+        if rng.random() < 0.2:
+            seq = SequentialReserveSystem(
+                seq.base, frozenset(range(seq.num_categories)), seq.precedence
+            )
+        kinds.update({
+            "zero capacity": 0 in seq.capacities,
+            "tied tiers": len(set(seq.precedence.tier_of)) < seq.num_categories,
+            "all preferential": len(seq.preferential) == seq.num_categories > 1,
+        }.items())
+        state = scu_state_init(seq)
+        for c in seq.precedence.strict_sequence():
+            for agent in seq.base.eligible_agents(c):
+                if agent in state.in_x:
+                    continue
+                if state.fixed_count[c] == seq.capacities[c]:
+                    break
+                state.step(agent, c)
+                via, free, unfixed = _quotient_rows(state)
+                kept = [{e: row for e, row in rows.items() if row} for rows in state.via]
+                assert (kept, state.free, state.unfixed) == (via, free, unfixed)
+        assert state.finish() == scu_allocate(seq, impl="compact")
+    assert all((kind, True) in kinds for kind in ("zero capacity", "tied tiers", "all preferential"))
+
+
+def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
+    """Counts, not timings: each candidate's search runs on the K + 3 nodes
+    of the category quotient whatever the number of agents; a search over
+    the agent nodes expands O(n) of them."""
+    from reservematch import rules_sequential
+
+    searches = []
+
+    class CountingDeque(deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.expanded = 0
+            searches.append(self)
+
+        def popleft(self):
+            self.expanded += 1
+            return super().popleft()
+
+    monkeypatch.setattr(rules_sequential, "deque", CountingDeque)
+    for n in (400, 1600):
+        system = GeneratorSpec(
+            num_agents=n,
+            num_categories=10,
+            capacity=f"const:{n // 20}",
+            density=0.3,
+            preferential_fraction=0.4,
+            tier_scheme="random:3",
+            seed=1,
+        ).build()
+        searches.clear()
+        scu_allocate(system, impl="bipartite")
+        assert len(searches) > n // 10
+        assert max(q.expanded for q in searches) <= 10 + 3, n
 
 
 @pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
