@@ -174,6 +174,17 @@ def _parse_int_list(text: str) -> list[int]:
         raise InstanceError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a file that is not UTF-8 is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
     if args.rule == "da":
         return da_allocate(base_of(system))
@@ -185,8 +196,7 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
         base = base_of(system)
         seed = None
         if args.seed_matching:
-            with open(args.seed_matching, "r", encoding="utf-8") as handle:
-                seed_matching = parse_matching(handle.read(), base)
+            seed_matching = parse_matching(_read_text(args.seed_matching), base)
             seed = GraphMatching.from_matching(seed_matching, base.num_categories)
         agent_order = _parse_int_list(args.agent_order) if args.agent_order else None
         cat_order = (
@@ -212,8 +222,7 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    with open(args.instance, "r", encoding="utf-8") as handle:
-        system = parse_instance(handle.read())
+    system = parse_instance(_read_text(args.instance))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(build_reserve_network(as_sequential(system)).network.to_dot())
@@ -299,10 +308,8 @@ def run_checks(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    with open(args.instance, "r", encoding="utf-8") as handle:
-        system = parse_instance(handle.read())
-    with open(args.matching, "r", encoding="utf-8") as handle:
-        matching = parse_matching(handle.read(), system)
+    system = parse_instance(_read_text(args.instance))
+    matching = parse_matching(_read_text(args.matching), system)
     names = _applicable_axioms(system) if args.axiom == ["all"] else args.axiom
     verdicts = run_checks(system, matching, names, search=args.search)
     if args.format == "json":

@@ -259,9 +259,6 @@ class Matching:
 
     assignment: tuple[Optional[int], ...]
 
-    def category_of(self, agent: int) -> Optional[int]:
-        return self.assignment[agent]
-
     def matched_agents(self) -> tuple[int, ...]:
         return tuple(a for a, c in enumerate(self.assignment) if c is not None)
 
@@ -416,8 +413,15 @@ def instance_to_raw(system: AnySystem) -> dict[str, Any]:
     return raw
 
 
+def _json_data(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InstanceError("JSON nested too deeply") from None
+
+
 def parse_instance(text: str) -> AnySystem:
-    return validate_instance(json.loads(text))
+    return validate_instance(_json_data(text))
 
 
 def instance_to_json(system: AnySystem) -> str:
@@ -468,4 +472,4 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
 
 
 def parse_matching(text: str, system: AnySystem) -> Matching:
-    return validate_matching(json.loads(text), system)
+    return validate_matching(_json_data(text), system)

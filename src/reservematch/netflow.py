@@ -2,10 +2,10 @@
 
 Provides feasibility under lower bounds via the standard circulation
 transformation (subtract lower bounds, add an excess/deficit supernode pair,
-saturate with Dinic), a warm-started feasible flow (``WarmFlow``) that takes
-unit lower bounds one at a time with one residual-cycle search each, and the
-three-layer reserve network with one node per group of agents sharing an
-eligibility set; the full network is the case of one agent per group. A
+saturate with Dinic), a warm-started feasible flow (``WarmFlow``) whose lower
+bounds rise one unit at a time with at most one residual-cycle search each,
+and the three-layer reserve network with one node per group of agents sharing
+an eligibility set; the full network is the case of one agent per group. A
 matching and a reserve-network flow convert both ways (``matching_to_flow``,
 ``flow_to_matching``). All flows are integral; augmentation and search order
 are fixed by edge id, so results are deterministic.
@@ -204,15 +204,16 @@ def feasible_flow(network: BoundedFlowNetwork) -> Optional[Flow]:
 
 
 class WarmFlow:
-    """A feasible integral flow kept feasible while unit lower bounds are
-    pinned one edge at a time.
+    """A feasible integral flow kept feasible while lower bounds rise one
+    unit at a time.
 
-    A feasible flow with lower bound 1 on an empty edge exists exactly when
-    the residual graph of the current flow has a cycle through that edge
-    (feasible flows with lower bounds: Ahuja, Magnanti & Orlin, *Network
-    Flows*, 1993, ch. 6), so each pin is one breadth-first search instead of
-    a fresh solve. The residual graph is the one ``feasible_flow`` solves:
-    every edge plus an uncapacitated sink -> source arc carrying ``total``.
+    When an edge carries no unit above its lower bound, a feasible flow with
+    that bound one higher exists exactly when the residual graph of the
+    current flow has a cycle through the edge (feasible flows with lower
+    bounds: Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6), so each
+    pin is at most one breadth-first search instead of a fresh solve. The
+    residual graph is the one ``feasible_flow`` solves: every edge plus an
+    uncapacitated sink -> source arc carrying ``total``.
     """
 
     __slots__ = ("network", "values", "total", "_incident")
@@ -237,29 +238,29 @@ class WarmFlow:
         return Flow(tuple(self.values), self.total)
 
     def pin(self, edge: int) -> bool:
-        """Raise ``edge``'s lower bound to 1 and keep the flow feasible; False
-        (and nothing changed) when no feasible flow carries a unit there."""
+        """Raise ``edge``'s lower bound by one and keep the flow feasible;
+        False (and nothing changed) when no feasible flow carries that many
+        units there. A unit above the old bound is pinned in place; else
+        one residual cycle through the edge brings one in."""
         net, values = self.network, self.values
-        if values[edge] >= 1:
-            net.set_lower(edge, max(net.lower[edge], 1))
-            return True
-        if net.upper[edge] < 1:
-            return False
-        cycle = self._residual_path(net.dst[edge], net.src[edge])
-        if cycle is None:
-            return False
-        cycle.append((edge, 1))
-        for e, step in cycle:
-            if e < 0:
-                self.total += step
-                assert self.total >= 0, "sink -> source flow went negative"
-            else:
-                values[e] += step
-                assert net.lower[e] <= values[e] <= net.upper[e], (
-                    f"edge {e} flow {values[e]} outside "
-                    f"[{net.lower[e]}, {net.upper[e]}]"
-                )
-        net.set_lower(edge, 1)
+        if values[edge] <= net.lower[edge]:
+            if values[edge] >= net.upper[edge]:
+                return False
+            cycle = self._residual_path(net.dst[edge], net.src[edge])
+            if cycle is None:
+                return False
+            cycle.append((edge, 1))
+            for e, step in cycle:
+                if e < 0:
+                    self.total += step
+                    assert self.total >= 0, "sink -> source flow went negative"
+                else:
+                    values[e] += step
+                    assert net.lower[e] <= values[e] <= net.upper[e], (
+                        f"edge {e} flow {values[e]} outside "
+                        f"[{net.lower[e]}, {net.upper[e]}]"
+                    )
+        net.set_lower(edge, net.lower[edge] + 1)
         return True
 
     def _residual_path(self, start: int, goal: int) -> Optional[list[tuple[int, int]]]:
@@ -300,20 +301,6 @@ class WarmFlow:
                     return path
                 queue.append(v)
         return None
-
-    def drop_unit(self, path: list[int]) -> None:
-        """Take one unit off a source-to-sink path of edges whose bounds the
-        caller has just lowered by the unit it removed."""
-        net, values = self.network, self.values
-        assert net.src[path[0]] == net.source and net.dst[path[-1]] == net.sink
-        for a, b in zip(path, path[1:]):
-            assert net.dst[a] == net.src[b], "edges do not form a path"
-        for e in path:
-            values[e] -= 1
-            assert net.lower[e] <= values[e] <= net.upper[e], (
-                f"edge {e} flow {values[e]} outside [{net.lower[e]}, {net.upper[e]}]"
-            )
-        self.total -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +423,11 @@ def build_compact_network(system: SequentialReserveSystem) -> ReserveNetwork:
     return _add_class_edges(system, rn)
 
 
-def flow_to_matching(
-    reserve: ReserveNetwork,
-    flow: Flow,
-    ledger: Optional[list[tuple[int, int]]] = None,
-) -> Matching:
-    """Decode a flow into a matching: the ledger's fixes, plus each unit on
-    a single-agent group as that agent's assignment.
-
-    The sequential procedure takes fixed units off the network as it pins
-    them and keeps them in its ledger, so a unit still on a group of several
-    agents names no agent and is rejected as ambiguous.
-    """
+def flow_to_matching(reserve: ReserveNetwork, flow: Flow) -> Matching:
+    """Decode a flow into a matching: each unit on a single-agent group is
+    that agent's assignment. A unit on a group of several agents names no
+    agent and is rejected as ambiguous."""
     assignment: list[Optional[int]] = [None] * len(reserve.group_of)
-    for a, c in ledger or ():
-        if assignment[a] is not None:
-            raise DecodeAmbiguity(f"ledger fixes agent {a} twice")
-        assignment[a] = c
     for (k, c), e in reserve.assign_edge.items():
         units = flow.values[e]
         if units == 0:
@@ -460,7 +435,7 @@ def flow_to_matching(
         members = reserve.group_members[k]
         if len(members) > 1:
             raise DecodeAmbiguity(
-                f"group {k} carries {units} unpinned units into category {c}"
+                f"group {k} carries {units} units into category {c}"
             )
         if assignment[members[0]] is not None:
             raise DecodeAmbiguity(f"agent {members[0]} carries two units")

@@ -6,12 +6,15 @@ Three interchangeable states answer whether some matching keeps every
 earlier fix, places the candidate and keeps both maxima:
 
 * ``flow``: the reference form; a feasible flow on the full reserve network
-  (one group per agent) is kept warm, and every candidate pins a unit lower
-  bound on its edge with one residual-cycle search (``WarmFlow.pin``).
+  (one group per agent) is kept warm, and every candidate raises the lower
+  bound on its edge by one unit with at most one residual-cycle search
+  (``WarmFlow.pin``).
 * ``compact``: the same pins on the grouped network (one group per
-  eligibility set). Both network states take each fixed unit off the
-  network: group, group-edge, category and class-target bounds all shrink
-  by one, and so does the flow on those edges.
+  eligibility set), where the lower bound on a group's edge into a
+  category counts the group's agents fixed there. In both network states a
+  fix stays on the network as that lower bound, the form
+  ``scu_feasibility_check`` states every fix in, and the class bounds stay
+  b and m - b throughout.
 * ``bipartite`` (the default): explicit matching plus one residual-cycle
   search per candidate through the pinned edge in the residual reserve
   network of the working matching. The search runs on the network's
@@ -48,7 +51,6 @@ from .netflow import (
     WarmFlow,
     build_compact_network,
     build_reserve_network,
-    flow_to_matching,
     matching_to_flow,
     pinned_alternative,
 )
@@ -244,25 +246,24 @@ class SCUNetworkState(FixLedger):
 
     def step(self, agent: int, c: int) -> str:
         """Fix ``agent`` at ``c`` if some matching keeps every fix, places
-        the agent there and keeps both maxima."""
-        rn, net = self.reserve, self.reserve.network
-        k = rn.group_of[agent]
-        edge = rn.assign_edge[(k, c)]
+        the agent there and keeps both maxima: the fix is one more unit of
+        lower bound on the group's edge into ``c``."""
+        edge = self.reserve.assign_edge[(self.reserve.group_of[agent], c)]
         if not self.warm.pin(edge):
             return NO_CHANGE
-        net.set_lower(edge, 0)
-        # remove the fixed unit from the remaining network
-        group_edge, category_edge = rn.group_edge[k], rn.category_edge[c]
-        class_edge = rn.class_edge[PREF_CLASS if self.seq.is_beneficial(c) else OPEN_CLASS]
-        for e in (group_edge, edge, category_edge):
-            net.set_upper(e, net.upper[e] - 1)
-        net.set_lower(class_edge, net.lower[class_edge] - 1)
-        self.warm.drop_unit([group_edge, edge, category_edge, class_edge])
         self.fix(agent, c)
         return FIXED
 
     def finish(self) -> Matching:
-        return flow_to_matching(self.reserve, self.warm.flow(), self.X)
+        """The ledger as a matching, once every unit on the network is a fix:
+        each assignment edge carries exactly its lower bound."""
+        values, lower = self.warm.flow().values, self.reserve.network.lower
+        for (k, c), e in self.reserve.assign_edge.items():
+            assert values[e] == lower[e], f"group {k} has an unfixed unit in category {c}"
+        assignment: list[Optional[int]] = [None] * self.seq.num_agents
+        for a, c in self.X:
+            assignment[a] = c
+        return Matching(tuple(assignment))
 
     def trace_fields(self) -> dict:
         return {}

@@ -483,6 +483,28 @@ def test_bad_baseline_exits_2(capsys, corpus_dir):
     )
 
 
+@pytest.mark.parametrize(
+    "content", [b"[" * 200000, b'{"agents": "\xff"}'], ids=["deep", "not-utf8"]
+)
+@pytest.mark.parametrize(
+    "role", ["solve-instance", "check-instance", "check-matching", "seed-matching"]
+)
+def test_unreadable_json_exits_2(capsys, corpus_dir, tmp_path, role, content):
+    """A file nested too deeply for the JSON parser, or not UTF-8 at all,
+    is bad input wherever it is read."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    instance = str(corpus_dir / "contested_pair.json")
+    matching = str(corpus_dir / "contested_pair_skewed.json")
+    argv = {
+        "solve-instance": ["solve", "-i", str(bad), "--rule", "da"],
+        "check-instance": ["check", "-i", str(bad), "-m", matching],
+        "check-matching": ["check", "-i", instance, "-m", str(bad)],
+        "seed-matching": ["solve", "-i", instance, "--rule", "mma", "--seed-matching", str(bad)],
+    }[role]
+    _bad_input_exit(capsys, *argv)
+
+
 def test_directory_as_instance_exits_2(capsys, tmp_path):
     _bad_input_exit(capsys, "solve", "-i", str(tmp_path), "--rule", "da")
 

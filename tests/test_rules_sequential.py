@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -16,6 +16,12 @@ from reservematch.model import (
     SequentialReserveSystem,
     as_sequential,
     matching_to_json,
+)
+from reservematch.netflow import (
+    OPEN_CLASS,
+    PREF_CLASS,
+    build_compact_network,
+    build_reserve_network,
 )
 from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import (
@@ -482,4 +488,29 @@ def test_network_step_agrees_with_feasibility_check(compact):
                     seq, state.X, agent, c, state.b, state.m
                 )
                 assert (state.step(agent, c) == FIXED) == expected
+                _assert_fixes_are_lower_bounds(seq, state, compact)
+        state.finish()
+
+
+def _assert_fixes_are_lower_bounds(seq, state, compact):
+    """Every fix stays on the network as one unit of lower bound on its
+    group's edge into its category; no other bound moves."""
+    rn, net = state.reserve, state.reserve.network
+    fresh = (build_compact_network if compact else build_reserve_network)(seq)
+    fixes = Counter((rn.group_of[a], c) for a, c in state.X)
+    assert {pair: net.lower[e] for pair, e in rn.assign_edge.items()} == {
+        pair: fixes[pair] for pair in rn.assign_edge
+    }
+    assert net.upper == fresh.network.upper
+    assert net.lower[rn.class_edge[PREF_CLASS]] == state.b
+    assert net.lower[rn.class_edge[OPEN_CLASS]] == state.m - state.b
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
+def test_network_finish_rejects_unfixed_units(grouped_six, compact):
+    """A freshly built state carries the dual maximum matching's units, none
+    of them fixed, so it has no matching to return yet."""
+    state = SCUNetworkState(grouped_six, compact)
+    assert state.m > 0
+    with pytest.raises(AssertionError, match="unfixed unit"):
         state.finish()

@@ -108,3 +108,21 @@ def mma_induced_matchings(system, maxima) -> set[Matching]:
             else:
                 results.add(Matching(assignment))
     return results
+
+
+def chain_instance(num_agents: int) -> SequentialReserveSystem:
+    """A long augmenting chain: unit categories c0..cn, agent i eligible
+    for c_i and c_{i+1} and ranked first where eligible, precedence c1, c2,
+    ..., cn and c0 last. The rule shifts every agent up one category; the
+    parked matching i -> c_i keeps both maxima but not precedence."""
+    n = num_agents
+    priorities = []
+    for c in range(n + 1):
+        eligible = [a for a in (c - 1, c) if 0 <= a < n]
+        rest = [a for a in range(n) if a not in eligible]
+        priorities.append(PriorityRanking(tuple(eligible + rest), len(eligible)))
+    return SequentialReserveSystem(
+        base=ReserveSystem(n, n + 1, (1,) * (n + 1), tuple(priorities)),
+        preferential=frozenset(),
+        precedence=PrecedenceOrder((n,) + tuple(range(n))),
+    )
