@@ -574,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--output", "-o", help="write the matching file here")
     solve.add_argument("--dot", help="export the full reserve network as DOT")
     solve.add_argument("--dot-compact", help="export the grouped network as DOT")
-    solve.set_defaults(func=cmd_solve)
 
     check = sub.add_parser("check", help="evaluate axioms on a matching file")
     check.add_argument("--instance", "-i", required=True)
@@ -586,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="axiom name, repeatable; default: all applicable",
     )
     check.add_argument("--search", choices=("flow", "oracle"), default="flow")
-    check.set_defaults(func=cmd_check)
 
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--agents", type=int, required=True)
@@ -598,13 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--correlated", action="store_true")
     gen.add_argument("--output", "-o")
-    gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser("verify", help="run property sweeps for a rule")
     verify.add_argument("--rule", required=True, choices=RULES)
     verify.add_argument("--sweep", choices=("small", "corpus", "random"), default="small")
     verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="time rules on generated instances")
     bench.add_argument("--sizes", default="500,1000,2000")
@@ -613,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--categories", type=int, default=10)
     bench.add_argument("--density", type=float, default=0.1)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -629,8 +624,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     if getattr(args, "axiom", None) is None and args.command == "check":
         args.axiom = ["all"]
+    # looked up per call, not stored in the cached parser, so a command
+    # wrapped after the first call (a profiler's span) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,9 @@ earlier fix, places the candidate and keeps both maxima:
   per moved agent; a candidate costs O(K^2) plus its cycle, whatever the
   number of agents.
 
-All three start from the dual maximum matching, keep one fix ledger
+All three start from a dual maximum matching, which yields both maxima: the
+network states take Hopcroft-Karp's (``dual_maximum_matching``) and
+``bipartite`` builds its own on the quotient. All three keep one fix ledger
 (``FixLedger``) and return the identical matching; the fixed set equals the
 matched set on termination, which is asserted every run.
 """
@@ -65,9 +67,7 @@ NO_CHANGE = "no-change"
 
 
 def dual_maximum_matching(
-    system: AnySystem,
-    start: Optional[Matching] = None,
-    graph: Optional[EligibilityGraph] = None,
+    system: AnySystem, start: Optional[Matching] = None
 ) -> tuple[GraphMatching, int, int]:
     """A matching that is simultaneously maximum-cardinality and maximum in
     preferential-category assignments: match the preferential subgraph to its
@@ -77,11 +77,9 @@ def dual_maximum_matching(
     With ``start``, each stage is seeded from its eligible pairs that fit
     the capacities, so a maximum ``start`` is certified by one search that
     finds no augmenting path (Berge); b and m do not depend on the seed.
-    ``graph`` is the instance's eligibility graph, if the caller has it.
     """
     seq = as_sequential(system)
-    if graph is None:
-        graph = build_graph(seq.base)
+    graph = build_graph(seq.base)
     stage1 = GraphMatching(graph.num_agents, graph.num_categories)
     if seq.preferential:
         if start is not None:
@@ -227,8 +225,8 @@ class SCUNetworkState(FixLedger):
     network (one group per agent, or per eligibility set) with a warm
     feasible flow on it, the fix ledger and the two maxima.
 
-    The warm flow starts from the dual maximum matching, the one the
-    ``bipartite`` rule starts from: it yields b and m and, carried unit by
+    The warm flow starts from the dual maximum matching
+    (``dual_maximum_matching``): it yields b and m and, carried unit by
     unit through the network, already meets the class bounds b and m - b.
     Each candidate is then one pin on it (``WarmFlow.pin``) instead of a
     fresh feasibility solve.
@@ -285,23 +283,24 @@ class SCUState(FixLedger):
 
     Move agents only through ``move`` and fix them only through ``fix``:
     both keep the rows in step with the matching in O(deg) per agent.
+
+    The state builds its own start, a dual maximum matching, in two stages.
+    Stage 1 matches each agent, in index order, to its first preferential
+    category with a free slot, builds the rows once from that matching and
+    applies augmenting paths that end in a preferential category until none
+    is left (``_augmenting_path``): b is its size. Stage 2 places the
+    agents still unmatched in their first category with a free slot and
+    augments to any category: m is its size. Each path is found on the
+    K + 1 nodes of the quotient (the categories and the source), so the
+    start runs no search over the agents.
     """
 
-    def __init__(
-        self,
-        seq: SequentialReserveSystem,
-        graph: EligibilityGraph,
-        mu: GraphMatching,
-        b: int,
-        m: int,
-    ):
+    def __init__(self, seq: SequentialReserveSystem, graph: EligibilityGraph):
         super().__init__(seq.num_categories)
         self.seq = seq
         self.graph = graph
-        self.mu = mu
-        self.b = b
-        self.m = m
         k = graph.num_categories
+        self.mu = mu = GraphMatching(graph.num_agents, k)
         self.unfixed: list[set[int]] = [set() for _ in range(k)]
         self.via: list[defaultdict[int, set[int]]] = [
             defaultdict(set, {d: self.unfixed[d]}) for d in range(k)
@@ -311,10 +310,39 @@ class SCUState(FixLedger):
         self.classes = tuple(
             [d for d in range(k) if (d in seq.preferential) == pref] for pref in (False, True)
         )
-        for agent, here in enumerate(mu.assignment):
+        caps, load, assignment = seq.capacities, mu.load, mu.assignment
+        is_pref = [d in seq.preferential for d in range(k)]
+        # stage 1: the preferential maximum; open categories hold nobody
+        # yet, so no path passes through them
+        for agent, adj in enumerate(graph.agent_adj):
+            for c in adj:
+                if is_pref[c] and load[c] < caps[c]:
+                    mu.assign(agent, c)
+                    break
+        for agent, here in enumerate(assignment):
             rows = self._rows_at(here)
             for e in graph.agent_adj[agent]:
                 rows[e].add(agent)
+        self._augment(is_pref)
+        self.b = mu.size()
+        # stage 2: the cardinality maximum; an augmenting path raises only
+        # its end's load, and no end is preferential once b is maximum
+        for agent, adj in enumerate(graph.agent_adj):
+            if assignment[agent] is None:
+                for c in adj:
+                    if load[c] < caps[c]:
+                        self.move(agent, c)
+                        break
+        self._augment([True] * k)
+        self.m = mu.size()
+        assert _beneficiary_load(mu, seq) == self.b, "stage 2 moved the beneficiary count"
+
+    def _augment(self, ends: Sequence[bool]) -> None:
+        """Apply augmenting paths that end at a category marked in ``ends``
+        until none is left."""
+        while (path := _augmenting_path(self, ends)) is not None:
+            for x, _, target in _movers(self, path):
+                self.move(x, target)
 
     def step(self, agent: int, c: int) -> str:
         return scu_bipartite_step(self.seq, self, agent, c)
@@ -359,10 +387,10 @@ class SCUState(FixLedger):
 
 
 def scu_state_init(system: AnySystem) -> SCUState:
+    """The ``bipartite`` rule's working state: the eligibility graph, built
+    once, and the dual maximum matching the state builds on its rows."""
     seq = as_sequential(system)
-    graph = build_graph(seq.base)
-    mu, b, m = dual_maximum_matching(seq, graph=graph)
-    return SCUState(seq, graph, mu, b, m)
+    return SCUState(seq, build_graph(seq.base))
 
 
 # A move: (agent, its category before the step, its category after), with
@@ -451,9 +479,44 @@ def _quotient_path(
     return None
 
 
+def _augmenting_path(state: SCUState, ends: Sequence[bool]) -> Optional[list[int]]:
+    """Breadth-first search on the category quotient for an augmenting path
+    of the start: from the source to a category marked in ``ends`` with a
+    free slot. The arcs are those of ``_quotient_path`` between the source
+    and the categories: the source to e if some unmatched agent is eligible
+    for e, d to e if some member of d is eligible for e. The search
+    stops as soon as it discovers an end, before expanding it; each of the
+    K + 1 nodes is expanded at most once.
+    """
+    via, free, load = state.via, state.free, state.mu.load
+    caps = state.seq.capacities
+    source = len(via) + 2
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        if node == source:
+            succ = [e for e, members in enumerate(free) if members]
+        else:
+            succ = [e for e, members in via[node].items() if members]
+        for nxt in succ:
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if ends[nxt] and load[nxt] < caps[nxt]:
+                path = [nxt]
+                while nxt != source:
+                    nxt = parent[nxt]
+                    path.append(nxt)
+                path.reverse()
+                return path
+            queue.append(nxt)
+    return None
+
+
 def _movers(state: SCUState, path: Sequence[int]) -> list[Move]:
     """One move per agent arc of a quotient path; class arcs move no agent.
-    Each node of the simple path gives up at most one agent and the
+    Each node of the simple path gives up at most one agent and a step's
     candidate sits at its last node, so the movers are distinct and none is
     the candidate."""
     num_categories = len(state.via)

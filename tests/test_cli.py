@@ -167,6 +167,25 @@ def test_repeated_main_calls_share_no_parsed_state(capsys, corpus_dir, tmp_path)
     assert axioms_reported() == everything
 
 
+def test_main_runs_a_command_wrapped_after_the_first_call(capsys, corpus_dir, monkeypatch):
+    """The parser is built once, but each call runs the module's current
+    ``cmd_<command>``, so a wrapper installed between calls sees the next."""
+    from reservematch import cli
+
+    solve = ["solve", "-i", str(corpus_dir / "grouped_six.json"), "--rule", "scu"]
+    assert run_cli(capsys, *solve)[0] == 0
+    calls = []
+    original = cli.cmd_solve
+
+    def wrapper(args):
+        calls.append(args.rule)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_solve", wrapper)
+    assert run_cli(capsys, *solve)[0] == 0
+    assert calls == ["scu"]
+
+
 def test_solve_mma_order_override(capsys, corpus_dir, tmp_path):
     seed_file = tmp_path / "seed.json"
     seed_file.write_text(matching_to_json(Matching((0, None, 1))))

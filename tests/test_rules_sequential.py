@@ -128,6 +128,7 @@ def test_seeded_dual_maximum_matches_unseeded(kind):
 def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
     from reservematch import rules_sequential
 
+    _, b, m = dual_maximum_matching(grouped_six)
     build_graph = rules_sequential.build_graph
     built = []
 
@@ -138,9 +139,64 @@ def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
     monkeypatch.setattr(rules_sequential, "build_graph", counting_build)
     state = scu_state_init(grouped_six)
     assert len(built) == 1 and state.graph == build_graph(grouped_six.base)
-    match, b, m = dual_maximum_matching(grouped_six, graph=state.graph)
-    assert len(built) == 1
-    assert (state.mu, state.b, state.m) == (match, b, m)
+    assert (state.b, state.m) == (b, m)
+
+
+def test_default_scu_runs_no_hopcroft_karp(grouped_six, corpus_dir, tmp_path, monkeypatch):
+    """The bipartite state builds its start on the category quotient, so
+    ``scu_allocate`` and ``solve --rule scu`` run no Hopcroft-Karp pass."""
+    from reservematch import rules_sequential
+
+    def no_hopcroft_karp(*args, **kwargs):
+        raise AssertionError("the default scu rule ran Hopcroft-Karp")
+
+    monkeypatch.setattr(rules_sequential, "maximum_matching", no_hopcroft_karp)
+    expected = Matching((None, 0, None, 1, 2, None))
+    assert scu_allocate(grouped_six) == expected
+    out = tmp_path / "matching.json"
+    instance = str(corpus_dir / "grouped_six.json")
+    assert main(["solve", "-i", instance, "--rule", "scu", "-o", str(out)]) == 0
+    assert out.read_text() == matching_to_json(expected)
+
+
+def test_start_agrees_with_hopcroft_karp():
+    """The state's start is a dual maximum matching: its b and m are
+    Hopcroft-Karp's (and, on small instances, the oracle's), it is eligible
+    and within capacity, and its rows are the ones its matching implies."""
+    rng = random.Random(20261018)
+    seen = set()
+    for i in range(1200):
+        small = i % 5 == 0
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(0, 5 if small else 40),
+            num_categories=rng.randint(1, 3 if small else 6),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:8"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["equal", "strict", "random:2", "random:3"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        state = scu_state_init(seq)
+        mu = state.mu
+        _, b, m = dual_maximum_matching(seq)
+        assert (state.b, state.m) == (b, m)
+        if small:
+            maxima = oracle_maxima(seq)
+            assert (state.b, state.m) == (maxima.b, maxima.m)
+        assert (mu.size(), sum(mu.load[c] for c in seq.preferential)) == (m, b)
+        for agent, c in enumerate(mu.assignment):
+            assert c is None or seq.base.is_eligible(agent, c)
+        assert all(load <= cap for load, cap in zip(mu.load, seq.capacities))
+        via, free, unfixed = _quotient_rows(state)
+        kept = [{e: row for e, row in rows.items() if row} for rows in state.via]
+        assert (kept, state.free, state.unfixed) == (via, free, unfixed)
+        seen.update({
+            "zero capacity": 0 in seq.capacities,
+            "all preferential": len(seq.preferential) == seq.num_categories,
+            "none preferential": not seq.preferential,
+            "augmented": 0 < b < m,
+        }.items())
+    assert all((kind, True) in seen for kind, _ in seen)
 
 
 @pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
@@ -435,9 +491,9 @@ def test_quotient_rows_follow_every_step():
 
 
 def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
-    """Counts, not timings: each candidate's search runs on the K + 3 nodes
-    of the category quotient whatever the number of agents; a search over
-    the agent nodes expands O(n) of them."""
+    """Counts, not timings: each search of the start and of each candidate
+    runs on the K + 3 nodes of the category quotient whatever the number of
+    agents; a search over the agent nodes expands O(n) of them."""
     from reservematch import rules_sequential
 
     searches = []
@@ -463,6 +519,11 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
             tier_scheme="random:3",
             seed=1,
         ).build()
+        searches.clear()
+        scu_state_init(system)
+        # the start: at least the last, failing search of each stage
+        assert len(searches) >= 2
+        assert max(q.expanded for q in searches) <= 10 + 3, n
         searches.clear()
         scu_allocate(system, impl="bipartite")
         assert len(searches) > n // 10
