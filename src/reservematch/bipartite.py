@@ -2,7 +2,10 @@
 
 The matching side generalizes Hopcroft-Karp to categories with multi-unit
 capacity (no node duplication; categories carry loads). All searches scan
-adjacency in ascending index order so results are deterministic.
+adjacency in ascending index order so results are deterministic. From an
+empty start, the first phase runs as a greedy pass over the agents in index
+order: with nobody matched, a phase-one search can only take the agent's
+first category with a free slot, so the pass returns the same matching.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Matching, ReserveSystem
-
-_INF = float("inf")
 
 
 class InvalidSeed(ValueError):
@@ -53,14 +54,15 @@ class EligibilityGraph:
 
 def build_graph(system: ReserveSystem) -> EligibilityGraph:
     agent_adj: list[list[int]] = [[] for _ in range(system.num_agents)]
-    category_adj: list[list[int]] = [[] for _ in range(system.num_categories)]
+    category_adj = []
     for c in range(system.num_categories):
-        for agent in system.eligible_agents(c):
-            agent_adj[agent].append(c)
-            category_adj[c].append(agent)
+        eligible = system.eligible_agents(c)
+        for agent in eligible:
+            agent_adj[agent].append(c)  # ascending c, so already sorted
+        category_adj.append(tuple(sorted(eligible)))
     return EligibilityGraph(
-        agent_adj=tuple(tuple(sorted(adj)) for adj in agent_adj),
-        category_adj=tuple(tuple(sorted(adj)) for adj in category_adj),
+        agent_adj=tuple(map(tuple, agent_adj)),
+        category_adj=tuple(category_adj),
         capacities=system.capacities,
     )
 
@@ -154,6 +156,15 @@ def maximum_matching(
     unmatched, only reassigned along augmenting paths. ``category_mask``
     restricts the search to the categories it marks (used for the
     preferential-side initial matching).
+
+    From an empty start the first phase is a greedy pass: each agent, in
+    index order, takes its first (unmasked) category with a free slot. That
+    is exactly what the first phase's searches do, because with nobody
+    matched every agent sits at layer 0 and no member of a full category
+    sits at layer 1, so the search from an agent can only end at a free
+    slot of one of its own categories. Which maximum matching is returned
+    is part of the output of ``mma`` and ``rev``: the visit order of every
+    phase must not change.
     """
     if seed is not None:
         _validate_seed(graph, seed)
@@ -161,21 +172,35 @@ def maximum_matching(
     else:
         match = GraphMatching(graph.num_agents, graph.num_categories)
 
-    def cat_ok(c: int) -> bool:
-        return category_mask is None or category_mask[c]
+    n, caps = graph.num_agents, graph.capacities
+    assignment, load, members = match.assignment, match.load, match.members
+    if category_mask is None:
+        adj: Sequence[Sequence[int]] = graph.agent_adj
+    else:
+        adj = [[c for c in cats if category_mask[c]] for cats in graph.agent_adj]
 
-    n = graph.num_agents
-    dist: list[float] = [0.0] * n
+    if match._size == 0:
+        for a, cats in enumerate(adj):
+            for c in cats:
+                if load[c] < caps[c]:
+                    match.assign(a, c)
+                    break
+
+    inf = n + 1  # above every layer
+    dist = [inf] * n
+    # An agent with no category to enter starts no search and is reached by
+    # none, so the phases skip it.
+    active = [a for a in range(n) if adj[a]]
 
     def bfs() -> bool:
         queue: deque[int] = deque()
-        for a in range(n):
-            if match.assignment[a] is None:
+        for a in active:
+            if assignment[a] is None:
                 dist[a] = 0
                 queue.append(a)
             else:
-                dist[a] = _INF
-        frontier = _INF
+                dist[a] = inf
+        frontier = inf
         # A full category's members all get their distance the first time
         # any agent reaches it, so each category is expanded once.
         expanded = [False] * graph.num_categories
@@ -183,36 +208,40 @@ def maximum_matching(
             a = queue.popleft()
             if dist[a] >= frontier:
                 continue
-            for c in graph.agent_adj[a]:
-                if not cat_ok(c):
-                    continue
-                if match.load[c] < graph.capacities[c]:
-                    if frontier == _INF:
+            for c in adj[a]:
+                if load[c] < caps[c]:
+                    if frontier == inf:
                         frontier = dist[a] + 1
                 elif not expanded[c]:
                     expanded[c] = True
-                    for b in match.members[c]:
-                        if dist[b] == _INF:
+                    for b in members[c]:
+                        if dist[b] == inf:
                             dist[b] = dist[a] + 1
                             queue.append(b)
-        return frontier != _INF
+        return frontier != inf
 
     # (category, layer) pairs whose scan for agents at that layer came up
     # empty this phase; a category is full for the rest of the phase once
     # scanned, so only an agent of that layer entering it can revive it.
-    dead: set[tuple[int, float]] = set()
+    dead: set[tuple[int, int]] = set()
+    # Full categories' members in ascending order, sorted on first visit
+    # and dropped when an augmentation changes them.
+    ordered: dict[int, list[int]] = {}
 
     def moves(a: int):
         """Yield (c, b): agent a can enter c by pushing its member b one
         layer on, or by taking a free slot when b is None."""
         layer = dist[a] + 1
-        for c in graph.agent_adj[a]:
-            if not cat_ok(c) or (c, layer) in dead:
+        for c in adj[a]:
+            if (c, layer) in dead:
                 continue
-            if match.load[c] < graph.capacities[c]:
+            if load[c] < caps[c]:
                 yield c, None
                 return  # never resumed: a free slot ends the search
-            for b in sorted(match.members[c]):
+            row = ordered.get(c)
+            if row is None:
+                row = ordered[c] = sorted(members[c])
+            for b in row:
                 if dist[b] == layer:
                     yield c, b
             dead.add((c, layer))
@@ -227,7 +256,7 @@ def maximum_matching(
         while steps:
             step = next(steps[-1], None)
             if step is None:
-                dist[path.pop()] = _INF
+                dist[path.pop()] = inf
                 steps.pop()
                 if cats:
                     cats.pop()
@@ -235,6 +264,9 @@ def maximum_matching(
             c, b = step
             cats.append(c)
             if b is None:
+                # every category the path moves an agent out of or into
+                for cat in cats:
+                    ordered.pop(cat, None)
                 for agent, cat in zip(reversed(path), reversed(cats)):
                     match.assign(agent, cat)
                     dead.discard((cat, dist[agent]))
@@ -245,8 +277,8 @@ def maximum_matching(
 
     while bfs():
         dead.clear()
-        for a in range(n):
-            if match.assignment[a] is None:
+        for a in active:
+            if assignment[a] is None:
                 dfs(a)
     return match
 

@@ -435,7 +435,17 @@ def matching_to_raw(matching: Matching) -> dict[str, Any]:
 
 
 def matching_to_json(matching: Matching) -> str:
-    return canonical_json(matching_to_raw(matching))
+    """``canonical_json(matching_to_raw(matching))``, written directly: the
+    keys sorted as strings ("10" before "2"), two-space indent, ``null`` for
+    an unmatched agent and a trailing newline."""
+    assignment = matching.assignment
+    if not assignment:
+        return '{\n  "assignment": {}\n}\n'
+    rows = ",\n".join(
+        f'    "{key}": {"null" if c is None else c}'
+        for key, c in sorted(zip(map(str, range(len(assignment))), assignment))
+    )
+    return '{\n  "assignment": {\n' + rows + "\n  }\n}\n"
 
 
 def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
@@ -443,7 +453,7 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
 
     Capacities must be respected; eligibility is deliberately not required
     here (axiom checkers evaluate it). Agents missing from the data are
-    unmatched.
+    unmatched; an agent named by two keys (say "1" and "01") is an error.
     """
     base = base_of(system)
     try:
@@ -451,6 +461,7 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed matching data: {exc}") from exc
     assignment: list[Optional[int]] = [None] * base.num_agents
+    named = bytearray(base.num_agents)
     for key, value in entries.items():
         try:
             agent = int(key)
@@ -458,6 +469,9 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
             raise InstanceError(f"matching names non-integer agent {key!r}") from None
         if not 0 <= agent < base.num_agents:
             raise InstanceError(f"matching names unknown agent {agent}")
+        if named[agent]:
+            raise InstanceError(f"matching names agent {agent} twice (key {key!r})")
+        named[agent] = 1
         if value is None:
             continue
         c = value if type(value) is int else _integer(value, f"category of agent {agent}")

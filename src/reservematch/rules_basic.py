@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bipartite import EligibilityGraph, GraphMatching, build_graph, maximum_matching
 from .model import InstanceError, Matching, ReserveSystem
@@ -29,7 +29,7 @@ class NotMaximumSeed(ValueError):
 
 def default_preferences(system: ReserveSystem) -> tuple[tuple[int, ...], ...]:
     """Ascending category index over each agent's eligible set."""
-    return tuple(system.agent_categories(a) for a in range(system.num_agents))
+    return build_graph(system).agent_adj
 
 
 def _validate_preferences(
@@ -68,25 +68,28 @@ def da_allocate(
         ranked = _validate_preferences(system, prefs)
     held: list[Optional[int]] = [None] * system.num_agents
     pointer = [0] * system.num_agents
-
-    while True:
+    holders: list[list[int]] = [[] for _ in range(system.num_categories)]
+    # Only an agent rejected in the last round proposes in the next one.
+    proposers = [a for a in range(system.num_agents) if ranked[a]]
+    while proposers:
         proposals: dict[int, list[int]] = {}
-        for a in range(system.num_agents):
-            if held[a] is None and pointer[a] < len(ranked[a]):
-                proposals.setdefault(ranked[a][pointer[a]], []).append(a)
-        if not proposals:
-            break
+        for a in proposers:
+            proposals.setdefault(ranked[a][pointer[a]], []).append(a)
+        proposers = []
         for c in sorted(proposals):
-            pool = [a for a in range(system.num_agents) if held[a] == c]
-            pool.extend(proposals[c])
-            pool.sort(key=lambda a: system.position(c, a))
-            keep = set(pool[: system.capacities[c]])
-            for a in pool:
-                if a in keep:
-                    held[a] = c
-                else:
-                    held[a] = None
-                    pointer[a] += 1
+            # positions are distinct within a ranking, so the order the pool
+            # is gathered in cannot change the selection
+            pool = holders[c] + proposals[c]
+            pool.sort(key=system.priorities[c].position)
+            cap = system.capacities[c]
+            holders[c] = pool[:cap]
+            for a in holders[c]:
+                held[a] = c
+            for a in pool[cap:]:
+                held[a] = None
+                pointer[a] += 1
+                if pointer[a] < len(ranked[a]):
+                    proposers.append(a)
     return Matching(tuple(held))
 
 
@@ -255,8 +258,7 @@ DISPLACED = "displaced"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     agent: int
     category: int
     outcome: str
@@ -311,7 +313,7 @@ def mma_allocate(
         for rank, a in enumerate(order):
             agent_rank[a] = rank
     if category_order is None:
-        cat_rank = list(range(system.num_categories))
+        cats_of: Sequence[Sequence[int]] = graph.agent_adj
     else:
         order = _validate_permutation(
             category_order, system.num_categories, "category order"
@@ -319,44 +321,49 @@ def mma_allocate(
         cat_rank = [0] * system.num_categories
         for rank, c in enumerate(order):
             cat_rank[c] = rank
-    cats_of = [
-        sorted(adj, key=lambda c: (cat_rank[c], c)) for adj in graph.agent_adj
-    ]
+        cats_of = [sorted(adj, key=cat_rank.__getitem__) for adj in graph.agent_adj]
+    position = [ranking.position for ranking in system.priorities]
     # Per category, a heap of its occupants with the lowest priority on top.
     occupants = [
-        [(-system.position(c, b), b) for b in match.members[c]]
+        [(-position[c](b), b) for b in match.members[c]]
         for c in range(system.num_categories)
     ]
     for heap in occupants:
         heapq.heapify(heap)
 
-    considered: list[set[int]] = [set() for _ in range(system.num_agents)]
+    capacities, load, assignment = graph.capacities, match.load, match.assignment
+    # An agent proposes down cats_of[agent] and never to the same category
+    # twice, so what it has proposed to is a prefix: proposed[agent] long.
+    proposed = [0] * system.num_agents
     log: list[TraceEntry] = []
     pool = [
         (agent_rank[a], a)
         for a in range(system.num_agents)
-        if match.assignment[a] is None
+        if assignment[a] is None
     ]
     heapq.heapify(pool)
     while pool:
         _, agent = heapq.heappop(pool)
-        if match.assignment[agent] is not None:
+        if assignment[agent] is not None:
             continue  # stale entry
-        for c in cats_of[agent]:
-            if c in considered[agent]:
-                continue
-            considered[agent].add(c)
+        cats = cats_of[agent]
+        i = proposed[agent]
+        while i < len(cats):
+            c = cats[i]
+            i += 1
             # an unmatched agent next to a free slot contradicts a maximum seed
-            assert match.load[c] == graph.capacities[c]
-            if not occupants[c]:
+            assert load[c] == capacities[c]
+            heap = occupants[c]
+            if not heap:
                 continue  # zero-capacity category
-            neg_lowest, lowest = occupants[c][0]
-            if system.position(c, agent) < -neg_lowest:
-                heapq.heapreplace(occupants[c], (-system.position(c, agent), agent))
+            rank = position[c](agent)
+            if rank < -heap[0][0]:
+                lowest = heapq.heapreplace(heap, (-rank, agent))[1]
                 match.unassign(lowest)
                 match.assign(agent, c)
                 log.append(TraceEntry(agent, c, DISPLACED, lowest))
                 heapq.heappush(pool, (agent_rank[lowest], lowest))
                 break
             log.append(TraceEntry(agent, c, SKIPPED))
+        proposed[agent] = i
     return match.to_matching(), MMATrace(initial_matching, tuple(log))

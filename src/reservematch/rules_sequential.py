@@ -282,7 +282,9 @@ class SCUState(FixLedger):
     * ``free[e]``: the unmatched agents eligible for e.
 
     Move agents only through ``move`` and fix them only through ``fix``:
-    both keep the rows in step with the matching in O(deg) per agent.
+    both keep the rows in step with the matching in O(deg) per agent, and
+    ``beneficiaries``, the number of agents in preferential categories, in
+    O(1).
 
     The state builds its own start, a dual maximum matching, in two stages.
     Stage 1 matches each agent, in index order, to its first preferential
@@ -311,13 +313,15 @@ class SCUState(FixLedger):
             [d for d in range(k) if (d in seq.preferential) == pref] for pref in (False, True)
         )
         caps, load, assignment = seq.capacities, mu.load, mu.assignment
-        is_pref = [d in seq.preferential for d in range(k)]
+        self.is_pref = is_pref = [d in seq.preferential for d in range(k)]
+        self.beneficiaries = 0
         # stage 1: the preferential maximum; open categories hold nobody
         # yet, so no path passes through them
         for agent, adj in enumerate(graph.agent_adj):
             for c in adj:
                 if is_pref[c] and load[c] < caps[c]:
                     mu.assign(agent, c)
+                    self.beneficiaries += 1
                     break
         for agent, here in enumerate(assignment):
             rows = self._rows_at(here)
@@ -335,7 +339,7 @@ class SCUState(FixLedger):
                         break
         self._augment([True] * k)
         self.m = mu.size()
-        assert _beneficiary_load(mu, seq) == self.b, "stage 2 moved the beneficiary count"
+        assert self.beneficiaries == self.b, "stage 2 moved the beneficiary count"
 
     def _augment(self, ends: Sequence[bool]) -> None:
         """Apply augmenting paths that end at a category marked in ``ends``
@@ -355,13 +359,17 @@ class SCUState(FixLedger):
     def move(self, agent: int, target: Optional[int]) -> None:
         """Reassign an unfixed agent to ``target`` (None: unmatch it)."""
         adj = self.graph.agent_adj[agent]
-        rows = self._rows_at(self.mu.assignment[agent])
+        here = self.mu.assignment[agent]
+        rows = self._rows_at(here)
         for e in adj:
             rows[e].discard(agent)
+        if here is not None:
+            self.beneficiaries -= self.is_pref[here]
         if target is None:
             self.mu.unassign(agent)
         else:
             self.mu.assign(agent, target)
+            self.beneficiaries += self.is_pref[target]
         rows = self._rows_at(target)
         for e in adj:
             rows[e].add(agent)
@@ -374,12 +382,17 @@ class SCUState(FixLedger):
         for e in self.graph.agent_adj[agent]:
             rows[e].discard(agent)
         if here != category:
+            if here is not None:
+                self.beneficiaries -= self.is_pref[here]
             self.mu.assign(agent, category)
+            self.beneficiaries += self.is_pref[category]
         super().fix(agent, category)
 
     def finish(self) -> Matching:
         for a, c in self.X:
             assert self.mu.assignment[a] == c, f"fixed agent {a} moved"
+        # the steps check the running count; recount it once here
+        assert _beneficiary_load(self.mu, self.seq) == self.beneficiaries == self.b
         return self.mu.to_matching()
 
     def trace_fields(self) -> dict:
@@ -547,7 +560,7 @@ def _check_state(
             assert mu.load[target] <= seq.capacities[target], f"category {target} over capacity"
         _check_rows(state, x, old)
     assert mu.size() == state.m, "cardinality must stay maximal"
-    assert _beneficiary_load(mu, seq) == state.b, "beneficiary count must stay maximal"
+    assert state.beneficiaries == state.b, "beneficiary count must stay maximal"
 
 
 def _check_rows(state: SCUState, agent: int, old: Optional[int]) -> None:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from collections import deque
+from typing import Optional, Sequence
 
 import pytest
 
@@ -15,11 +17,13 @@ from reservematch.bipartite import (
     END_VACANCY,
     START_LOSES,
     START_UNMATCHED,
+    _validate_seed,
     apply_path,
     build_graph,
     find_alternating_path,
     maximum_matching,
 )
+from reservematch.cli import GeneratorSpec
 from reservematch.model import PriorityRanking, ReserveSystem
 
 
@@ -188,6 +192,181 @@ def test_determinism(grouped_six):
     a = maximum_matching(graph)
     b = maximum_matching(graph)
     assert a.assignment == b.assignment
+
+
+# ---------------------------------------------------------------------------
+# Hopcroft-Karp against the pre-greedy-phase reference
+
+_INF = float("inf")
+
+
+# ``maximum_matching`` as it was before its first phase became a greedy pass
+# and its loops were trimmed, kept verbatim: ``mma`` and ``rev`` outputs
+# depend on which maximum matching is returned, so the two must agree.
+def _hk_reference(
+    graph: EligibilityGraph,
+    seed: Optional[GraphMatching] = None,
+    category_mask: Optional[Sequence[bool]] = None,
+) -> GraphMatching:
+    """Maximum-cardinality matching via Hopcroft-Karp with category loads.
+
+    Augments the seed when one is given: matched agents never become
+    unmatched, only reassigned along augmenting paths. ``category_mask``
+    restricts the search to the categories it marks (used for the
+    preferential-side initial matching).
+    """
+    if seed is not None:
+        _validate_seed(graph, seed)
+        match = seed.copy()
+    else:
+        match = GraphMatching(graph.num_agents, graph.num_categories)
+
+    def cat_ok(c: int) -> bool:
+        return category_mask is None or category_mask[c]
+
+    n = graph.num_agents
+    dist: list[float] = [0.0] * n
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for a in range(n):
+            if match.assignment[a] is None:
+                dist[a] = 0
+                queue.append(a)
+            else:
+                dist[a] = _INF
+        frontier = _INF
+        # A full category's members all get their distance the first time
+        # any agent reaches it, so each category is expanded once.
+        expanded = [False] * graph.num_categories
+        while queue:
+            a = queue.popleft()
+            if dist[a] >= frontier:
+                continue
+            for c in graph.agent_adj[a]:
+                if not cat_ok(c):
+                    continue
+                if match.load[c] < graph.capacities[c]:
+                    if frontier == _INF:
+                        frontier = dist[a] + 1
+                elif not expanded[c]:
+                    expanded[c] = True
+                    for b in match.members[c]:
+                        if dist[b] == _INF:
+                            dist[b] = dist[a] + 1
+                            queue.append(b)
+        return frontier != _INF
+
+    # (category, layer) pairs whose scan for agents at that layer came up
+    # empty this phase; a category is full for the rest of the phase once
+    # scanned, so only an agent of that layer entering it can revive it.
+    dead: set[tuple[int, float]] = set()
+
+    def moves(a: int):
+        """Yield (c, b): agent a can enter c by pushing its member b one
+        layer on, or by taking a free slot when b is None."""
+        layer = dist[a] + 1
+        for c in graph.agent_adj[a]:
+            if not cat_ok(c) or (c, layer) in dead:
+                continue
+            if match.load[c] < graph.capacities[c]:
+                yield c, None
+                return  # never resumed: a free slot ends the search
+            for b in sorted(match.members[c]):
+                if dist[b] == layer:
+                    yield c, b
+            dead.add((c, layer))
+
+    def dfs(root: int) -> bool:
+        """Depth-first search for an augmenting path along the layers, on an
+        explicit stack: agents, categories and candidates are visited in
+        ascending order, and an agent that leads nowhere leaves the layers."""
+        path = [root]  # agents on the current path
+        cats: list[int] = []  # cats[k]: the category path[k] is entering
+        steps = [moves(root)]
+        while steps:
+            step = next(steps[-1], None)
+            if step is None:
+                dist[path.pop()] = _INF
+                steps.pop()
+                if cats:
+                    cats.pop()
+                continue
+            c, b = step
+            cats.append(c)
+            if b is None:
+                for agent, cat in zip(reversed(path), reversed(cats)):
+                    match.assign(agent, cat)
+                    dead.discard((cat, dist[agent]))
+                return True
+            path.append(b)
+            steps.append(moves(b))
+        return False
+
+    while bfs():
+        dead.clear()
+        for a in range(n):
+            if match.assignment[a] is None:
+                dfs(a)
+    return match
+
+
+def _random_graph(rng: random.Random) -> EligibilityGraph:
+    n = rng.randint(0, 60)
+    k = rng.randint(1, 6)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    kind = rng.choice(("const:0", "const:1", "uniform:0:3", "uniform:0:8"))
+    if kind.startswith("const"):
+        caps = (int(kind[6:]),) * k
+    else:
+        caps = tuple(rng.randint(0, int(kind.rsplit(":", 1)[1])) for _ in range(k))
+    agent_adj = tuple(
+        tuple(c for c in range(k) if rng.random() < density) for _ in range(n)
+    )
+    category_adj = tuple(
+        tuple(a for a in range(n) if c in agent_adj[a]) for c in range(k)
+    )
+    return EligibilityGraph(agent_adj, category_adj, caps)
+
+
+def _random_seed(rng: random.Random, graph: EligibilityGraph, kind: str):
+    if kind == "none":
+        return None
+    seed = GraphMatching(graph.num_agents, graph.num_categories)
+    if kind == "partial":
+        for a, adj in enumerate(graph.agent_adj):
+            if adj and rng.random() < 0.4:
+                c = rng.choice(adj)
+                if seed.load[c] < graph.capacities[c]:
+                    seed.assign(a, c)
+    return seed
+
+
+def test_maximum_matching_equals_reference_on_random_graphs():
+    rng = random.Random(2024)
+    kinds = ("none", "empty", "partial")
+    for trial in range(2400):
+        graph = _random_graph(rng)
+        mask = None
+        if trial % 2:
+            mask = [rng.random() < 0.6 for _ in range(graph.num_categories)]
+        seed = _random_seed(rng, graph, kinds[trial % 3])
+        expected = _hk_reference(graph, seed, mask)
+        got = maximum_matching(graph, seed, mask)
+        assert got.assignment == expected.assignment, (trial, graph, seed, mask)
+        assert got.load == expected.load and got.size() == expected.size()
+
+
+def test_maximum_matching_equals_reference_at_scale():
+    # the mma-large shape: 4000 agents, 10 categories of capacity 200
+    system = GeneratorSpec(4000, 10, "const:200", 0.1, seed=5).build()
+    graph = build_graph(system)
+    assert maximum_matching(graph).assignment == _hk_reference(graph).assignment
+    mask = [c % 2 == 0 for c in range(10)]
+    assert (
+        maximum_matching(graph, category_mask=mask).assignment
+        == _hk_reference(graph, category_mask=mask).assignment
+    )
 
 
 # ---------------------------------------------------------------------------

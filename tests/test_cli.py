@@ -555,7 +555,18 @@ def test_hybrid_marker_outside_the_open_categories_exits_2(capsys, tmp_path):
     _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "scu")
 
 
-@pytest.mark.parametrize("assignment", [{"x": 0}, {"0": 1.0}, {"0": True}])
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        {"x": 0},
+        {"0": 1.0},
+        {"0": True},
+        # two keys naming one agent: neither placement may silently win
+        {"1": 0, "01": 1},
+        {"01": 1, "1": 0},
+        {"1": None, " 1": 0},
+    ],
+)
 def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
     matching = tmp_path / "m.json"
     matching.write_text(json.dumps({"assignment": assignment}))

@@ -22,8 +22,10 @@ from reservematch.model import (
     TierCountMismatch,
     UnknownCategoryInPreferential,
     as_sequential,
+    canonical_json,
     instance_to_json,
     matching_to_json,
+    matching_to_raw,
     parse_instance,
     parse_matching,
     validate_instance,
@@ -193,6 +195,13 @@ def test_matching_round_trip(contested_pair):
     text = matching_to_json(matching)
     assert parse_matching(text, contested_pair) == matching
     assert matching_to_json(parse_matching(text, contested_pair)) == text
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 101, 4000])
+def test_matching_writer_is_the_canonical_form(n):
+    rng = random.Random(n)
+    matching = Matching(tuple(rng.choice((None, 0, 3, 12)) for _ in range(n)))
+    assert matching_to_json(matching) == canonical_json(matching_to_raw(matching))
 
 
 def test_matching_capacity_enforced(contested_pair):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from util import fundamental_verdicts, mma_induced_matchings
+from util import chain_instance, fundamental_verdicts, mma_induced_matchings
 
 from reservematch import axioms
 from reservematch.bipartite import (
@@ -95,6 +95,56 @@ def test_da_three_axioms_on_sweep():
         out = da_allocate(system)
         verdicts = fundamental_verdicts(system, out, out.matched_count())[:3]
         assert all(v.passed for v in verdicts), (system, out)
+
+
+def _da_reference(system, prefs=None):
+    """Deferred acceptance as it was before it kept each category's holders:
+    every round rescans all agents, and every category all its holders."""
+    if prefs is None:
+        ranked = tuple(system.agent_categories(a) for a in range(system.num_agents))
+    else:
+        ranked = tuple(tuple(lst) for lst in prefs)
+    held = [None] * system.num_agents
+    pointer = [0] * system.num_agents
+
+    while True:
+        proposals = {}
+        for a in range(system.num_agents):
+            if held[a] is None and pointer[a] < len(ranked[a]):
+                proposals.setdefault(ranked[a][pointer[a]], []).append(a)
+        if not proposals:
+            break
+        for c in sorted(proposals):
+            pool = [a for a in range(system.num_agents) if held[a] == c]
+            pool.extend(proposals[c])
+            pool.sort(key=lambda a: system.position(c, a))
+            keep = set(pool[: system.capacities[c]])
+            for a in pool:
+                if a in keep:
+                    held[a] = c
+                else:
+                    held[a] = None
+                    pointer[a] += 1
+    return Matching(tuple(held))
+
+
+def test_da_equals_reference():
+    rng = random.Random(77)
+    for trial in range(600):
+        system = GeneratorSpec(
+            num_agents=rng.randint(0, 40),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:8"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            seed=trial,
+        ).build()
+        assert da_allocate(system) == _da_reference(system), trial
+        prefs = [list(adj) for adj in default_preferences(system)]
+        for lst in prefs:
+            rng.shuffle(lst)
+        assert da_allocate(system, prefs) == _da_reference(system, prefs), trial
+    chain = chain_instance(500).base
+    assert da_allocate(chain) == _da_reference(chain)
 
 
 # ---------------------------------------------------------------------------
