@@ -51,19 +51,31 @@ class EligibilityGraph:
     def has_edge(self, agent: int, c: int) -> bool:
         return c in self.agent_adj[agent]
 
+    @classmethod
+    def from_members(
+        cls,
+        num_agents: int,
+        members: Sequence[Sequence[int]],
+        capacities: tuple[int, ...],
+    ) -> "EligibilityGraph":
+        """The graph in which category c is adjacent to exactly the agents
+        of ``members[c]``, listed in any order."""
+        agent_adj: list[list[int]] = [[] for _ in range(num_agents)]
+        for c, agents in enumerate(members):
+            for agent in agents:
+                agent_adj[agent].append(c)  # ascending c, so already sorted
+        return cls(
+            agent_adj=tuple(map(tuple, agent_adj)),
+            category_adj=tuple(tuple(sorted(agents)) for agents in members),
+            capacities=capacities,
+        )
+
 
 def build_graph(system: ReserveSystem) -> EligibilityGraph:
-    agent_adj: list[list[int]] = [[] for _ in range(system.num_agents)]
-    category_adj = []
-    for c in range(system.num_categories):
-        eligible = system.eligible_agents(c)
-        for agent in eligible:
-            agent_adj[agent].append(c)  # ascending c, so already sorted
-        category_adj.append(tuple(sorted(eligible)))
-    return EligibilityGraph(
-        agent_adj=tuple(map(tuple, agent_adj)),
-        category_adj=tuple(category_adj),
-        capacities=system.capacities,
+    return EligibilityGraph.from_members(
+        system.num_agents,
+        [system.eligible_agents(c) for c in range(system.num_categories)],
+        system.capacities,
     )
 
 

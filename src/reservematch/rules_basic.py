@@ -40,8 +40,8 @@ def _validate_preferences(
             f"expected {system.num_agents} preference lists, got {len(prefs)}"
         )
     out = []
-    for a, lst in enumerate(prefs):
-        eligible = set(system.agent_categories(a))
+    for a, (lst, adj) in enumerate(zip(prefs, build_graph(system).agent_adj)):
+        eligible = set(adj)
         for c in lst:
             if c not in eligible:
                 raise PrefsNotEligible(
@@ -103,58 +103,19 @@ def _validate_permutation(order: Sequence[int], size: int, what: str) -> tuple[i
     return tuple(order)
 
 
-class _ThresholdGraph:
-    """Per-category priority thresholds and removed agents, plus the agent
-    under check (``banned``) and its tentative cuts (``tight``). An edge
-    (a, c) is active iff a is neither removed nor banned and sits in c's
-    active priority prefix."""
-
-    def __init__(self, system: ReserveSystem):
-        self.system = system
-        self.removed = [False] * system.num_agents
-        self.thresh = [
-            system.priorities[c].eligible_cutoff for c in range(system.num_categories)
-        ]
-        self.tight: dict[int, int] = {}
-        self.banned: Optional[int] = None
-
-    def prefix(self, c: int) -> tuple[int, ...]:
-        """Agents above c's current cut, highest priority first; may still
-        hold removed agents and the banned one."""
-        limit = min(self.thresh[c], self.tight.get(c, self.thresh[c]))
-        return self.system.priorities[c].ordered_agents[:limit]
-
-    def begin_check(self, agent: int) -> None:
-        self.banned = agent
-        self.tight = {
-            c: self.system.position(c, agent)
-            for c in self.system.agent_categories(agent)
-        }
-
-    def commit_check(self) -> None:
-        assert self.banned is not None
-        self.removed[self.banned] = True
-        for c, pos in self.tight.items():
-            self.thresh[c] = min(self.thresh[c], pos)
-        self.banned = None
-        self.tight = {}
-
-    def abort_check(self) -> None:
-        self.banned = None
-        self.tight = {}
-
-
 def _augment_once(
-    tg: _ThresholdGraph,
+    elig: Sequence[Sequence[int]],
+    limit: Sequence[int],
     match: GraphMatching,
     capacities: Sequence[int],
     journal: list[tuple[int, Optional[int]]],
 ) -> bool:
     """One augmenting-path search over the active edges, run backwards from
-    the categories with a free slot.
+    the categories with a free slot. The active agents of category c are
+    ``elig[c][:limit[c]]``, highest priority first.
 
-    Each category is expanded at most once per search: its active priority
-    prefix is scanned, a free agent there closes the path, and a matched one
+    Each category is expanded at most once per search: its active agents
+    are scanned, a free agent there closes the path, and a matched one
     queues the category it holds. So a search costs one pass over the active
     edges.
 
@@ -164,7 +125,7 @@ def _augment_once(
     answer to that; the returned matching is then computed from scratch on
     the surviving graph.
     """
-    removed, banned, assignment = tg.removed, tg.banned, match.assignment
+    assignment = match.assignment
     stack = [c for c, cap in enumerate(capacities) if match.load[c] < cap]
     queued = [False] * len(capacities)
     for c in stack:
@@ -173,9 +134,9 @@ def _augment_once(
     parent: dict[int, tuple[int, int]] = {}
     while stack:
         c = stack.pop()
-        for a in tg.prefix(c):
-            if removed[a] or a == banned:
-                continue
+        agents = elig[c]
+        for i in range(limit[c]):
+            a = agents[i]
             d = assignment[a]
             if d is None:
                 # a enters c; each displaced agent steps toward the free slot
@@ -198,29 +159,45 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
     the categories they are eligible for) keeps a maximum matching of the
     original size; return a maximum matching of the surviving graph.
 
+    The whole state is one cut per category: the active agents of c are
+    the first ``thresh[c]`` of its eligible prefix. A rejection lowers the
+    cut of each of the agent's categories to the agent's own position, so a
+    rejected agent sits at or below every cut of its categories and needs no
+    mark of its own. A check copies the cuts into ``limit`` and lowers the
+    checked agent's categories the same way; the agent is then inactive, and
+    the check is kept as the new cuts if the working matching regains its
+    size on them.
+
     Each check costs one augmenting search per matched unit it cuts, against
     one maximum matching for the whole of ``mma_allocate``."""
     order = _validate_permutation(baseline, system.num_agents, "baseline")
     graph = build_graph(system)
     match = maximum_matching(graph)
     m = match.size()
-    tg = _ThresholdGraph(system)
+    capacities, members = graph.capacities, match.members
+    elig = [system.eligible_agents(c) for c in range(system.num_categories)]
+    rank = [dict(zip(agents, range(len(agents)))) for agents in elig]
+    thresh = [len(agents) for agents in elig]
 
     for agent in reversed(order):
-        tg.begin_check(agent)
+        limit = list(thresh)
         journal: list[tuple[int, Optional[int]]] = []
         if match.assignment[agent] is not None:
             journal.append((agent, match.assignment[agent]))
             match.unassign(agent)
-        for c, pos in tg.tight.items():
-            for b in [b for b in match.members[c] if system.position(c, b) > pos]:
+        for c in graph.agent_adj[agent]:
+            ranks = rank[c]
+            pos = ranks[agent]
+            if pos >= limit[c]:
+                continue  # c's cut already excludes the agent: no occupant ranks below it
+            limit[c] = pos
+            for b in [b for b in members[c] if ranks[b] > pos]:
                 journal.append((b, c))
                 match.unassign(b)
         lost = len(journal)  # one entry per unit cut so far
-        if all(_augment_once(tg, match, graph.capacities, journal) for _ in range(lost)):
-            tg.commit_check()
+        if all(_augment_once(elig, limit, match, capacities, journal) for _ in range(lost)):
+            thresh = limit
         else:
-            tg.abort_check()
             for agent_id, old in reversed(journal):
                 if old is None:
                     match.unassign(agent_id)
@@ -228,22 +205,10 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
                     match.assign(agent_id, old)
 
     # Deterministic final pass from scratch on the surviving graph.
-    agent_adj = []
-    for a in range(system.num_agents):
-        if tg.removed[a]:
-            agent_adj.append(())
-        else:
-            agent_adj.append(
-                tuple(c for c in graph.agent_adj[a] if system.position(c, a) < tg.thresh[c])
-            )
-    category_adj: list[list[int]] = [[] for _ in range(system.num_categories)]
-    for a, adj in enumerate(agent_adj):
-        for c in adj:
-            category_adj[c].append(a)
-    final_graph = EligibilityGraph(
-        tuple(agent_adj),
-        tuple(tuple(adj) for adj in category_adj),
-        graph.capacities,
+    final_graph = EligibilityGraph.from_members(
+        system.num_agents,
+        [agents[:cut] for agents, cut in zip(elig, thresh)],
+        capacities,
     )
     final = maximum_matching(final_graph)
     assert final.size() == m

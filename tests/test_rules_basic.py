@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import statistics
 import time
 
 import pytest
 
 from util import chain_instance, fundamental_verdicts, mma_induced_matchings
 
-from reservematch import axioms
+from reservematch import axioms, rules_basic
 from reservematch.bipartite import (
     EligibilityGraph,
     GraphMatching,
@@ -22,6 +23,7 @@ from reservematch.rules_basic import (
     MMATrace,
     NotMaximumSeed,
     PrefsNotEligible,
+    _validate_permutation,
     da_allocate,
     default_preferences,
     mma_allocate,
@@ -77,6 +79,29 @@ def test_da_default_prefs_ascending(contested_pair):
 def test_da_rejects_ineligible_pref(contested_pair):
     with pytest.raises(PrefsNotEligible):
         da_allocate(contested_pair, prefs=((0, 1), (0, 1), (1,)))
+
+
+def test_da_preference_errors_name_the_first_bad_agent(contested_pair):
+    # agent 1 repeats a category before agent 2 lists an ineligible one
+    with pytest.raises(InstanceError, match="agent 1's preference list"):
+        da_allocate(contested_pair, prefs=((0,), (0, 0), (0,)))
+    # an ineligible category is named before the list's repeat
+    with pytest.raises(PrefsNotEligible, match="agent 2 lists category 0"):
+        da_allocate(contested_pair, prefs=((0,), (0, 1), (0, 0)))
+
+
+def test_da_validates_long_chain_preferences_without_ranking_scans(monkeypatch):
+    """Validating the 2000-agent chain's preference lists reads the
+    eligibility graph; a per-agent scan of all 2001 rankings is banned."""
+    chain = chain_instance(2000).base
+    prefs = default_preferences(chain)
+    expected = da_allocate(chain)
+
+    def scan(self, agent):
+        raise AssertionError("agent_categories scans every ranking")
+
+    monkeypatch.setattr(ReserveSystem, "agent_categories", scan)
+    assert da_allocate(chain, prefs) == expected
 
 
 def test_da_three_axioms_hold_but_cardinality_can_fail(da_gap):
@@ -225,6 +250,198 @@ def test_rev_matches_definition_on_larger_instances():
         ).build()
         baseline = rng.sample(range(system.num_agents), system.num_agents)
         assert rev_allocate(system, baseline) == _rev_reference(system, baseline)
+
+
+# The rule as it was before the rejection phase kept only its per-category
+# cuts, copied verbatim apart from names, annotations and docstrings: the
+# removed marks, the agent under check and its tentative cuts live in a
+# graph object whose ``prefix`` slices a fresh tuple per expanded category.
+# The rewrite must return the same matching on every instance.
+
+
+class _ThresholdGraphParent:
+    """Per-category priority thresholds and removed agents, plus the agent
+    under check (``banned``) and its tentative cuts (``tight``). An edge
+    (a, c) is active iff a is neither removed nor banned and sits in c's
+    active priority prefix."""
+
+    def __init__(self, system):
+        self.system = system
+        self.removed = [False] * system.num_agents
+        self.thresh = [
+            system.priorities[c].eligible_cutoff for c in range(system.num_categories)
+        ]
+        self.tight = {}
+        self.banned = None
+
+    def prefix(self, c):
+        limit = min(self.thresh[c], self.tight.get(c, self.thresh[c]))
+        return self.system.priorities[c].ordered_agents[:limit]
+
+    def begin_check(self, agent):
+        self.banned = agent
+        self.tight = {
+            c: self.system.position(c, agent)
+            for c in self.system.agent_categories(agent)
+        }
+
+    def commit_check(self):
+        assert self.banned is not None
+        self.removed[self.banned] = True
+        for c, pos in self.tight.items():
+            self.thresh[c] = min(self.thresh[c], pos)
+        self.banned = None
+        self.tight = {}
+
+    def abort_check(self):
+        self.banned = None
+        self.tight = {}
+
+
+def _augment_once_parent(tg, match, capacities, journal):
+    removed, banned, assignment = tg.removed, tg.banned, match.assignment
+    stack = [c for c, cap in enumerate(capacities) if match.load[c] < cap]
+    queued = [False] * len(capacities)
+    for c in stack:
+        queued[c] = True
+    parent = {}
+    while stack:
+        c = stack.pop()
+        for a in tg.prefix(c):
+            if removed[a] or a == banned:
+                continue
+            d = assignment[a]
+            if d is None:
+                while True:
+                    journal.append((a, assignment[a]))
+                    match.assign(a, c)
+                    if c not in parent:
+                        return True
+                    a, c = parent[c]
+            if not queued[d]:
+                queued[d] = True
+                parent[d] = (a, c)
+                stack.append(d)
+    return False
+
+
+def _rev_parent(system, baseline):
+    order = _validate_permutation(baseline, system.num_agents, "baseline")
+    graph = build_graph(system)
+    match = maximum_matching(graph)
+    m = match.size()
+    tg = _ThresholdGraphParent(system)
+
+    for agent in reversed(order):
+        tg.begin_check(agent)
+        journal = []
+        if match.assignment[agent] is not None:
+            journal.append((agent, match.assignment[agent]))
+            match.unassign(agent)
+        for c, pos in tg.tight.items():
+            for b in [b for b in match.members[c] if system.position(c, b) > pos]:
+                journal.append((b, c))
+                match.unassign(b)
+        lost = len(journal)
+        if all(
+            _augment_once_parent(tg, match, graph.capacities, journal)
+            for _ in range(lost)
+        ):
+            tg.commit_check()
+        else:
+            tg.abort_check()
+            for agent_id, old in reversed(journal):
+                if old is None:
+                    match.unassign(agent_id)
+                else:
+                    match.assign(agent_id, old)
+
+    agent_adj = []
+    for a in range(system.num_agents):
+        if tg.removed[a]:
+            agent_adj.append(())
+        else:
+            agent_adj.append(
+                tuple(c for c in graph.agent_adj[a] if system.position(c, a) < tg.thresh[c])
+            )
+    category_adj = [[] for _ in range(system.num_categories)]
+    for a, adj in enumerate(agent_adj):
+        for c in adj:
+            category_adj[c].append(a)
+    final_graph = EligibilityGraph(
+        tuple(agent_adj),
+        tuple(tuple(adj) for adj in category_adj),
+        graph.capacities,
+    )
+    final = maximum_matching(final_graph)
+    assert final.size() == m
+    return final.to_matching()
+
+
+def test_rev_equals_parent_on_random_instances():
+    rng = random.Random(1414)
+    shapes = {"zero capacity": 0, "agent without category": 0, "saturated": 0}
+    for trial in range(1500):
+        system = GeneratorSpec(
+            num_agents=rng.randint(0, 40),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:8"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            seed=trial,
+        ).build()
+        eligible = [system.eligible_agents(c) for c in range(system.num_categories)]
+        shapes["zero capacity"] += 0 in system.capacities
+        shapes["agent without category"] += any(
+            not adj for adj in build_graph(system).agent_adj
+        )
+        shapes["saturated"] += sum(system.capacities) <= len(set().union(*eligible))
+        baseline = rng.sample(range(system.num_agents), system.num_agents)
+        assert rev_allocate(system, baseline) == _rev_parent(system, baseline), trial
+    assert all(shapes.values()), shapes
+
+
+def test_rev_equals_parent_at_rev_medium_size():
+    for seed in range(3):
+        system = GeneratorSpec(400, 10, capacity="const:20", density=0.1, seed=seed).build()
+        baseline = random.Random(seed).sample(range(400), 400)
+        assert rev_allocate(system, baseline) == _rev_parent(system, baseline), seed
+
+
+def test_rev_searches_per_agent_grow_and_mma_matches_once(monkeypatch):
+    """Criterion 9's instances, counted instead of timed: rev runs more
+    augmenting searches per agent as the instances grow, and mma computes
+    one maximum matching."""
+    searches = []
+    augment = rules_basic._augment_once
+
+    def counted_augment(*args):
+        searches.append(None)
+        return augment(*args)
+
+    monkeypatch.setattr(rules_basic, "_augment_once", counted_augment)
+    medians = []
+    for size in (500, 1000, 2000):
+        per_agent = []
+        for seed in range(3):
+            system = GeneratorSpec(
+                size, 10, capacity=f"const:{size // 20}", density=0.1, seed=seed
+            ).build()
+            searches.clear()
+            rev_allocate(system, list(range(size)))
+            per_agent.append(len(searches) / size)
+        medians.append(statistics.median(per_agent))
+    assert medians[0] < medians[1] < medians[2], medians
+
+    matchings = []
+    matching = rules_basic.maximum_matching
+
+    def counted_matching(*args, **kwargs):
+        matchings.append(None)
+        return matching(*args, **kwargs)
+
+    monkeypatch.setattr(rules_basic, "maximum_matching", counted_matching)
+    mma_allocate(GeneratorSpec(2000, 10, capacity="const:100", density=0.1).build())
+    assert len(matchings) == 1
 
 
 def test_rev_baseline_dependence_witness(contested_pair):
