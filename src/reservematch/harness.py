@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
+from .bipartite import build_graph
 from .model import (
     AnySystem,
     Matching,
@@ -36,17 +37,15 @@ class MatchingSpace:
 
     def __init__(self, system: AnySystem, max_size: int = 10_000_000):
         self.base = base_of(system)
+        agent_adj = build_graph(self.base).agent_adj
         estimate = 1
-        for a in range(self.base.num_agents):
-            estimate *= 1 + len(self.base.agent_categories(a))
+        for eligible in agent_adj:
+            estimate *= 1 + len(eligible)
             if estimate > max_size:
                 raise SpaceTooLarge(
                     f"estimated space exceeds bound {max_size}"
                 )
-        self._options = [
-            (None,) + self.base.agent_categories(a)
-            for a in range(self.base.num_agents)
-        ]
+        self._options = [(None,) + eligible for eligible in agent_adj]
 
     def __iter__(self) -> Iterator[Matching]:
         base = self.base
@@ -265,12 +264,13 @@ def report_no_incentive_to_hide(
     """An unmatched agent must stay unmatched after hiding any subset of
     their eligible categories. Exhaustive up to five agents, sampled beyond."""
     base = base_of(system)
+    agent_adj = build_graph(base).agent_adj
     report = PerturbationReport("no-incentive-to-hide")
     outcome = rule(system)
     cases: list[tuple[int, tuple[int, ...]]] = []
     if base.num_agents <= _EXHAUSTIVE_AGENTS:
         for agent in range(base.num_agents):
-            eligible = base.agent_categories(agent)
+            eligible = agent_adj[agent]
             for r in range(1, len(eligible) + 1):
                 for hidden in itertools.combinations(eligible, r):
                     cases.append((agent, hidden))
@@ -278,7 +278,7 @@ def report_no_incentive_to_hide(
         rng = random.Random(seed)
         for _ in range(trials):
             agent = rng.randrange(base.num_agents)
-            eligible = base.agent_categories(agent)
+            eligible = agent_adj[agent]
             if not eligible:
                 continue
             r = rng.randint(1, len(eligible))

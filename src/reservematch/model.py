@@ -312,6 +312,16 @@ def _integer(value: Any, what: str, category: Optional[int] = None) -> int:
     raise InstanceError(f"{where} must be an integer, got {value!r}")
 
 
+def _typed(value: Any, kind: type, what: str, category: Optional[int] = None) -> Any:
+    """A field that must be a JSON array (``list``) or object (``dict``):
+    any other iterable would be read as its characters or its keys."""
+    if type(value) is kind:
+        return value
+    where = what if category is None else f"{what} of category {category}"
+    name = "an array" if kind is list else "an object"
+    raise InstanceError(f"{where} must be {name}, got {type(value).__name__}")
+
+
 def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     """Validate parsed instance data; returns a sequential instance only when
     the data carries a preferential set, tiers or a hybrid marker. Malformed
@@ -328,7 +338,7 @@ def validate_instance(raw: Mapping[str, Any]) -> AnySystem:
 
 def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     num_agents = _integer(raw["agents"], "agents")
-    categories = list(raw["categories"])
+    categories = _typed(raw["categories"], list, "categories")
     if num_agents < 0:
         raise InstanceError(f"negative agent count {num_agents}")
 
@@ -345,7 +355,7 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     for c in range(num_categories):
         entry = by_id[c]
         capacities.append(_integer(entry["capacity"], "capacity", c))
-        ranking = entry["ranking"]
+        ranking = _typed(entry["ranking"], list, "ranking", c)
         if set(map(type, ranking)) <= {int}:
             ranking = tuple(ranking)
         else:
@@ -361,21 +371,25 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
         return base
 
     preferential = frozenset(
-        _integer(c, "preferential category") for c in raw.get("preferential") or []
+        _integer(c, "preferential category")
+        for c in (_typed(raw["preferential"], list, "preferential") if has_pref else ())
     )
-    tiers = raw["tiers"] if has_tiers else [0] * num_categories
+    tiers = _typed(raw["tiers"], list, "tiers") if has_tiers else [0] * num_categories
     if len(tiers) != num_categories:
         raise TierCountMismatch(
             f"expected {num_categories} tiers, got {len(tiers)}"
         )
     hybrid = None
     if has_hybrid:
+        marker = _typed(raw["hybrid"], dict, "hybrid")
         hybrid = HybridMarker(
             open_early=frozenset(
-                _integer(c, "hybrid category") for c in raw["hybrid"]["open_early"]
+                _integer(c, "hybrid category")
+                for c in _typed(marker["open_early"], list, "hybrid.open_early")
             ),
             open_late=frozenset(
-                _integer(c, "hybrid category") for c in raw["hybrid"]["open_late"]
+                _integer(c, "hybrid category")
+                for c in _typed(marker["open_late"], list, "hybrid.open_late")
             ),
         )
     return SequentialReserveSystem(
@@ -457,8 +471,8 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     """
     base = base_of(system)
     try:
-        entries = dict(raw["assignment"])
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = _typed(raw["assignment"], dict, "assignment")
+    except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed matching data: {exc}") from exc
     assignment: list[Optional[int]] = [None] * base.num_agents
     named = bytearray(base.num_agents)

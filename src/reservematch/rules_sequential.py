@@ -25,7 +25,8 @@ earlier fix, places the candidate and keeps both maxima:
 
 All three start from a dual maximum matching, which yields both maxima: the
 network states take Hopcroft-Karp's (``dual_maximum_matching``) and
-``bipartite`` builds its own on the quotient. All three keep one fix ledger
+``bipartite`` builds its own on the quotient, with the search its candidates
+run (``_quotient_path``) rooted at the source. All three keep one fix ledger
 (``FixLedger``) and return the identical matching; the fixed set equals the
 matched set on termination, which is asserted every run.
 """
@@ -33,7 +34,7 @@ matched set on termination, which is asserted every run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Container, Optional, Sequence, Union
 
 from .bipartite import (
     EligibilityGraph,
@@ -290,11 +291,14 @@ class SCUState(FixLedger):
     Stage 1 matches each agent, in index order, to its first preferential
     category with a free slot, builds the rows once from that matching and
     applies augmenting paths that end in a preferential category until none
-    is left (``_augmenting_path``): b is its size. Stage 2 places the
-    agents still unmatched in their first category with a free slot and
-    augments to any category: m is its size. Each path is found on the
-    K + 1 nodes of the quotient (the categories and the source), so the
-    start runs no search over the agents.
+    is left: b is its size. Stage 2 places the agents still unmatched in
+    their first category with a free slot and augments to any category: m
+    is its size. Each path is found by the candidates' search on the K + 3
+    nodes of the quotient (``_quotient_path``), rooted at the source, so the
+    start runs no search over the agents. Its class arcs add no path: a
+    category with a free slot is expanded only in stage 1 and only when it
+    is open, and in stage 1 the open class leads nowhere, as no open
+    category holds anyone.
     """
 
     def __init__(self, seq: SequentialReserveSystem, graph: EligibilityGraph):
@@ -342,9 +346,14 @@ class SCUState(FixLedger):
         assert self.beneficiaries == self.b, "stage 2 moved the beneficiary count"
 
     def _augment(self, ends: Sequence[bool]) -> None:
-        """Apply augmenting paths that end at a category marked in ``ends``
-        until none is left."""
-        while (path := _augmenting_path(self, ends)) is not None:
+        """Apply augmenting paths from the source to a category marked in
+        ``ends`` with a free slot until none is left."""
+        caps, load = self.seq.capacities, self.mu.load
+
+        def open_ends() -> set[int]:
+            return {e for e, end in enumerate(ends) if end and load[e] < caps[e]}
+
+        while (path := _quotient_path(self, len(ends) + 2, open_ends())) is not None:
             for x, _, target in _movers(self, path):
                 self.move(x, target)
 
@@ -422,14 +431,16 @@ def scu_bipartite_step(
     when some matching keeps every fix, assigns the agent to the category and
     keeps both maxima (feasible flows with lower bounds), which is the
     question ``scu_feasibility_check`` answers. The cycle is found on the
-    category quotient (``_quotient_path``) and then expanded to one moving
-    agent per arc, so a candidate costs O(K^2) plus its cycle, whatever n is.
+    category quotient (``_quotient_path``, rooted at ``category``) as a path
+    to the node the agent leaves, and then expanded to one moving agent per
+    arc, so a candidate costs O(K^2) plus its cycle, whatever n is.
     """
     seq = as_sequential(system)
     cur = state.mu.assignment[agent]
     moves: list[Move] = []
     if cur != category:
-        path = _quotient_path(seq, state, cur, category)
+        leaves = len(state.via) + 2 if cur is None else cur
+        path = _quotient_path(state, category, (leaves,))
         if path is None:
             return NO_CHANGE
         moves = _movers(state, path)
@@ -441,11 +452,13 @@ def scu_bipartite_step(
 
 
 def _quotient_path(
-    seq: SequentialReserveSystem, state: SCUState, cur: Optional[int], c: int
+    state: SCUState, root: int, goals: Container[int]
 ) -> Optional[list[int]]:
     """Breadth-first search on the category quotient of the residual reserve
-    network, from category ``c`` to the node the candidate leaves: its
-    category ``cur``, or the source when it is unmatched (``cur`` None).
+    network, from ``root`` to the first node it discovers in ``goals``. A
+    step searches from the candidate's category to the node the candidate
+    leaves; the start searches from the source to the categories with a
+    free slot that its stage allows.
 
     Nodes are category d as d, class k (1 = preferential) as K + k and the
     source as K + 2. An agent node of the residual network has one in-arc,
@@ -455,16 +468,15 @@ def _quotient_path(
     member (it drops out); d to its class if d has a free slot; a class to
     each of its categories with load > 0 (that category gives up a unit);
     the source to e if some unmatched agent is eligible for e. Class totals
-    stay at b and m - b, so no arc runs through the sink. Each of the K + 3
-    nodes is expanded at most once.
+    stay at b and m - b, so no arc runs through the sink. A goal is never
+    expanded, and each of the K + 3 nodes is expanded at most once.
     """
     mu, via, free, unfixed = state.mu, state.via, state.free, state.unfixed
     num_categories = len(via)
-    caps, preferential = seq.capacities, seq.preferential
+    caps, is_pref = state.seq.capacities, state.is_pref
     source = num_categories + 2
-    goal = source if cur is None else cur
-    parent = {c: c}
-    queue = deque([c])
+    parent = {root: root}
+    queue = deque([root])
     while queue:
         node = queue.popleft()
         if node < num_categories:
@@ -472,7 +484,7 @@ def _quotient_path(
             if unfixed[node]:
                 succ.append(source)
             if mu.load[node] < caps[node]:
-                succ.append(num_categories + (node in preferential))
+                succ.append(num_categories + is_pref[node])
         elif node == source:
             succ = [e for e in range(num_categories) if free[e]]
         else:
@@ -481,44 +493,9 @@ def _quotient_path(
             if nxt in parent:
                 continue
             parent[nxt] = node
-            if nxt == goal:
+            if nxt in goals:
                 path = [nxt]
-                while nxt != c:
-                    nxt = parent[nxt]
-                    path.append(nxt)
-                path.reverse()
-                return path
-            queue.append(nxt)
-    return None
-
-
-def _augmenting_path(state: SCUState, ends: Sequence[bool]) -> Optional[list[int]]:
-    """Breadth-first search on the category quotient for an augmenting path
-    of the start: from the source to a category marked in ``ends`` with a
-    free slot. The arcs are those of ``_quotient_path`` between the source
-    and the categories: the source to e if some unmatched agent is eligible
-    for e, d to e if some member of d is eligible for e. The search
-    stops as soon as it discovers an end, before expanding it; each of the
-    K + 1 nodes is expanded at most once.
-    """
-    via, free, load = state.via, state.free, state.mu.load
-    caps = state.seq.capacities
-    source = len(via) + 2
-    parent = {source: source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        if node == source:
-            succ = [e for e, members in enumerate(free) if members]
-        else:
-            succ = [e for e, members in via[node].items() if members]
-        for nxt in succ:
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            if ends[nxt] and load[nxt] < caps[nxt]:
-                path = [nxt]
-                while nxt != source:
+                while nxt != root:
                     nxt = parent[nxt]
                     path.append(nxt)
                 path.reverse()
@@ -528,10 +505,10 @@ def _augmenting_path(state: SCUState, ends: Sequence[bool]) -> Optional[list[int
 
 
 def _movers(state: SCUState, path: Sequence[int]) -> list[Move]:
-    """One move per agent arc of a quotient path; class arcs move no agent.
-    Each node of the simple path gives up at most one agent and a step's
-    candidate sits at its last node, so the movers are distinct and none is
-    the candidate."""
+    """One move per agent arc of a quotient path, of a step or of the start;
+    class arcs move no agent. Each node of the simple path gives up at most
+    one agent and a step's candidate sits at its last node, so the movers
+    are distinct and none is the candidate."""
     num_categories = len(state.via)
     source = num_categories + 2
     moves: list[Move] = []

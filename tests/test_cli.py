@@ -467,6 +467,9 @@ def _bad_input_exit(capsys, *argv) -> None:
         ("capacity", True),
         ("eligible_cutoff", 2.0),
         ("id", False),
+        # read as its characters or its keys, either would be the ranking 1, 0, 2
+        ("ranking", "102"),
+        ("ranking", {"1": 0, "0": 0, "2": 0}),
     ],
 )
 def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
@@ -480,7 +483,22 @@ def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
     _bad_input_exit(capsys, "solve", "-i", str(bad), "--rule", "da")
 
 
-@pytest.mark.parametrize("field, value", [("agents", 3.0), ("agents", True), ("tiers", [0, 1.5])])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("agents", 3.0),
+        ("agents", True),
+        ("tiers", [0, 1.5]),
+        # list-typed fields as a string or an object, which a reader that takes
+        # any iterable would read as valid characters or keys
+        ("tiers", {"0": 5, "1": 0}),
+        ("tiers", "01"),
+        ("preferential", "1"),
+        ("preferential", {"1": True}),
+        ("hybrid", {"open_early": "0", "open_late": "1"}),
+        ("hybrid", {"open_early": {"0": 1}, "open_late": [1]}),
+    ],
+)
 def test_non_integer_scalars_exit_2(capsys, corpus_dir, tmp_path, field, value):
     raw = json.loads((corpus_dir / "precedence_chain.json").read_text())
     raw[field] = value
@@ -565,6 +583,9 @@ def test_hybrid_marker_outside_the_open_categories_exits_2(capsys, tmp_path):
         {"1": 0, "01": 1},
         {"01": 1, "1": 0},
         {"1": None, " 1": 0},
+        # an array, not an object: read as pairs it would place agent 1 in category 0
+        ["10"],
+        [["0", 1]],
     ],
 )
 def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):

@@ -84,7 +84,8 @@ def _mutate(draw, raw) -> None:
     ranking = entry["ranking"]
     spot = draw(st.integers(0, n - 1))
     kind = draw(st.sampled_from(
-        ["drop-top", "drop-category", "non-integer", "duplicate", "out-of-range", "cutoff"]
+        ["drop-top", "drop-category", "non-integer", "non-array", "duplicate",
+         "out-of-range", "cutoff"]
     ))
     if kind == "drop-top":
         del raw[draw(st.sampled_from(["agents", "categories"]))]
@@ -93,6 +94,17 @@ def _mutate(draw, raw) -> None:
     elif kind == "non-integer":
         ranking[spot] = draw(st.sampled_from(
             [ranking[spot] + 0.5, float(ranking[spot]), True, False, "x", "", "1.5"]
+        ))
+    elif kind == "non-array":
+        # a list-typed field as a string or an object of its items, which a
+        # reader that takes any iterable would read as valid characters or keys
+        field = draw(st.sampled_from(
+            ["categories", "ranking"] + [f for f in ("preferential", "tiers") if f in raw]
+        ))
+        holder = entry if field == "ranking" else raw
+        items = [] if field == "categories" else holder[field]
+        holder[field] = draw(st.sampled_from(
+            ["".join(map(str, items)), {str(x): 0 for x in items}]
         ))
     elif kind == "duplicate" and n >= 2:
         ranking[spot] = ranking[(spot + draw(st.integers(1, n - 1))) % n]

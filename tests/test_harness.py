@@ -154,6 +154,34 @@ def test_da_and_rev_pass_incentive_properties():
         assert report_respect_improvements(rev_rule, system).ok
 
 
+def test_harness_reads_eligibility_from_the_graph(
+    contested_pair, grouped_six, monkeypatch, capsys
+):
+    """The oracle, the hiding report (exhaustive up to five agents, sampled
+    beyond) and ``verify`` take each agent's eligible categories from the
+    eligibility graph, not from the O(K) ``agent_categories`` scan, and
+    find the same results."""
+    from reservematch.cli import main
+
+    systems = (contested_pair, grouped_six)
+    before = [
+        (oracle_maxima(s), report_no_incentive_to_hide(scu_allocate, s).to_raw())
+        for s in systems
+    ]
+
+    def scan(self, agent):
+        raise AssertionError("agent_categories scans every ranking")
+
+    monkeypatch.setattr(ReserveSystem, "agent_categories", scan)
+    after = [
+        (oracle_maxima(s), report_no_incentive_to_hide(scu_allocate, s).to_raw())
+        for s in systems
+    ]
+    assert after == before
+    assert main(["verify", "--rule", "scu", "--sweep", "small"]) == 0
+    capsys.readouterr()
+
+
 def test_greedy_strawman_fails_hide():
     """Negative control: a one-shot rule where every agent applies only to
     their largest-index eligible category rewards hiding that category."""

@@ -104,6 +104,25 @@ def test_tier_count_mismatch():
         validate_instance(raw)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("categories", "", "categories must be an array"),
+        ("preferential", "0", "preferential must be an array"),
+        ("tiers", {"0": 0, "1": 0}, "tiers must be an array"),
+        ("hybrid", [["open_early", [0]]], "hybrid must be an object"),
+        ("hybrid", {"open_early": [0], "open_late": "1"}, "hybrid.open_late must be an array"),
+    ],
+)
+def test_list_fields_must_be_json_arrays(field, value, message):
+    """A string or an object in a list-typed field is not read as its
+    characters or its keys."""
+    raw = _contested_pair_raw()
+    raw[field] = value
+    with pytest.raises(InstanceError, match=message):
+        validate_instance(raw)
+
+
 def test_eligibility_prefix_and_cutoff_zero(contested_pair):
     empty = PriorityRanking((0, 1, 2), 0)
     assert empty.eligible() == ()

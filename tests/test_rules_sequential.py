@@ -530,6 +530,131 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
         assert max(q.expanded for q in searches) <= 10 + 3, n
 
 
+# The two quotient searches of the bipartite state as they were before the
+# start's augmenting-path search was folded into the candidates' search,
+# kept verbatim: the trace records and the outputs of the rule depend on
+# which path each search returns, so the one search must find the same.
+def _quotient_path_reference(seq, state, cur, c):
+    mu, via, free, unfixed = state.mu, state.via, state.free, state.unfixed
+    num_categories = len(via)
+    caps, preferential = seq.capacities, seq.preferential
+    source = num_categories + 2
+    goal = source if cur is None else cur
+    parent = {c: c}
+    queue = deque([c])
+    while queue:
+        node = queue.popleft()
+        if node < num_categories:
+            succ = [e for e, members in via[node].items() if members]
+            if unfixed[node]:
+                succ.append(source)
+            if mu.load[node] < caps[node]:
+                succ.append(num_categories + (node in preferential))
+        elif node == source:
+            succ = [e for e in range(num_categories) if free[e]]
+        else:
+            succ = [d for d in state.classes[node - num_categories] if mu.load[d] > 0]
+        for nxt in succ:
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if nxt == goal:
+                path = [nxt]
+                while nxt != c:
+                    nxt = parent[nxt]
+                    path.append(nxt)
+                path.reverse()
+                return path
+            queue.append(nxt)
+    return None
+
+
+def _augmenting_path_reference(state, ends):
+    via, free, load = state.via, state.free, state.mu.load
+    caps = state.seq.capacities
+    source = len(via) + 2
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        if node == source:
+            succ = [e for e, members in enumerate(free) if members]
+        else:
+            succ = [e for e, members in via[node].items() if members]
+        for nxt in succ:
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if ends[nxt] and load[nxt] < caps[nxt]:
+                path = [nxt]
+                while nxt != source:
+                    nxt = parent[nxt]
+                    path.append(nxt)
+                path.reverse()
+                return path
+            queue.append(nxt)
+    return None
+
+
+def test_one_quotient_search_finds_the_reference_paths(monkeypatch):
+    """Every search of the start and of every candidate returns the path the
+    two separate searches returned, on the grid of
+    ``test_start_agrees_with_hopcroft_karp`` and on 1000 and 3000 agents."""
+    from reservematch import rules_sequential
+
+    search, augment = rules_sequential._quotient_path, rules_sequential.SCUState._augment
+    stage_ends, found = [], []
+    outcomes = Counter()
+
+    def start_stage(state, ends):
+        stage_ends.append(ends)
+        augment(state, ends)
+
+    def checked(state, root, goals):
+        path = search(state, root, goals)
+        if root == len(state.via) + 2:  # the source: a search of the start
+            assert path == _augmenting_path_reference(state, stage_ends[-1])
+            outcomes["start", path is not None] += 1
+        found.append(path)
+        return path
+
+    monkeypatch.setattr(rules_sequential.SCUState, "_augment", start_stage)
+    monkeypatch.setattr(rules_sequential, "_quotient_path", checked)
+    rng = random.Random(20261018)
+    specs = [
+        GeneratorSpec(
+            num_agents=rng.randint(0, 5 if i % 5 == 0 else 40),
+            num_categories=rng.randint(1, 3 if i % 5 == 0 else 6),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:8"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["equal", "strict", "random:2", "random:3"]),
+            seed=rng.randrange(1 << 30),
+        )
+        for i in range(1200)
+    ]
+    specs += [
+        GeneratorSpec(n, 10, f"const:{n // 20}", 0.3, 0.4, "random:3", seed=n)
+        for n in (1000, 3000)
+    ]
+    for spec in specs:
+        seq = as_sequential(spec.build())
+        state = scu_state_init(seq)
+        for c in seq.precedence.strict_sequence():
+            for agent in seq.base.eligible_agents(c):
+                if agent in state.in_x:
+                    continue
+                if state.fixed_count[c] == seq.capacities[c]:
+                    break
+                cur = state.mu.assignment[agent]
+                expected = None if cur == c else _quotient_path_reference(seq, state, cur, c)
+                found.clear()
+                state.step(agent, c)
+                assert found == ([] if cur == c else [expected])
+                outcomes["step", expected is not None] += 1
+    assert min(outcomes[kind, hit] for kind in ("start", "step") for hit in (False, True)) > 0
+
+
 @pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
 def test_network_step_agrees_with_feasibility_check(compact):
     """The flow and compact rules fix each candidate exactly when the
