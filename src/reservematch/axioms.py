@@ -9,12 +9,12 @@ feasibility pass (flow mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .model import (
     AnySystem,
     Matching,
+    Record,
     ReserveSystem,
     SequentialReserveSystem,
     as_sequential,
@@ -45,11 +45,16 @@ class OracleBoundExceeded(ValueError):
     """Oracle-mode precedence check refused on an oversized instance."""
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(Record):
+    __slots__ = _fields = ("axiom", "passed", "witness")
     axiom: str
     passed: bool
-    witness: Optional[dict[str, Any]] = None
+    witness: Optional[dict[str, Any]]
+
+    def __init__(
+        self, axiom: str, passed: bool, witness: Optional[dict[str, Any]] = None
+    ) -> None:
+        self._init(axiom, passed, witness)
 
     def to_raw(self) -> dict[str, Any]:
         out: dict[str, Any] = {"axiom": self.axiom, "pass": self.passed}

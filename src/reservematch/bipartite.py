@@ -11,10 +11,9 @@ first category with a free slot, so the pass returns the same matching.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .model import Matching, ReserveSystem
+from .model import Matching, Record, ReserveSystem
 
 
 class InvalidSeed(ValueError):
@@ -25,17 +24,25 @@ class PathInconsistent(ValueError):
     """Alternating path does not fit the matching it is applied to."""
 
 
-@dataclass(frozen=True)
-class EligibilityGraph:
+class EligibilityGraph(Record):
     """Bipartite agent-category graph with per-category capacities.
 
     Adjacency lists are sorted ascending by index; an edge (i, c) exists iff
     agent i is eligible for category c.
     """
 
+    __slots__ = _fields = ("agent_adj", "category_adj", "capacities")
     agent_adj: tuple[tuple[int, ...], ...]
     category_adj: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
+
+    def __init__(
+        self,
+        agent_adj: tuple[tuple[int, ...], ...],
+        category_adj: tuple[tuple[int, ...], ...],
+        capacities: tuple[int, ...],
+    ) -> None:
+        self._init(agent_adj, category_adj, capacities)
 
     @property
     def num_agents(self) -> int:
@@ -304,8 +311,7 @@ START_UNMATCHED = "unmatched"  # path starts at an unmatched agent
 END_TERMINAL = "terminal"  # end category was explicitly requested
 
 
-@dataclass(frozen=True)
-class AlternatingPath:
+class AlternatingPath(Record):
     """A unit shift along matched/eligible edges.
 
     ``nodes`` alternates category, agent, category, ... Each agent in the
@@ -314,9 +320,13 @@ class AlternatingPath:
     with an unmatched agent entering the second node.
     """
 
+    __slots__ = _fields = ("nodes", "start_kind", "end_kind")
     nodes: tuple[int, ...]
     start_kind: str
     end_kind: str
+
+    def __init__(self, nodes: tuple[int, ...], start_kind: str, end_kind: str) -> None:
+        self._init(nodes, start_kind, end_kind)
 
     def agents(self) -> tuple[int, ...]:
         offset = 1 if self.start_kind != START_UNMATCHED else 0
@@ -438,10 +448,12 @@ def find_alternating_path(
     return None
 
 
-@dataclass
 class ForwardReach:
-    entered: set[int]
-    parent: dict[int, tuple[int, int]]  # category -> (previous category, agent moved)
+    __slots__ = ("entered", "parent")
+
+    def __init__(self, entered: set[int], parent: dict[int, tuple[int, int]]) -> None:
+        self.entered = entered
+        self.parent = parent  # category -> (previous category, agent moved)
 
 
 def forward_reach(
@@ -495,10 +507,12 @@ def _build_forward_path(
     return AlternatingPath(tuple(nodes), START_LOSES, end_kind)
 
 
-@dataclass
 class SendReach:
-    senders: set[int]
-    parent: dict[int, tuple[int, int]]  # category -> (next category, agent moved)
+    __slots__ = ("senders", "parent")
+
+    def __init__(self, senders: set[int], parent: dict[int, tuple[int, int]]) -> None:
+        self.senders = senders
+        self.parent = parent  # category -> (next category, agent moved)
 
 
 def send_reach(

@@ -10,12 +10,13 @@ import argparse
 import functools
 import json
 import random
-import statistics
 import sys
 import time
 from typing import Any, Callable, Optional, Sequence
 
-from . import axioms, harness
+# ``statistics`` and ``harness`` serve only ``bench`` and ``verify``, so they
+# are imported there, off the start-up path of ``solve`` and ``check``.
+from . import axioms
 from .bipartite import GraphMatching, InvalidSeed
 from .model import (
     AnySystem,
@@ -379,6 +380,8 @@ def _rule_callable(rule: str) -> Callable[[AnySystem], Matching]:
 
 
 def _verify_sweep(sweep: str, seed: int) -> list[AnySystem]:
+    from . import harness
+
     if sweep == "corpus":
         return list(harness.corpus().values())
     systems: list[AnySystem] = []
@@ -404,6 +407,8 @@ def _verify_sweep(sweep: str, seed: int) -> list[AnySystem]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import harness
+
     rule_fn = _rule_callable(args.rule)
     systems = _verify_sweep(args.sweep, args.seed)
     gated = _GATED[args.rule]
@@ -464,6 +469,8 @@ def run_bench(
     density: float = 0.1,
 ) -> dict[str, Any]:
     """Timing table over generated instances; medians per (rule, size)."""
+    import statistics
+
     if categories < 1:
         raise InstanceError(f"--categories must be at least 1, got {categories}")
     rows: list[dict[str, Any]] = []

@@ -7,13 +7,14 @@ preferential-treatment categories and a weak precedence order expressed as
 integer tiers (equal tiers are processed simultaneously).
 
 All types are immutable after validation and safe to share across solver
-runs.
+runs. They are ``Record`` classes: plain slotted classes with value
+equality, hashing and a field ``repr``, the semantics of a frozen dataclass
+without the cost of importing ``dataclasses`` on every start of the CLI.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
 
@@ -41,8 +42,53 @@ class TierCountMismatch(InstanceError):
     pass
 
 
-@dataclass(frozen=True)
-class PriorityRanking:
+class Record:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__`` parameters (pickle and ``copy`` rebuild a record by calling
+    the class on its field values), and sets them with ``_init``. Two
+    records are equal when they are of the same class and their field values
+    are equal; the hash is that of the field-value tuple and the ``repr``
+    reads ``Name(field=value, ...)``, as for a frozen dataclass. Fields
+    cannot be assigned or deleted after ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class PriorityRanking(Record):
     """A strict total order over all agents plus an eligibility cutoff.
 
     Agents at positions < ``eligible_cutoff`` are eligible; the relative
@@ -51,16 +97,18 @@ class PriorityRanking:
     first ``position`` query for an ineligible agent.
     """
 
+    _fields = ("ordered_agents", "eligible_cutoff")
+    __slots__ = _fields + ("_rank", "_full")
     ordered_agents: tuple[int, ...]
     eligible_cutoff: int
-    _rank: dict[int, int] = field(init=False, repr=False, compare=False)
-    _full: Optional[dict[int, int]] = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    _rank: dict[int, int]
+    _full: Optional[dict[int, int]]
 
-    def __post_init__(self) -> None:
-        prefix = self.ordered_agents[: max(self.eligible_cutoff, 0)]
+    def __init__(self, ordered_agents: tuple[int, ...], eligible_cutoff: int) -> None:
+        prefix = ordered_agents[: max(eligible_cutoff, 0)]
+        self._init(ordered_agents, eligible_cutoff)
         object.__setattr__(self, "_rank", dict(zip(prefix, range(len(prefix)))))
+        object.__setattr__(self, "_full", None)
 
     def position(self, agent: int) -> int:
         try:
@@ -81,16 +129,23 @@ class PriorityRanking:
         return self.ordered_agents[: self.eligible_cutoff]
 
 
-@dataclass(frozen=True)
-class ReserveSystem:
+class ReserveSystem(Record):
     """A basic instance: capacities and one priority ranking per category."""
 
+    __slots__ = _fields = ("num_agents", "num_categories", "capacities", "priorities")
     num_agents: int
     num_categories: int
     capacities: tuple[int, ...]
     priorities: tuple[PriorityRanking, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        num_agents: int,
+        num_categories: int,
+        capacities: tuple[int, ...],
+        priorities: tuple[PriorityRanking, ...],
+    ) -> None:
+        self._init(num_agents, num_categories, capacities, priorities)
         if len(self.capacities) != self.num_categories:
             raise InstanceError(
                 f"expected {self.num_categories} capacities, got {len(self.capacities)}"
@@ -156,13 +211,14 @@ class ReserveSystem:
         )
 
 
-@dataclass(frozen=True)
-class PrecedenceOrder:
+class PrecedenceOrder(Record):
     """Tier per category; smaller tiers are processed earlier, ties together."""
 
+    __slots__ = _fields = ("tier_of",)
     tier_of: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, tier_of: tuple[int, ...]) -> None:
+        self._init(tier_of)
         for c, t in enumerate(self.tier_of):
             if t < 0:
                 raise InstanceError(f"category {c} has negative tier {t}")
@@ -181,24 +237,34 @@ class PrecedenceOrder:
         return len(set(self.tier_of)) == len(self.tier_of)
 
 
-@dataclass(frozen=True)
-class HybridMarker:
+class HybridMarker(Record):
     """Names the split of open categories into an early and a late block."""
 
+    __slots__ = _fields = ("open_early", "open_late")
     open_early: frozenset[int]
     open_late: frozenset[int]
 
+    def __init__(self, open_early: frozenset[int], open_late: frozenset[int]) -> None:
+        self._init(open_early, open_late)
 
-@dataclass(frozen=True)
-class SequentialReserveSystem:
+
+class SequentialReserveSystem(Record):
     """A basic instance plus preferential categories and a precedence order."""
 
+    __slots__ = _fields = ("base", "preferential", "precedence", "hybrid")
     base: ReserveSystem
     preferential: frozenset[int]
     precedence: PrecedenceOrder
-    hybrid: Optional[HybridMarker] = None
+    hybrid: Optional[HybridMarker]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        base: ReserveSystem,
+        preferential: frozenset[int],
+        precedence: PrecedenceOrder,
+        hybrid: Optional[HybridMarker] = None,
+    ) -> None:
+        self._init(base, preferential, precedence, hybrid)
         for c in self.preferential:
             if not 0 <= c < self.base.num_categories:
                 raise UnknownCategoryInPreferential(
@@ -253,11 +319,14 @@ def base_of(system: AnySystem) -> ReserveSystem:
     return system.base if isinstance(system, SequentialReserveSystem) else system
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """Partial assignment of agents to categories (None = unmatched)."""
 
+    __slots__ = _fields = ("assignment",)
     assignment: tuple[Optional[int], ...]
+
+    def __init__(self, assignment: tuple[Optional[int], ...]) -> None:
+        self._init(assignment)
 
     def matched_agents(self) -> tuple[int, ...]:
         return tuple(a for a, c in enumerate(self.assignment) if c is not None)
@@ -299,15 +368,11 @@ def canonical_json(obj: Any) -> str:
 
 
 def _integer(value: Any, what: str, category: Optional[int] = None) -> int:
-    """An integer-valued scalar field; bools and floats are rejected rather
-    than truncated."""
+    """An integer-valued scalar field: a JSON integer. Bools, floats and
+    strings are rejected rather than truncated or parsed, so ``1.7``,
+    ``true`` and ``"1"`` are all errors."""
     if type(value) is int:
         return value
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
     where = what if category is None else f"{what} of category {category}"
     raise InstanceError(f"{where} must be an integer, got {value!r}")
 

@@ -14,10 +14,9 @@ are fixed by edge id, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .model import Matching, SequentialReserveSystem
+from .model import Matching, Record, SequentialReserveSystem
 
 
 class DecodeAmbiguity(ValueError):
@@ -25,12 +24,15 @@ class DecodeAmbiguity(ValueError):
     agents, or on an agent that already has an assignment."""
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """Integral per-edge flow values plus the total leaving the source."""
 
+    __slots__ = _fields = ("values", "total")
     values: tuple[int, ...]
     total: int
+
+    def __init__(self, values: tuple[int, ...], total: int) -> None:
+        self._init(values, total)
 
 
 class BoundedFlowNetwork:
@@ -310,24 +312,37 @@ OPEN_CLASS = "open"
 PREF_CLASS = "preferential"
 
 
-@dataclass
 class ReserveNetwork:
     """Three-layer network: source -> groups -> categories -> class nodes ->
     sink, where a group is a set of agents with one eligibility set. The full
     network has one group per agent (``group_of`` is the identity), the
     compact one a group per distinct eligibility set; a group's edges carry
-    up to its size in units."""
+    up to its size in units. The edge maps start empty."""
 
-    network: BoundedFlowNetwork
-    group_of: dict[int, int]
-    group_members: list[tuple[int, ...]]
-    group_node: list[int]
-    category_node: list[int]
-    class_node: dict[str, int]
-    group_edge: dict[int, int] = field(default_factory=dict)
-    assign_edge: dict[tuple[int, int], int] = field(default_factory=dict)
-    category_edge: dict[int, int] = field(default_factory=dict)
-    class_edge: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "network", "group_of", "group_members", "group_node", "category_node",
+        "class_node", "group_edge", "assign_edge", "category_edge", "class_edge",
+    )
+
+    def __init__(
+        self,
+        network: BoundedFlowNetwork,
+        group_of: dict[int, int],
+        group_members: list[tuple[int, ...]],
+        group_node: list[int],
+        category_node: list[int],
+        class_node: dict[str, int],
+    ) -> None:
+        self.network = network
+        self.group_of = group_of
+        self.group_members = group_members
+        self.group_node = group_node
+        self.category_node = category_node
+        self.class_node = class_node
+        self.group_edge: dict[int, int] = {}
+        self.assign_edge: dict[tuple[int, int], int] = {}
+        self.category_edge: dict[int, int] = {}
+        self.class_edge: dict[str, int] = {}
 
 
 def _layers(

@@ -8,11 +8,10 @@ index unless an explicit order override is supplied.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .bipartite import EligibilityGraph, GraphMatching, build_graph, maximum_matching
-from .model import InstanceError, Matching, ReserveSystem
+from .model import InstanceError, Matching, Record, ReserveSystem
 
 
 class PrefsNotEligible(ValueError):
@@ -230,12 +229,15 @@ class TraceEntry(NamedTuple):
     displaced: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class MMATrace:
+class MMATrace(Record):
     """Proposal log sufficient to replay the adjustment phase exactly."""
 
+    __slots__ = _fields = ("initial", "log")
     initial: Matching
     log: tuple[TraceEntry, ...]
+
+    def __init__(self, initial: Matching, log: tuple[TraceEntry, ...]) -> None:
+        self._init(initial, log)
 
     def replay(self, num_categories: int) -> Matching:
         match = GraphMatching.from_matching(self.initial, num_categories)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import runpy
+import subprocess
+import sys
 
 import pytest
 
+import reservematch
 from reservematch.cli import main
 from reservematch.model import matching_to_json, Matching
 
@@ -470,6 +475,9 @@ def _bad_input_exit(capsys, *argv) -> None:
         # read as its characters or its keys, either would be the ranking 1, 0, 2
         ("ranking", "102"),
         ("ranking", {"1": 0, "0": 0, "2": 0}),
+        # the category's own values as strings that hold them
+        ("capacity", " 1 "),
+        ("eligible_cutoff", "2"),
     ],
 )
 def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
@@ -497,6 +505,10 @@ def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
         ("preferential", {"1": True}),
         ("hybrid", {"open_early": "0", "open_late": "1"}),
         ("hybrid", {"open_early": {"0": 1}, "open_late": [1]}),
+        # a string that holds an integer is still a string
+        ("agents", "3"),
+        ("tiers", [0, "1"]),
+        ("preferential", [" 1 "]),
     ],
 )
 def test_non_integer_scalars_exit_2(capsys, corpus_dir, tmp_path, field, value):
@@ -586,6 +598,9 @@ def test_hybrid_marker_outside_the_open_categories_exits_2(capsys, tmp_path):
         # an array, not an object: read as pairs it would place agent 1 in category 0
         ["10"],
         [["0", 1]],
+        # a category as a string that holds an integer
+        {"0": "0"},
+        {"1": " 1 "},
     ],
 )
 def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
@@ -596,7 +611,7 @@ def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
     )
 
 
-@pytest.mark.parametrize("element", [1.7, True])
+@pytest.mark.parametrize("element", [1.7, True, "1"])
 def test_non_integer_ranking_element_exits_2(capsys, corpus_dir, tmp_path, element):
     # a bare int() would truncate 1.7 to 1 and read True as 1
     raw = json.loads((corpus_dir / "contested_pair.json").read_text())
@@ -619,3 +634,29 @@ def test_gen_bad_spec_exits_2(capsys, tmp_path, spec):
         capsys, "gen", "--agents", "3", "--categories", "2",
         "-o", str(tmp_path / "inst.json"), *spec,
     )
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import reservematch.cli
+print(json.dumps({"new": sorted(set(sys.modules) - before), "all": sorted(sys.modules)}))
+"""
+
+
+def test_cli_import_loads_only_the_solve_path():
+    """A fresh interpreter that imports the CLI loads neither ``dataclasses``
+    (with ``inspect``) nor the ``bench``/``verify`` modules, but every layer
+    the benchmark's traced run wraps."""
+    src = pathlib.Path(reservematch.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(src)],
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    modules = json.loads(done.stdout)
+    for name in ("dataclasses", "inspect", "statistics", "reservematch.harness"):
+        assert name not in modules["new"], name
+    targets = runpy.run_path(str(src.parent / "perfbench" / "spans.py"))["TARGETS"]
+    for layer in targets:
+        assert f"reservematch.{layer}" in modules["all"], layer

@@ -92,8 +92,11 @@ def _mutate(draw, raw) -> None:
     elif kind == "drop-category":
         del entry[draw(st.sampled_from(["id", "capacity", "ranking", "eligible_cutoff"]))]
     elif kind == "non-integer":
+        # the agent's own number as a string would be a valid ranking if read
+        # as an integer
         ranking[spot] = draw(st.sampled_from(
-            [ranking[spot] + 0.5, float(ranking[spot]), True, False, "x", "", "1.5"]
+            [ranking[spot] + 0.5, float(ranking[spot]), True, False, "x", "", "1.5",
+             str(ranking[spot]), f" {ranking[spot]} "]
         ))
     elif kind == "non-array":
         # a list-typed field as a string or an object of its items, which a

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -11,6 +13,7 @@ from reservematch.cli import run_checks
 
 from reservematch.model import (
     DuplicateAgentInRanking,
+    HybridMarker,
     InstanceError,
     Matching,
     NegativeCapacity,
@@ -304,6 +307,49 @@ def test_ranking_validation_messages(ranking, cutoff, error, message):
         with pytest.raises(error) as caught:
             build()
         assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_records_have_value_semantics():
+    """The model types keep the equality, hash, repr and immutability of the
+    frozen dataclasses they replace, and survive pickle and copy."""
+    ranking = PriorityRanking((1, 0), 1)
+    base = ReserveSystem(2, 1, (1,), (ranking,))
+    seq = SequentialReserveSystem(
+        base, frozenset({0}), PrecedenceOrder((0,)), HybridMarker(frozenset(), frozenset())
+    )
+    assert repr(Matching((0, None))) == "Matching(assignment=(0, None))"
+    assert (
+        repr(axioms.AxiomVerdict(axioms.ELIGIBILITY, True))
+        == "AxiomVerdict(axiom='eligibility', passed=True, witness=None)"
+    )
+    assert repr(seq) == (
+        "SequentialReserveSystem(base=ReserveSystem(num_agents=2, num_categories=1, "
+        "capacities=(1,), priorities=(PriorityRanking(ordered_agents=(1, 0), "
+        "eligible_cutoff=1),)), preferential=frozenset({0}), "
+        "precedence=PrecedenceOrder(tier_of=(0,)), "
+        "hybrid=HybridMarker(open_early=frozenset(), open_late=frozenset()))"
+    )
+    # equality needs the same class, not just the same field values
+    assert Matching((0,)) != PrecedenceOrder((0,))
+    assert Matching((0,)) == Matching((0,)) and Matching((0,)) != Matching((None,))
+    assert hash(Matching((0, None))) == hash(((0, None),))
+    assert hash(ranking) == hash(((1, 0), 1))
+    assert hash(seq) == hash((base, seq.preferential, seq.precedence, seq.hybrid))
+    ranking.position(0)  # builds the lazy map, which is not a field
+    assert ranking == PriorityRanking((1, 0), 1)
+    for record in (Matching((0, None)), ranking, base, seq):
+        with pytest.raises(AttributeError):
+            record.assignment = (1,)
+        with pytest.raises(AttributeError):
+            del record.assignment
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+    with pytest.raises(AttributeError):
+        ranking.eligible_cutoff = 0
+    with pytest.raises(AttributeError):
+        del seq.hybrid
+    assert copy.deepcopy(ranking).position(1) == 0
 
 
 def _chain(n):
