@@ -6,6 +6,11 @@ adjacency in ascending index order so results are deterministic. From an
 empty start, the first phase runs as a greedy pass over the agents in index
 order: with nobody matched, a phase-one search can only take the agent's
 first category with a free slot, so the pass returns the same matching.
+
+``augment_backward`` is the cheap exact test beside it: one augmenting-path
+search run backwards from the free slots over per-category agent prefixes,
+with no graph. ``rev`` runs it per rejection check, and ``check`` runs it
+once per stage of the dual maximum matching to certify a maximum start.
 """
 
 from __future__ import annotations
@@ -300,6 +305,56 @@ def maximum_matching(
             if assignment[a] is None:
                 dfs(a)
     return match
+
+
+def augment_backward(
+    elig: Sequence[Sequence[int]],
+    limit: Sequence[int],
+    match: GraphMatching,
+    capacities: Sequence[int],
+    journal: list[tuple[int, Optional[int]]],
+) -> bool:
+    """One augmenting-path search over the active edges, run backwards from
+    the categories with a free slot. The active agents of category c are
+    ``elig[c][:limit[c]]``, scanned in that order; no graph is needed.
+
+    Each category is expanded at most once per search: its active agents
+    are scanned, a free agent there closes the path, and a matched one
+    queues the category it holds. So a search costs one pass over the active
+    edges, and it is exact: it returns False iff the working matching has
+    no augmenting path on the active edges (Berge), which certifies that it
+    is maximum there.
+
+    A path found is applied to ``match`` at once, and every move is appended
+    to ``journal`` as (agent, category it held) so the caller can undo it.
+    Callers rely only on whether a path exists, never on which one is found.
+    """
+    assignment = match.assignment
+    stack = [c for c, cap in enumerate(capacities) if match.load[c] < cap]
+    queued = [False] * len(capacities)
+    for c in stack:
+        queued[c] = True
+    # category -> (agent that leaves it, category that agent moves to)
+    parent: dict[int, tuple[int, int]] = {}
+    while stack:
+        c = stack.pop()
+        agents = elig[c]
+        for i in range(limit[c]):
+            a = agents[i]
+            d = assignment[a]
+            if d is None:
+                # a enters c; each displaced agent steps toward the free slot
+                while True:
+                    journal.append((a, assignment[a]))
+                    match.assign(a, c)
+                    if c not in parent:
+                        return True
+                    a, c = parent[c]
+            if not queued[d]:
+                queued[d] = True
+                parent[d] = (a, c)
+                stack.append(d)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,12 @@ class GeneratorSpec:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list, and any
+    other empty element (``0,,1`` or a trailing comma) is bad input."""
+    if text == "":
+        return []
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise InstanceError(f"expected comma-separated integers, got {text!r}") from None
 

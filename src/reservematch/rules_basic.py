@@ -10,7 +10,13 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple, Optional, Sequence
 
-from .bipartite import EligibilityGraph, GraphMatching, build_graph, maximum_matching
+from .bipartite import (
+    EligibilityGraph,
+    GraphMatching,
+    augment_backward,
+    build_graph,
+    maximum_matching,
+)
 from .model import InstanceError, Matching, Record, ReserveSystem
 
 
@@ -102,56 +108,6 @@ def _validate_permutation(order: Sequence[int], size: int, what: str) -> tuple[i
     return tuple(order)
 
 
-def _augment_once(
-    elig: Sequence[Sequence[int]],
-    limit: Sequence[int],
-    match: GraphMatching,
-    capacities: Sequence[int],
-    journal: list[tuple[int, Optional[int]]],
-) -> bool:
-    """One augmenting-path search over the active edges, run backwards from
-    the categories with a free slot. The active agents of category c are
-    ``elig[c][:limit[c]]``, highest priority first.
-
-    Each category is expanded at most once per search: its active agents
-    are scanned, a free agent there closes the path, and a matched one
-    queues the category it holds. So a search costs one pass over the active
-    edges.
-
-    Which path is found cannot change what ``rev_allocate`` returns. Every
-    rejection only asks whether a matching of the original size still exists
-    on the active edges, and any exact augmenting search gives the same
-    answer to that; the returned matching is then computed from scratch on
-    the surviving graph.
-    """
-    assignment = match.assignment
-    stack = [c for c, cap in enumerate(capacities) if match.load[c] < cap]
-    queued = [False] * len(capacities)
-    for c in stack:
-        queued[c] = True
-    # category -> (agent that leaves it, category that agent moves to)
-    parent: dict[int, tuple[int, int]] = {}
-    while stack:
-        c = stack.pop()
-        agents = elig[c]
-        for i in range(limit[c]):
-            a = agents[i]
-            d = assignment[a]
-            if d is None:
-                # a enters c; each displaced agent steps toward the free slot
-                while True:
-                    journal.append((a, assignment[a]))
-                    match.assign(a, c)
-                    if c not in parent:
-                        return True
-                    a, c = parent[c]
-            if not queued[d]:
-                queued[d] = True
-                parent[d] = (a, c)
-                stack.append(d)
-    return False
-
-
 def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
     """Reverse rejecting: walk the baseline order backwards, rejecting each
     agent whose removal (together with all strictly lower-priority edges in
@@ -167,8 +123,13 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
     the check is kept as the new cuts if the working matching regains its
     size on them.
 
-    Each check costs one augmenting search per matched unit it cuts, against
-    one maximum matching for the whole of ``mma_allocate``."""
+    Each check costs one augmenting search per matched unit it cuts
+    (``bipartite.augment_backward`` on the cut prefixes), against one
+    maximum matching for the whole of ``mma_allocate``. Which path a search
+    finds cannot change what is returned: a check only asks whether a
+    matching of the original size still exists on the active edges, which
+    any exact search answers the same way, and the returned matching is
+    computed from scratch on the surviving graph."""
     order = _validate_permutation(baseline, system.num_agents, "baseline")
     graph = build_graph(system)
     match = maximum_matching(graph)
@@ -194,7 +155,7 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
                 journal.append((b, c))
                 match.unassign(b)
         lost = len(journal)  # one entry per unit cut so far
-        if all(_augment_once(elig, limit, match, capacities, journal) for _ in range(lost)):
+        if all(augment_backward(elig, limit, match, capacities, journal) for _ in range(lost)):
             thresh = limit
         else:
             for agent_id, old in reversed(journal):

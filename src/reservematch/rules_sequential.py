@@ -29,6 +29,11 @@ network states take Hopcroft-Karp's (``dual_maximum_matching``) and
 run (``_quotient_path``) rooted at the source. All three keep one fix ledger
 (``FixLedger``) and return the identical matching; the fixed set equals the
 matched set on termination, which is asserted every run.
+
+``check`` takes the same two maxima from ``dual_maximum_matching`` seeded
+with the matching under check; there one backward augmenting search per
+stage (``bipartite.augment_backward``) certifies a maximum seed without a
+graph or a Hopcroft-Karp pass.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Callable, Container, Optional, Sequence, Union
 from .bipartite import (
     EligibilityGraph,
     GraphMatching,
+    augment_backward,
     build_graph,
     maximum_matching,
 )
@@ -76,21 +82,57 @@ def dual_maximum_matching(
     per-category loads except the endpoint gain).
 
     With ``start``, each stage is seeded from its eligible pairs that fit
-    the capacities, so a maximum ``start`` is certified by one search that
-    finds no augmenting path (Berge); b and m do not depend on the seed.
+    the capacities and then certified by one backward augmenting search
+    (``augment_backward``) on the eligible prefixes: stage 1 on the
+    preferential categories alone, stage 2 on all of them. A search that
+    finds no path proves its stage maximum (Berge), so a maximum ``start``
+    costs no graph and no Hopcroft-Karp pass. A search that finds one has
+    applied it, and Hopcroft-Karp finishes that stage from the working
+    matching, on a graph built once for both stages; b and m do not depend
+    on the seed.
     """
     seq = as_sequential(system)
+    if start is not None:
+        return _certified_dual_maximum(seq, start)
     graph = build_graph(seq.base)
     stage1 = GraphMatching(graph.num_agents, graph.num_categories)
     if seq.preferential:
-        if start is not None:
-            _seed_from(stage1, start, seq, preferential=True)
         category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
         stage1 = maximum_matching(graph, seed=stage1, category_mask=category_mask)
     b = stage1.size()
-    if start is not None:
-        _seed_from(stage1, start, seq, preferential=False)
     match = maximum_matching(graph, seed=stage1)
+    m = match.size()
+    assert _beneficiary_load(match, seq) == b
+    return match, b, m
+
+
+def _certified_dual_maximum(
+    seq: SequentialReserveSystem, start: Matching
+) -> tuple[GraphMatching, int, int]:
+    """``dual_maximum_matching`` seeded from ``start``. One backward search
+    per stage, not a loop of them: each further path would cost another
+    pass over the edges, where Hopcroft-Karp bounds the rest of the stage
+    by O(sqrt(n)) passes."""
+    base, caps = seq.base, seq.capacities
+    elig = [base.eligible_agents(c) for c in range(seq.num_categories)]
+    match = GraphMatching(seq.num_agents, seq.num_categories)
+    graph: Optional[EligibilityGraph] = None
+    if seq.preferential:
+        _seed_from(match, start, seq, preferential=True)
+        limit = [
+            len(agents) if c in seq.preferential else 0
+            for c, agents in enumerate(elig)
+        ]
+        if augment_backward(elig, limit, match, caps, []):
+            graph = build_graph(base)
+            category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
+            match = maximum_matching(graph, seed=match, category_mask=category_mask)
+    b = match.size()
+    _seed_from(match, start, seq, preferential=False)
+    if augment_backward(elig, [len(agents) for agents in elig], match, caps, []):
+        if graph is None:
+            graph = build_graph(base)
+        match = maximum_matching(graph, seed=match)
     m = match.size()
     assert _beneficiary_load(match, seq) == b
     return match, b, m

@@ -533,6 +533,28 @@ def test_bad_baseline_exits_2(capsys, corpus_dir):
 
 
 @pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--baseline", "0,,1,2"),
+        ("--agent-order", "0,1,2,"),
+        ("--category-order", ",1,0"),
+        ("--sizes", "10,,20"),
+    ],
+)
+def test_empty_list_element_exits_2(capsys, corpus_dir, option, value):
+    """An empty element of an integer list is bad input, not skipped: read
+    without it, each of these lists is a valid value of its option."""
+    instance = str(corpus_dir / "contested_pair.json")
+    argv = {
+        "--baseline": ["solve", "-i", instance, "--rule", "rev"],
+        "--agent-order": ["solve", "-i", instance, "--rule", "mma"],
+        "--category-order": ["solve", "-i", instance, "--rule", "mma"],
+        "--sizes": ["bench", "--rules", "mma", "--repetitions", "1"],
+    }[option]
+    _bad_input_exit(capsys, *argv, option, value)
+
+
+@pytest.mark.parametrize(
     "content", [b"[" * 200000, b'{"agents": "\xff"}'], ids=["deep", "not-utf8"]
 )
 @pytest.mark.parametrize(

@@ -412,13 +412,13 @@ def test_rev_searches_per_agent_grow_and_mma_matches_once(monkeypatch):
     augmenting searches per agent as the instances grow, and mma computes
     one maximum matching."""
     searches = []
-    augment = rules_basic._augment_once
+    augment = rules_basic.augment_backward
 
     def counted_augment(*args):
         searches.append(None)
         return augment(*args)
 
-    monkeypatch.setattr(rules_basic, "_augment_once", counted_augment)
+    monkeypatch.setattr(rules_basic, "augment_backward", counted_augment)
     medians = []
     for size in (500, 1000, 2000):
         per_agent = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter, deque
 
@@ -15,7 +16,9 @@ from reservematch.model import (
     ReserveSystem,
     SequentialReserveSystem,
     as_sequential,
+    instance_to_json,
     matching_to_json,
+    parse_matching,
 )
 from reservematch.netflow import (
     OPEN_CLASS,
@@ -123,6 +126,159 @@ def test_seeded_dual_maximum_matches_unseeded(kind):
         assert all(load <= cap for load, cap in zip(match.load, seq.capacities))
         if kind == "maximum":  # no augmenting path: the start comes back as is
             assert tuple(match.assignment) == start.assignment
+
+
+def _count_graph_calls(monkeypatch) -> Counter:
+    """Count ``build_graph`` and ``maximum_matching`` calls from every
+    module that holds the names."""
+    from reservematch import bipartite, rules_basic, rules_sequential
+
+    calls: Counter = Counter()
+    for name in ("build_graph", "maximum_matching"):
+        def counted(*args, _name=name, _function=getattr(bipartite, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module in (bipartite, rules_basic, rules_sequential):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _deficit_one(rng, match):
+    """``match`` with one random matched agent unmatched."""
+    assignment = list(match.assignment)
+    matched = [a for a, c in enumerate(assignment) if c is not None]
+    if matched:
+        assignment[rng.choice(matched)] = None
+    return Matching(tuple(assignment))
+
+
+def _grid_systems():
+    rng = random.Random("seeded-grid")
+    for trial in range(240):
+        yield as_sequential(GeneratorSpec(
+            num_agents=rng.randint(0, 60),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:8"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["equal", "strict", "random:2"]),
+            seed=trial,
+        ).build())
+    yield as_sequential(GeneratorSpec(
+        1000, 12, capacity="uniform:0:60", density=0.08,
+        preferential_fraction=0.4, tier_scheme="random:3", seed=1000,
+    ).build())
+
+
+@pytest.mark.parametrize("kind", ["maximum", "deficit-one", "partial", "arbitrary"])
+def test_seeded_dual_maximum_grid(kind, monkeypatch):
+    """Every kind of start gives the unseeded b and m; a maximum start is
+    certified by the backward searches alone and comes back unchanged."""
+    rng = random.Random(f"grid-{kind}")
+    seen = set()
+    for seq in _grid_systems():
+        unseeded, b, m = dual_maximum_matching(seq)
+        if kind == "deficit-one":
+            start = _deficit_one(rng, unseeded)
+        else:
+            start = _random_start(rng, seq, kind)
+        with monkeypatch.context() as patch:
+            calls = _count_graph_calls(patch)
+            match, b_seeded, m_seeded = dual_maximum_matching(seq, start=start)
+        assert (b_seeded, m_seeded) == (b, m)
+        assert (match.size(), sum(match.load[c] for c in seq.preferential)) == (m, b)
+        for agent, c in enumerate(match.assignment):
+            assert c is None or seq.base.is_eligible(agent, c)
+        assert all(load <= cap for load, cap in zip(match.load, seq.capacities))
+        # the graph is built once for both stages, and each stage runs at
+        # most one Hopcroft-Karp pass
+        assert calls["build_graph"] <= 1 and calls["maximum_matching"] <= 2
+        if kind == "maximum":
+            assert tuple(match.assignment) == start.assignment
+            assert not calls
+        seen.update({
+            "no agents": seq.num_agents == 0,
+            "zero capacity": 0 in seq.capacities,
+            "none preferential": not seq.preferential,
+            "some preferential": 0 < len(seq.preferential) < seq.num_categories,
+            "all preferential": len(seq.preferential) == seq.num_categories,
+            "hopcroft-karp": bool(calls["maximum_matching"]),
+        }.items())
+    wanted = {"no agents", "zero capacity", "none preferential",
+              "some preferential", "all preferential"}
+    if kind != "maximum":
+        wanted.add("hopcroft-karp")
+    assert {name for name, hit in seen if hit} >= wanted
+
+
+def _tampered(seq, assignment):
+    """Unmatch the highest-numbered agent that sits in an open category
+    above that category's lowest occupant, as the benchmark's refute does:
+    one unit short of maximum, with b intact."""
+    candidates = []
+    for c in seq.open_categories():
+        agents = [a for a, held in enumerate(assignment) if held == c]
+        if agents:
+            lowest = max(agents, key=lambda a: seq.base.position(c, a))
+            candidates += [a for a in agents if a != lowest]
+    out = list(assignment)
+    out[max(candidates)] = None
+    return Matching(tuple(out))
+
+
+@pytest.mark.parametrize("rule", ["scu", "mma"])
+def test_check_certifies_maxima_without_hopcroft_karp(rule, tmp_path, monkeypatch, capsys):
+    """A passing check builds no graph and runs no Hopcroft-Karp pass: the
+    backward searches certify both maxima. One unit short, the check runs
+    one pass for the stage that lost it and says what the Hopcroft-Karp
+    path says."""
+    from reservematch import rules_sequential
+
+    seq = as_sequential(GeneratorSpec(
+        400, 10, capacity="const:20", density=0.15,
+        preferential_fraction=0.4, tier_scheme="random:3", seed=400,
+    ).build())
+    instance = tmp_path / "instance.json"
+    instance.write_text(instance_to_json(seq))
+    solved = tmp_path / "solved.json"
+    if rule == "scu":
+        names = list(axioms.FUNDAMENTAL + axioms.SEQUENTIAL)
+        argv = ["solve", "-i", str(instance), "--rule", "scu", "-o", str(solved)]
+    else:
+        # mma moves agents within a category, so from a dual maximum seed
+        # it keeps b as well as m
+        names = list(axioms.FUNDAMENTAL) + [axioms.MAX_BENEFICIARY]
+        seed = tmp_path / "seed.json"
+        seed.write_text(matching_to_json(dual_maximum_matching(seq)[0].to_matching()))
+        argv = ["solve", "-i", str(instance), "--rule", "mma", "--seed-matching", str(seed),
+                "-o", str(solved)]
+    assert main(argv) == 0
+    check = ["--format", "json", "check", "-i", str(instance)]
+    for name in names:
+        check += ["--axiom", name]
+    capsys.readouterr()
+
+    with monkeypatch.context() as patch:
+        calls = _count_graph_calls(patch)
+        assert main(check + ["-m", str(solved)]) == 0
+    assert not calls
+    assert all(v["pass"] for v in json.loads(capsys.readouterr().out))
+
+    solution = parse_matching(solved.read_text(), seq)
+    short = tmp_path / "short.json"
+    short.write_text(matching_to_json(_tampered(seq, solution.assignment)))
+    with monkeypatch.context() as patch:
+        calls = _count_graph_calls(patch)
+        assert main(check + ["-m", str(short)]) == 1
+    assert calls == {"build_graph": 1, "maximum_matching": 1}
+    certified = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        patch.setattr(rules_sequential, "augment_backward", lambda *args: True)
+        calls = _count_graph_calls(patch)
+        assert main(check + ["-m", str(short)]) == 1
+    assert calls == {"build_graph": 1, "maximum_matching": 2}
+    assert capsys.readouterr().out == certified
 
 
 def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
