@@ -284,8 +284,9 @@ def run_checks(
     need_b = axioms.MAX_BENEFICIARY in names or axioms.RESPECT_PRECEDENCE in names
     m = b = None
     if need_m or need_b:
-        # seeded from the matching under check: a maximum one is certified
-        # by one search that finds no augmenting path
+        # seeded from the matching under check: one backward search per
+        # stage certifies a maximum seed, and Hopcroft-Karp finishes only a
+        # stage whose search found a path
         _, b, m = dual_maximum_matching(seq, start=matching)
     verdicts = []
     for name in names:

@@ -1,12 +1,13 @@
 """Per-layer CPU time of ``reservematch check`` on the benchmark's four
 workload shapes.
 
-For each shape the script builds instances with ``GeneratorSpec`` on fixed
-seeds, solves them once (untimed), and then times ``check`` in-process on
-the solve output ("check", expected to pass) and on a matching known to fail
-("refute": the benchmark's tampered output, or the mma matching on
-``scu-small``), with the axioms the benchmark passes. Each call is split
-into four layers, in CPU seconds (``time.process_time``):
+The shapes are ``perfbench/run.py``'s ``WORKLOADS``: for each one the script
+builds instances of its spec with ``GeneratorSpec`` on fixed seeds, solves
+them once (untimed) with its solve arguments, and then times ``check``
+in-process on the solve output ("check", expected to pass) and on a matching
+known to fail ("refute": the benchmark's tampered output, or the mma
+matching where the workload refutes that), with the workload's axioms. Each
+call is split into four layers, in CPU seconds (``time.process_time``):
 
 * ``parse_instance`` and ``parse_matching``;
 * ``dual_maxima``: ``dual_maximum_matching(seq, start=matching)``, the b and m
@@ -17,9 +18,10 @@ and it counts the Hopcroft-Karp passes (``maximum_matching`` calls) inside
 ``dual_maxima``.
 
 Each side is a label and the ``src`` directory to import ``reservematch``
-from. Every round runs each side once in a fresh interpreter, alternating
-which goes first, so that two checkouts share the machine's slow and fast
-stretches; the medians and quartiles over all rounds go to ``--out``:
+from. Each of ``ROUNDS`` rounds runs each side once in a fresh interpreter,
+alternating which goes first, so that two checkouts share the machine's slow
+and fast stretches; the medians and quartiles over all rounds go to
+``--out``:
 
     python3 tools/bench_check.py parent=../parent/src change=src
 
@@ -42,32 +44,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("parse_instance", "parse_matching", "dual_maxima", "axioms", "total")
-LINEAR = ("eligibility", "non-wastefulness", "max-cardinality")
 SEEDS = range(7000, 7004)  # one instance per seed and shape
 REPEATS = 5  # timed passes over each shape's ops per run
+ROUNDS = 10  # runs of each side, alternating which goes first
 
-# name: (GeneratorSpec arguments, solve arguments, check axioms (empty: all),
-#        refute the mma matching instead of the tampered output)
-SHAPES = {
-    "mma-large": (
-        dict(num_agents=4000, num_categories=10, capacity="const:200", density=0.1),
-        ["--rule", "mma"], LINEAR, False,
-    ),
-    "rev-medium": (
-        dict(num_agents=400, num_categories=10, capacity="const:20", density=0.1),
-        ["--rule", "rev"], (), False,
-    ),
-    "scu-small": (
-        dict(num_agents=200, num_categories=10, capacity="const:10", density=0.3,
-             preferential_fraction=0.4, tier_scheme="strict"),
-        ["--rule", "scu"], (), True,
-    ),
-    "scu-large": (
-        dict(num_agents=2000, num_categories=10, capacity="const:100", density=0.3,
-             preferential_fraction=0.4, tier_scheme="random:3"),
-        ["--rule", "scu", "--impl", "bipartite"], LINEAR + ("max-beneficiary",), False,
-    ),
-}
+
+def _generator_spec(cli, spec, seed: int):
+    """``GeneratorSpec`` of a benchmark ``InstanceSpec``."""
+    return cli.GeneratorSpec(
+        num_agents=spec.agents,
+        num_categories=spec.categories,
+        capacity=f"const:{spec.capacity}",
+        density=spec.density,
+        preferential_fraction=spec.preferential_fraction,
+        tier_scheme=spec.tiers,
+        seed=seed,
+    )
 
 
 def _solve(cli, argv):
@@ -77,41 +69,40 @@ def _solve(cli, argv):
         raise SystemExit(f"error: {' '.join(argv)} exited {code}")
 
 
-def _ops(cli, shape, work):
+def _ops(cli, wl, work):
     """(kind, instance text, matching text, axiom names, whether every
-    verdict passes) per op."""
+    verdict passes) per op of the benchmark workload ``wl``."""
     import outcheck  # the benchmark's tamper, on plain JSON data
 
-    spec_args, solve_args, names, refute_mma = SHAPES[shape]
     ops = []
     for seed in SEEDS:
-        system = cli.GeneratorSpec(seed=seed, **spec_args).build()
-        inst = work / f"{shape}-{seed}.json"
+        system = _generator_spec(cli, wl.spec, seed).build()
+        inst = work / f"{wl.name}-{seed}.json"
         inst.write_text(cli.instance_to_json(system))
-        argv = ["solve", "-i", str(inst), *solve_args]
-        if "rev" in solve_args:
+        argv = ["solve", "-i", str(inst), *wl.solve_args]
+        if wl.baseline:
             order = random.Random(seed).sample(range(system.num_agents), system.num_agents)
             argv += ["--baseline", ",".join(map(str, order))]
         solved, refute = work / "solved.json", work / "refute.json"
         _solve(cli, argv + ["-o", str(solved)])
-        if refute_mma:
+        if wl.refute_mma:
             _solve(cli, ["solve", "-i", str(inst), "--rule", "mma", "-o", str(refute)])
         else:
             raw = json.loads(inst.read_text())
             assignment = outcheck.read_assignment(solved.read_text(), raw["agents"])
             refute.write_text(outcheck.to_json(outcheck.tamper(raw, assignment)))
         text = inst.read_text()
-        axioms = list(names) or cli._applicable_axioms(system)
+        axioms = list(wl.axioms) or cli._applicable_axioms(system)
         ops.append(("check", text, solved.read_text(), axioms, True))
         ops.append(("refute", text, refute.read_text(), axioms, False))
     return ops
 
 
-def measure(shape: str) -> dict:
+def measure(wl) -> dict:
     from reservematch import cli, rules_sequential
 
     with tempfile.TemporaryDirectory() as tmp:
-        ops = _ops(cli, shape, Path(tmp))
+        ops = _ops(cli, wl, Path(tmp))
     spent = {"dual_maxima": 0.0, "hk": 0}
     dual, hk = cli.dual_maximum_matching, rules_sequential.maximum_matching
 
@@ -141,7 +132,7 @@ def measure(shape: str) -> dict:
                 verdicts = cli.run_checks(system, matching, names)
                 t3 = time.process_time()
                 if all(v.passed for v in verdicts) != passes:
-                    raise SystemExit(f"error: {shape} {kind} gave the wrong verdict")
+                    raise SystemExit(f"error: {wl.name} {kind} gave the wrong verdict")
                 row = samples.setdefault(kind, {name: [] for name in LAYERS + ("hk_passes",)})
                 row["parse_instance"].append(t1 - t0)
                 row["parse_matching"].append(t2 - t1)
@@ -164,20 +155,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sides", nargs="*", metavar="LABEL=SRC",
                         help="a label and the src directory to import reservematch from")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", default=str(ROOT / "BENCH_check.json"))
     parser.add_argument("--measure", help=argparse.SUPPRESS)  # child: one run of SRC
     args = parser.parse_args(argv)
     if args.measure:
         sys.path[:0] = [args.measure, str(ROOT / "perfbench")]
-        print(json.dumps({shape: measure(shape) for shape in SHAPES}))
+        import run  # the benchmark's workloads
+
+        print(json.dumps({name: measure(wl) for name, wl in run.WORKLOADS.items()}))
         return 0
     if not args.sides or not all("=" in side for side in args.sides):
         parser.error("give at least one LABEL=SRC")
 
     sides = dict(side.split("=", 1) for side in args.sides)
     samples: dict = {label: {} for label in sides}
-    for round_ in range(args.rounds):
+    for round_ in range(ROUNDS):
         order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
         for label in order:
             done = subprocess.run(
@@ -194,7 +186,7 @@ def main(argv=None) -> int:
             "clock": "time.process_time, CPU seconds",
             "instance_seeds": f"{SEEDS.start}..{SEEDS.stop - 1}",
             "repeats_per_run": REPEATS,
-            "rounds": args.rounds,
+            "rounds": ROUNDS,
             "sides": list(sides),
         },
         "runs": {
