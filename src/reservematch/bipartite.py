@@ -32,22 +32,20 @@ class PathInconsistent(ValueError):
 class EligibilityGraph(Record):
     """Bipartite agent-category graph with per-category capacities.
 
-    Adjacency lists are sorted ascending by index; an edge (i, c) exists iff
-    agent i is eligible for category c.
+    Each agent's adjacency list is sorted ascending by category index; an
+    edge (i, c) exists iff agent i is eligible for category c.
     """
 
-    __slots__ = _fields = ("agent_adj", "category_adj", "capacities")
+    __slots__ = _fields = ("agent_adj", "capacities")
     agent_adj: tuple[tuple[int, ...], ...]
-    category_adj: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
 
     def __init__(
         self,
         agent_adj: tuple[tuple[int, ...], ...],
-        category_adj: tuple[tuple[int, ...], ...],
         capacities: tuple[int, ...],
     ) -> None:
-        self._init(agent_adj, category_adj, capacities)
+        self._init(agent_adj, capacities)
 
     @property
     def num_agents(self) -> int:
@@ -55,7 +53,7 @@ class EligibilityGraph(Record):
 
     @property
     def num_categories(self) -> int:
-        return len(self.category_adj)
+        return len(self.capacities)
 
     def num_edges(self) -> int:
         return sum(len(adj) for adj in self.agent_adj)
@@ -76,11 +74,7 @@ class EligibilityGraph(Record):
         for c, agents in enumerate(members):
             for agent in agents:
                 agent_adj[agent].append(c)  # ascending c, so already sorted
-        return cls(
-            agent_adj=tuple(map(tuple, agent_adj)),
-            category_adj=tuple(tuple(sorted(agents)) for agents in members),
-            capacities=capacities,
-        )
+        return cls(tuple(map(tuple, agent_adj)), capacities)
 
 
 def build_graph(system: ReserveSystem) -> EligibilityGraph:
@@ -172,17 +166,16 @@ def _validate_seed(graph: EligibilityGraph, seed: GraphMatching) -> None:
 def maximum_matching(
     graph: EligibilityGraph,
     seed: Optional[GraphMatching] = None,
-    category_mask: Optional[Sequence[bool]] = None,
 ) -> GraphMatching:
     """Maximum-cardinality matching via Hopcroft-Karp with category loads.
 
     Augments the seed when one is given: matched agents never become
-    unmatched, only reassigned along augmenting paths. ``category_mask``
-    restricts the search to the categories it marks (used for the
-    preferential-side initial matching).
+    unmatched, only reassigned along augmenting paths. To match a subset of
+    the categories, pass the graph restricted to them
+    (``EligibilityGraph.from_members``).
 
     From an empty start the first phase is a greedy pass: each agent, in
-    index order, takes its first (unmasked) category with a free slot. That
+    index order, takes its first category with a free slot. That
     is exactly what the first phase's searches do, because with nobody
     matched every agent sits at layer 0 and no member of a full category
     sits at layer 1, so the search from an agent can only end at a free
@@ -198,10 +191,7 @@ def maximum_matching(
 
     n, caps = graph.num_agents, graph.capacities
     assignment, load, members = match.assignment, match.load, match.members
-    if category_mask is None:
-        adj: Sequence[Sequence[int]] = graph.agent_adj
-    else:
-        adj = [[c for c in cats if category_mask[c]] for cats in graph.agent_adj]
+    adj = graph.agent_adj
 
     if match._size == 0:
         for a, cats in enumerate(adj):

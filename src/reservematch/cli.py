@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 from typing import Any, Callable, Optional, Sequence
@@ -168,15 +169,19 @@ class GeneratorSpec:
 # solve
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; the empty string is the empty list, and any
-    other empty element (``0,,1`` or a trailing comma) is bad input."""
+    """Comma-separated integers, each ASCII ``-?[0-9]+``; the empty string is
+    the empty list. Anything else ``int()`` would read (an empty element,
+    spaces, a ``+`` sign, ``_`` separators, non-ASCII digits) is bad input."""
     if text == "":
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise InstanceError(f"expected comma-separated integers, got {text!r}") from None
+    parts = text.split(",")
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise InstanceError(f"expected comma-separated integers, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def _read_text(path: str) -> str:

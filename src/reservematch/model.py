@@ -198,18 +198,6 @@ class ReserveSystem(Record):
     def position(self, c: int, agent: int) -> int:
         return self.priorities[c].position(agent)
 
-    def compare_priority(self, c: int, a: int, b: int) -> bool:
-        """True iff agent a ranks strictly above agent b at category c."""
-        if a == b:
-            raise ValueError("compare_priority requires two distinct agents")
-        return self.position(c, a) < self.position(c, b)
-
-    def agent_categories(self, agent: int) -> tuple[int, ...]:
-        """Categories the agent is eligible for, ascending index."""
-        return tuple(
-            c for c in range(self.num_categories) if self.is_eligible(agent, c)
-        )
-
 
 class PrecedenceOrder(Record):
     """Tier per category; smaller tiers are processed earlier, ties together."""
@@ -532,7 +520,9 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
 
     Capacities must be respected; eligibility is deliberately not required
     here (axiom checkers evaluate it). Agents missing from the data are
-    unmatched; an agent named by two keys (say "1" and "01") is an error.
+    unmatched. The key of agent i is ``str(i)`` exactly: any other text
+    ``int()`` reads ("01", " 1", "+1") is an error, so no two keys name one
+    agent.
     """
     base = base_of(system)
     try:
@@ -540,17 +530,15 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed matching data: {exc}") from exc
     assignment: list[Optional[int]] = [None] * base.num_agents
-    named = bytearray(base.num_agents)
     for key, value in entries.items():
         try:
             agent = int(key)
         except ValueError:
-            raise InstanceError(f"matching names non-integer agent {key!r}") from None
+            agent = None
+        if agent is None or key != str(agent):
+            raise InstanceError(f"matching key {key!r} is not an agent index")
         if not 0 <= agent < base.num_agents:
             raise InstanceError(f"matching names unknown agent {agent}")
-        if named[agent]:
-            raise InstanceError(f"matching names agent {agent} twice (key {key!r})")
-        named[agent] = 1
         if value is None:
             continue
         c = value if type(value) is int else _integer(value, f"category of agent {agent}")

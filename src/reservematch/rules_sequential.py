@@ -24,16 +24,18 @@ earlier fix, places the candidate and keeps both maxima:
   number of agents.
 
 All three start from a dual maximum matching, which yields both maxima: the
-network states take Hopcroft-Karp's (``dual_maximum_matching``) and
-``bipartite`` builds its own on the quotient, with the search its candidates
-run (``_quotient_path``) rooted at the source. All three keep one fix ledger
-(``FixLedger``) and return the identical matching; the fixed set equals the
-matched set on termination, which is asserted every run.
+network states take ``dual_maximum_matching``'s and ``bipartite`` builds its
+own on the quotient, with the search its candidates run (``_quotient_path``)
+rooted at the source. All three keep one fix ledger (``FixLedger``) and
+return the identical matching; the fixed set equals the matched set on
+termination, which is asserted every run.
 
-``check`` takes the same two maxima from ``dual_maximum_matching`` seeded
-with the matching under check; there one backward augmenting search per
-stage (``bipartite.augment_backward``) certifies a maximum seed without a
-graph or a Hopcroft-Karp pass.
+``dual_maximum_matching`` is one loop over two stages, the preferential
+categories and then all of them. ``check`` passes the matching under check
+as its start: each stage is seeded from it and certified by one backward
+augmenting search (``bipartite.augment_backward``), so a maximum matching
+costs no graph and no Hopcroft-Karp pass. Unseeded, or when that search
+finds a path, a stage runs Hopcroft-Karp on its own graph.
 """
 
 from __future__ import annotations
@@ -81,59 +83,40 @@ def dual_maximum_matching(
     maximum first, then augment in the full graph (augmentation preserves all
     per-category loads except the endpoint gain).
 
-    With ``start``, each stage is seeded from its eligible pairs that fit
-    the capacities and then certified by one backward augmenting search
-    (``augment_backward``) on the eligible prefixes: stage 1 on the
-    preferential categories alone, stage 2 on all of them. A search that
-    finds no path proves its stage maximum (Berge), so a maximum ``start``
-    costs no graph and no Hopcroft-Karp pass. A search that finds one has
-    applied it, and Hopcroft-Karp finishes that stage from the working
-    matching, on a graph built once for both stages; b and m do not depend
-    on the seed.
+    Each stage is one set of member lists: the preferential categories'
+    eligible agents (``()`` at the open ones), when there are preferential
+    categories, then every category's. With ``start``, a stage is seeded
+    from its pairs in ``start`` that fit the capacities and then certified
+    by one backward augmenting search (``augment_backward``) over its
+    lists. A search that finds no path proves the stage maximum (Berge), so
+    a maximum ``start`` costs no graph and no Hopcroft-Karp pass. One
+    search, not a loop of them: each further path would cost another pass
+    over the edges, where Hopcroft-Karp bounds the rest of the stage by
+    O(sqrt(n)) passes. So without ``start``, or when the search applied a
+    path, Hopcroft-Karp finishes the stage from the working matching on the
+    stage's own graph. b and m do not depend on the seed.
     """
     seq = as_sequential(system)
-    if start is not None:
-        return _certified_dual_maximum(seq, start)
-    graph = build_graph(seq.base)
-    stage1 = GraphMatching(graph.num_agents, graph.num_categories)
+    n, caps = seq.num_agents, seq.capacities
+    elig = [seq.base.eligible_agents(c) for c in range(seq.num_categories)]
+    stages = [elig]
     if seq.preferential:
-        category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
-        stage1 = maximum_matching(graph, seed=stage1, category_mask=category_mask)
-    b = stage1.size()
-    match = maximum_matching(graph, seed=stage1)
-    m = match.size()
-    assert _beneficiary_load(match, seq) == b
-    return match, b, m
-
-
-def _certified_dual_maximum(
-    seq: SequentialReserveSystem, start: Matching
-) -> tuple[GraphMatching, int, int]:
-    """``dual_maximum_matching`` seeded from ``start``. One backward search
-    per stage, not a loop of them: each further path would cost another
-    pass over the edges, where Hopcroft-Karp bounds the rest of the stage
-    by O(sqrt(n)) passes."""
-    base, caps = seq.base, seq.capacities
-    elig = [base.eligible_agents(c) for c in range(seq.num_categories)]
-    match = GraphMatching(seq.num_agents, seq.num_categories)
-    graph: Optional[EligibilityGraph] = None
-    if seq.preferential:
-        _seed_from(match, start, seq, preferential=True)
-        limit = [
-            len(agents) if c in seq.preferential else 0
-            for c, agents in enumerate(elig)
-        ]
-        if augment_backward(elig, limit, match, caps, []):
-            graph = build_graph(base)
-            category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
-            match = maximum_matching(graph, seed=match, category_mask=category_mask)
-    b = match.size()
-    _seed_from(match, start, seq, preferential=False)
-    if augment_backward(elig, [len(agents) for agents in elig], match, caps, []):
-        if graph is None:
-            graph = build_graph(base)
-        match = maximum_matching(graph, seed=match)
-    m = match.size()
+        stages.insert(0, [
+            agents if c in seq.preferential else () for c, agents in enumerate(elig)
+        ])
+    match = GraphMatching(n, seq.num_categories)
+    sizes = []
+    for members in stages:
+        if start is not None:
+            _seed_from(match, start, members, seq)
+        if start is None or augment_backward(
+            members, [len(agents) for agents in members], match, caps, []
+        ):
+            graph = EligibilityGraph.from_members(n, members, caps)
+            match = maximum_matching(graph, seed=match)
+        sizes.append(match.size())
+    b = sizes[0] if seq.preferential else 0
+    m = sizes[-1]
     assert _beneficiary_load(match, seq) == b
     return match, b, m
 
@@ -141,19 +124,19 @@ def _certified_dual_maximum(
 def _seed_from(
     match: GraphMatching,
     start: Matching,
+    members: Sequence[Sequence[int]],
     seq: SequentialReserveSystem,
-    preferential: bool,
 ) -> None:
-    """Add the pairs of ``start`` in preferential (or open) categories whose
-    agent is still unmatched in ``match``, is eligible there and finds a
-    free slot."""
-    caps, pref, is_eligible = seq.capacities, seq.preferential, seq.base.is_eligible
+    """Add the pairs of ``start`` in the stage's categories (those with a
+    non-empty ``members`` list) whose agent is still unmatched in ``match``,
+    is eligible there and finds a free slot."""
+    caps, is_eligible = seq.capacities, seq.base.is_eligible
     assignment, load = match.assignment, match.load
     for agent, c in enumerate(start.assignment):
         if (
             c is not None
             and 0 <= c < len(caps)
-            and (c in pref) == preferential
+            and members[c]
             and assignment[agent] is None
             and load[c] < caps[c]
             and is_eligible(agent, c)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from util import hybrid_instance as _hybrid_instance
+from util import agent_categories, hybrid_instance as _hybrid_instance
 
 from reservematch import axioms
 from reservematch.cli import GeneratorSpec, main
@@ -92,7 +92,7 @@ def test_respect_priorities_matches_quadratic_scan():
         for agent in rng.sample(range(system.num_agents), system.num_agents):
             room = [
                 c
-                for c in system.agent_categories(agent)
+                for c in agent_categories(system, agent)
                 if loads[c] < system.capacities[c]
             ]
             if room and rng.random() < 0.7:
@@ -307,7 +307,7 @@ def _random_matching(rng, system, eligible_only):
     assignment = [None] * base.num_agents
     for agent in rng.sample(range(base.num_agents), base.num_agents):
         options = (
-            base.agent_categories(agent) if eligible_only else range(base.num_categories)
+            agent_categories(base, agent) if eligible_only else range(base.num_categories)
         )
         room = [c for c in options if loads[c] < base.capacities[c]]
         if room and rng.random() < 0.8:

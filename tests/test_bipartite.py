@@ -62,13 +62,11 @@ def random_system(rng: random.Random, max_agents=6, max_categories=3) -> Reserve
 def test_build_graph_edges(contested_pair, grouped_six):
     g = build_graph(contested_pair)
     assert g.agent_adj == ((0,), (0, 1), (1,))
-    assert g.category_adj == ((0, 1), (1, 2))
+    assert g.num_categories == 2
     g6 = build_graph(grouped_six.base)
     # 3 + 6 + 3 eligibility edges
     assert g6.num_edges() == 12
-    assert g6.category_adj[0] == (0, 1, 2)
-    assert g6.category_adj[1] == (0, 1, 2, 3, 4, 5)
-    assert g6.category_adj[2] == (3, 4, 5)
+    assert g6.agent_adj == ((0, 1),) * 3 + ((1, 2),) * 3
 
 
 def test_build_graph_edgeless():
@@ -137,8 +135,7 @@ def test_long_augmenting_path_needs_no_recursion():
     # all n agents to reach the free category n-1
     n = 400
     agent_adj = tuple((i, i + 1) for i in range(n - 1)) + ((0,),)
-    category_adj = ((0, n - 1),) + tuple((c - 1, c) for c in range(1, n))
-    graph = EligibilityGraph(agent_adj, category_adj, (1,) * n)
+    graph = EligibilityGraph(agent_adj, (1,) * n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
@@ -323,10 +320,15 @@ def _random_graph(rng: random.Random) -> EligibilityGraph:
     agent_adj = tuple(
         tuple(c for c in range(k) if rng.random() < density) for _ in range(n)
     )
-    category_adj = tuple(
-        tuple(a for a in range(n) if c in agent_adj[a]) for c in range(k)
+    return EligibilityGraph(agent_adj, caps)
+
+
+def _marked(graph: EligibilityGraph, mask: Sequence[bool]) -> EligibilityGraph:
+    """The subgraph on the categories ``mask`` marks."""
+    return EligibilityGraph(
+        tuple(tuple(c for c in cats if mask[c]) for cats in graph.agent_adj),
+        graph.capacities,
     )
-    return EligibilityGraph(agent_adj, category_adj, caps)
 
 
 def _random_seed(rng: random.Random, graph: EligibilityGraph, kind: str):
@@ -346,13 +348,16 @@ def test_maximum_matching_equals_reference_on_random_graphs():
     rng = random.Random(2024)
     kinds = ("none", "empty", "partial")
     for trial in range(2400):
-        graph = _random_graph(rng)
+        graph = searched = _random_graph(rng)
         mask = None
         if trial % 2:
+            # the masked reference against the marked-category subgraph,
+            # seeded inside the marked categories
             mask = [rng.random() < 0.6 for _ in range(graph.num_categories)]
-        seed = _random_seed(rng, graph, kinds[trial % 3])
+            searched = _marked(graph, mask)
+        seed = _random_seed(rng, searched, kinds[trial % 3])
         expected = _hk_reference(graph, seed, mask)
-        got = maximum_matching(graph, seed, mask)
+        got = maximum_matching(searched, seed)
         assert got.assignment == expected.assignment, (trial, graph, seed, mask)
         assert got.load == expected.load and got.size() == expected.size()
 
@@ -364,7 +369,7 @@ def test_maximum_matching_equals_reference_at_scale():
     assert maximum_matching(graph).assignment == _hk_reference(graph).assignment
     mask = [c % 2 == 0 for c in range(10)]
     assert (
-        maximum_matching(graph, category_mask=mask).assignment
+        maximum_matching(_marked(graph, mask)).assignment
         == _hk_reference(graph, category_mask=mask).assignment
     )
 

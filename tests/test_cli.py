@@ -539,11 +539,17 @@ def test_bad_baseline_exits_2(capsys, corpus_dir):
         ("--agent-order", "0,1,2,"),
         ("--category-order", ",1,0"),
         ("--sizes", "10,,20"),
+        # text int() reads as an integer but that is not ASCII -?[0-9]+
+        ("--baseline", " 0,+1,0_2"),
+        ("--agent-order", "\uff12,1,0"),
+        ("--category-order", "1 ,0"),
+        ("--sizes", "1_0"),
     ],
 )
 def test_empty_list_element_exits_2(capsys, corpus_dir, option, value):
     """An empty element of an integer list is bad input, not skipped: read
-    without it, each of these lists is a valid value of its option."""
+    without it, each of these lists is a valid value of its option. So is
+    an element that is not ASCII digits with an optional leading ``-``."""
     instance = str(corpus_dir / "contested_pair.json")
     argv = {
         "--baseline": ["solve", "-i", instance, "--rule", "rev"],
@@ -617,6 +623,9 @@ def test_hybrid_marker_outside_the_open_categories_exits_2(capsys, tmp_path):
         {"1": 0, "01": 1},
         {"01": 1, "1": 0},
         {"1": None, " 1": 0},
+        # a key that int() reads but that is not str(agent)
+        {"+0": 0, " 1": 1},
+        {"\uff11": 1},
         # an array, not an object: read as pairs it would place agent 1 in category 0
         ["10"],
         [["0", 1]],

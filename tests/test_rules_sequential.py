@@ -6,7 +6,10 @@ from collections import Counter, deque
 
 import pytest
 
+from test_bipartite import _hk_reference
+
 from reservematch import axioms
+from reservematch.bipartite import EligibilityGraph, GraphMatching, build_graph
 from reservematch.cli import GeneratorSpec, main
 from reservematch.harness import oracle_maxima
 from reservematch.model import (
@@ -89,6 +92,51 @@ def test_dual_maximum_agrees_with_oracle():
         assert (b, m) == (maxima.b, maxima.m)
 
 
+def _dual_maximum_reference(system):
+    """``dual_maximum_matching`` without a start as it was when Hopcroft-Karp
+    took a category mask: one graph, the preferential stage masked."""
+    seq = as_sequential(system)
+    graph = build_graph(seq.base)
+    stage1 = GraphMatching(graph.num_agents, graph.num_categories)
+    if seq.preferential:
+        category_mask = [seq.is_beneficial(c) for c in range(seq.num_categories)]
+        stage1 = _hk_reference(graph, seed=stage1, category_mask=category_mask)
+    b = stage1.size()
+    match = _hk_reference(graph, seed=stage1)
+    return match, b, match.size()
+
+
+def test_dual_maximum_equals_masked_reference():
+    """Each stage on its own graph returns the matching, b and m of the
+    masked Hopcroft-Karp stages on one graph."""
+    rng = random.Random("dual-reference")
+    seen = set()
+    for trial in range(160):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.choice([0, rng.randint(0, 20), rng.randint(0, 200)]),
+            num_categories=rng.randint(1, 8),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:0:20"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme="equal",
+            seed=trial,
+        ).build())
+        match, b, m = dual_maximum_matching(seq)
+        expected, b_ref, m_ref = _dual_maximum_reference(seq)
+        assert (match.assignment, b, m) == (expected.assignment, b_ref, m_ref), trial
+        seen.update({
+            "no agents": seq.num_agents == 0,
+            "zero capacity": 0 in seq.capacities,
+            "none preferential": not seq.preferential,
+            "some preferential": 0 < len(seq.preferential) < seq.num_categories,
+            "all preferential": len(seq.preferential) == seq.num_categories,
+        }.items())
+    assert {name for name, hit in seen if hit} == {
+        "no agents", "zero capacity", "none preferential",
+        "some preferential", "all preferential",
+    }
+
+
 def _random_start(rng, system, kind):
     """A matching to seed from: arbitrary pairs (ineligible ones and
     overfilled categories included), or a random part of a dual maximum."""
@@ -129,18 +177,27 @@ def test_seeded_dual_maximum_matches_unseeded(kind):
 
 
 def _count_graph_calls(monkeypatch) -> Counter:
-    """Count ``build_graph`` and ``maximum_matching`` calls from every
-    module that holds the names."""
+    """Count graph builds, at ``EligibilityGraph.from_members`` (which
+    ``build_graph`` calls too), and ``maximum_matching`` calls from every
+    module that holds the name."""
     from reservematch import bipartite, rules_basic, rules_sequential
 
     calls: Counter = Counter()
-    for name in ("build_graph", "maximum_matching"):
-        def counted(*args, _name=name, _function=getattr(bipartite, name), **kwargs):
-            calls[_name] += 1
-            return _function(*args, **kwargs)
+    from_members = EligibilityGraph.from_members
 
-        for module in (bipartite, rules_basic, rules_sequential):
-            monkeypatch.setattr(module, name, counted)
+    def counted_graph(cls, *args, **kwargs):
+        calls["from_members"] += 1
+        return from_members(*args, **kwargs)
+
+    monkeypatch.setattr(EligibilityGraph, "from_members", classmethod(counted_graph))
+    hopcroft_karp = bipartite.maximum_matching
+
+    def counted_hopcroft_karp(*args, **kwargs):
+        calls["maximum_matching"] += 1
+        return hopcroft_karp(*args, **kwargs)
+
+    for module in (bipartite, rules_basic, rules_sequential):
+        monkeypatch.setattr(module, "maximum_matching", counted_hopcroft_karp)
     return calls
 
 
@@ -191,9 +248,9 @@ def test_seeded_dual_maximum_grid(kind, monkeypatch):
         for agent, c in enumerate(match.assignment):
             assert c is None or seq.base.is_eligible(agent, c)
         assert all(load <= cap for load, cap in zip(match.load, seq.capacities))
-        # the graph is built once for both stages, and each stage runs at
-        # most one Hopcroft-Karp pass
-        assert calls["build_graph"] <= 1 and calls["maximum_matching"] <= 2
+        # each stage runs at most one Hopcroft-Karp pass, on a graph it
+        # builds for that pass alone
+        assert calls["from_members"] == calls["maximum_matching"] <= 2
         if kind == "maximum":
             assert tuple(match.assignment) == start.assignment
             assert not calls
@@ -271,13 +328,13 @@ def test_check_certifies_maxima_without_hopcroft_karp(rule, tmp_path, monkeypatc
     with monkeypatch.context() as patch:
         calls = _count_graph_calls(patch)
         assert main(check + ["-m", str(short)]) == 1
-    assert calls == {"build_graph": 1, "maximum_matching": 1}
+    assert calls == {"from_members": 1, "maximum_matching": 1}
     certified = capsys.readouterr().out
     with monkeypatch.context() as patch:
         patch.setattr(rules_sequential, "augment_backward", lambda *args: True)
         calls = _count_graph_calls(patch)
         assert main(check + ["-m", str(short)]) == 1
-    assert calls == {"build_graph": 1, "maximum_matching": 2}
+    assert calls == {"from_members": 2, "maximum_matching": 2}
     assert capsys.readouterr().out == certified
 
 

@@ -18,6 +18,21 @@ from reservematch.model import (
 )
 
 
+def compare_priority(system: ReserveSystem, c: int, a: int, b: int) -> bool:
+    """True iff agent a ranks strictly above agent b at category c."""
+    if a == b:
+        raise ValueError("compare_priority requires two distinct agents")
+    return system.position(c, a) < system.position(c, b)
+
+
+def agent_categories(system: ReserveSystem, agent: int) -> tuple[int, ...]:
+    """Categories the agent is eligible for, ascending index: a scan of all
+    K rankings, which the rules avoid by reading the eligibility graph."""
+    return tuple(
+        c for c in range(system.num_categories) if system.is_eligible(agent, c)
+    )
+
+
 def fundamental_verdicts(system, matching, max_size):
     return [
         axioms.check_eligibility(system, matching),
@@ -89,7 +104,7 @@ def mma_induced_matchings(system, maxima) -> set[Matching]:
             for agent in range(system.num_agents):
                 if assignment[agent] is not None:
                     continue
-                for c in system.agent_categories(agent):
+                for c in agent_categories(system, agent):
                     if (agent, c) in considered:
                         continue
                     members = [a for a, d in enumerate(assignment) if d == c]
