@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from .model import (
     AnySystem,
+    InstanceError,
     Matching,
     Record,
     ReserveSystem,
@@ -37,11 +38,11 @@ FUNDAMENTAL = (ELIGIBILITY, RESPECT_PRIORITIES, NON_WASTEFULNESS, MAX_CARDINALIT
 SEQUENTIAL = (MAX_BENEFICIARY, ORDER_PRESERVATION_SWAP, RESPECT_PRECEDENCE)
 
 
-class NotHybridInstance(ValueError):
+class NotHybridInstance(InstanceError):
     """The instance carries no hybrid open-category split."""
 
 
-class OracleBoundExceeded(ValueError):
+class OracleBoundExceeded(InstanceError):
     """Oracle-mode precedence check refused on an oversized instance."""
 
 

@@ -18,15 +18,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .model import Matching, Record, ReserveSystem
+from .model import InstanceError, Matching, Record, ReserveSystem
 
 
-class InvalidSeed(ValueError):
+class InvalidSeed(InstanceError):
     """Seed matching violates capacities or eligibility."""
-
-
-class PathInconsistent(ValueError):
-    """Alternating path does not fit the matching it is applied to."""
 
 
 class EligibilityGraph(Record):
@@ -373,58 +369,6 @@ class AlternatingPath(Record):
     def __init__(self, nodes: tuple[int, ...], start_kind: str, end_kind: str) -> None:
         self._init(nodes, start_kind, end_kind)
 
-    def agents(self) -> tuple[int, ...]:
-        offset = 1 if self.start_kind != START_UNMATCHED else 0
-        return self.nodes[offset::2]
-
-    def categories(self) -> tuple[int, ...]:
-        offset = 0 if self.start_kind != START_UNMATCHED else 1
-        return self.nodes[offset::2]
-
-
-def apply_path(
-    match: GraphMatching,
-    path: AlternatingPath,
-    graph: Optional[EligibilityGraph] = None,
-) -> GraphMatching:
-    """Symmetric-difference update: each path agent flips between its two
-    adjacent categories (or between its single adjacent category and being
-    unmatched, at an agent endpoint). Applying the same path twice returns
-    the original matching. With a graph, eligibility and capacities of the
-    result are verified."""
-    result = match.copy()
-    nodes = path.nodes
-    start = 0 if path.start_kind == START_UNMATCHED else 1
-    for pos in range(start, len(nodes), 2):
-        agent = nodes[pos]
-        left = nodes[pos - 1] if pos > 0 else None
-        right = nodes[pos + 1] if pos + 1 < len(nodes) else None
-        current = match.assignment[agent]
-        if right is not None and current == right:
-            target = left
-        elif left is not None and current == left:
-            target = right
-        elif current is None and (left is None or right is None):
-            target = right if left is None else left
-        else:
-            raise PathInconsistent(
-                f"agent {agent} is matched to {current}, not to a path-adjacent "
-                f"category"
-            )
-        if target is None:
-            result.unassign(agent)
-        else:
-            if graph is not None and not graph.has_edge(agent, target):
-                raise PathInconsistent(
-                    f"agent {agent} is not eligible for category {target}"
-                )
-            result.assign(agent, target)
-    if graph is not None:
-        for c, load in enumerate(result.load):
-            if load > graph.capacities[c]:
-                raise PathInconsistent(f"category {c} over capacity after update")
-    return result
-
 
 def find_alternating_path(
     graph: EligibilityGraph,
@@ -433,8 +377,6 @@ def find_alternating_path(
     end: Optional[int] = None,
     frozen_agents: Iterable[int] = (),
     frozen_categories: Iterable[int] = (),
-    end_classes: Optional[Sequence[int]] = None,
-    required_end_class: Optional[int] = None,
     from_unmatched: bool = False,
 ) -> Optional[AlternatingPath]:
     """Search for a unit-shift path, exhaustively over the reachable structure.
@@ -446,8 +388,7 @@ def find_alternating_path(
       agent and pushes one unit into c.
     * ``end=c`` alone: the path sheds from some other category into c.
 
-    Frozen agents/categories never appear inside the path. ``end_classes``
-    with ``required_end_class`` filters the free endpoint by class.
+    Frozen agents/categories never appear inside the path.
     """
     frozen_a = set(frozen_agents)
     frozen_c = set(frozen_categories)
@@ -459,12 +400,8 @@ def find_alternating_path(
                 return _build_forward_path(reach, start, end, END_TERMINAL)
             return None
         for c in sorted(reach.entered):
-            if match.load[c] >= graph.capacities[c]:
-                continue
-            if required_end_class is not None and end_classes is not None:
-                if end_classes[c] != required_end_class:
-                    continue
-            return _build_forward_path(reach, start, c, END_VACANCY)
+            if match.load[c] < graph.capacities[c]:
+                return _build_forward_path(reach, start, c, END_VACANCY)
         return None
 
     if end is None:
@@ -483,14 +420,10 @@ def find_alternating_path(
                     return AlternatingPath((w,) + tail, START_UNMATCHED, END_TERMINAL)
         return None
 
-    for origin in sorted(send.senders):
-        if required_end_class is not None and end_classes is not None:
-            if end_classes[origin] != required_end_class:
-                continue
-        return AlternatingPath(
-            _build_send_path(send, origin, end), START_LOSES, END_TERMINAL
-        )
-    return None
+    if not send.senders:
+        return None
+    origin = min(send.senders)
+    return AlternatingPath(_build_send_path(send, origin, end), START_LOSES, END_TERMINAL)
 
 
 class ForwardReach:
@@ -507,20 +440,17 @@ def forward_reach(
     start: int,
     frozen_agents: set[int],
     frozen_categories: set[int],
-    no_expand: frozenset[int] = frozenset(),
 ) -> ForwardReach:
     """Categories reachable by shifting units away from ``start``.
 
     Each step moves one currently-matched, non-frozen agent from the frontier
     category to another category it is eligible for. Passing through a full
     category is legal (its load change cancels); only the endpoint needs
-    room, which the caller checks. ``no_expand`` categories may be entered
-    but are never shifted out of again.
+    room, which the caller checks.
     """
     entered: set[int] = set()
     parent: dict[int, tuple[int, int]] = {}
     queue: deque[int] = deque([start])
-    expanded = {start}
     while queue:
         d = queue.popleft()
         for x in sorted(match.members[d]):
@@ -532,9 +462,7 @@ def forward_reach(
                 if e not in entered:
                     entered.add(e)
                     parent[e] = (d, x)
-                    if e not in expanded and e not in no_expand:
-                        expanded.add(e)
-                        queue.append(e)
+                    queue.append(e)
     return ForwardReach(entered, parent)
 
 

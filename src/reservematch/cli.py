@@ -1,7 +1,8 @@
 """Command-line front end: solve, check, gen, verify, and bench.
 
 Exit codes: 0 on success / all checks passing, 1 on a failed check or an
-unexpected counterexample, 2 on usage or validation errors.
+unexpected counterexample, 2 on usage or validation errors, 3 on an internal
+error (a bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 # ``statistics`` and ``harness`` serve only ``bench`` and ``verify``, so they
 # are imported there, off the start-up path of ``solve`` and ``check``.
 from . import axioms
-from .bipartite import GraphMatching, InvalidSeed
+from .bipartite import GraphMatching
 from .model import (
     AnySystem,
     InstanceError,
@@ -37,13 +38,7 @@ from .model import (
     parse_matching,
 )
 from .netflow import build_compact_network, build_reserve_network
-from .rules_basic import (
-    NotMaximumSeed,
-    PrefsNotEligible,
-    da_allocate,
-    mma_allocate,
-    rev_allocate,
-)
+from .rules_basic import da_allocate, mma_allocate, rev_allocate
 from .rules_sequential import (
     DEFAULT_IMPL,
     IMPLEMENTATIONS,
@@ -54,16 +49,22 @@ from .rules_sequential import (
 RULES = ("da", "rev", "mma", "scu")
 
 # Errors that mean the input was bad (exit 2), as opposed to a failed check.
-_INPUT_ERRORS = (
-    InstanceError,
-    OSError,
-    json.JSONDecodeError,
-    InvalidSeed,
-    NotMaximumSeed,
-    PrefsNotEligible,
-    axioms.NotHybridInstance,
-    axioms.OracleBoundExceeded,
-)
+_INPUT_ERRORS = (InstanceError, OSError, json.JSONDecodeError)
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for ASCII ``-?[0-9]+`` only: anything else ``int()``
+    would read (spaces, a ``+`` sign, ``_`` separators, non-ASCII digits)
+    raises ValueError."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+# argparse names an option's type in its error: "invalid int value: '1_0'"
+_integer.__name__ = "int"
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,9 @@ class GeneratorSpec:
         kind, _, rest = self.capacity.partition(":")
         try:
             if kind == "const":
-                return int(rest)
+                return _integer(rest)
             if kind == "uniform":
-                lo, hi = (int(x) for x in rest.split(":"))
+                lo, hi = (_integer(x) for x in rest.split(":"))
                 return rng.randint(lo, hi)
         except ValueError:
             raise InstanceError(
@@ -149,7 +150,7 @@ class GeneratorSpec:
             rng.shuffle(tiers)
         elif self.tier_scheme.startswith("random:"):
             try:
-                k = int(self.tier_scheme.split(":", 1)[1])
+                k = _integer(self.tier_scheme.split(":", 1)[1])
             except ValueError:
                 raise InstanceError(
                     f"bad tier scheme {self.tier_scheme!r}: expected random:K "
@@ -167,9 +168,6 @@ class GeneratorSpec:
 
 # ---------------------------------------------------------------------------
 # solve
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -605,27 +603,27 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--search", choices=("flow", "oracle"), default="flow")
 
     gen = sub.add_parser("gen", help="generate a random instance file")
-    gen.add_argument("--agents", type=int, required=True)
-    gen.add_argument("--categories", type=int, required=True)
+    gen.add_argument("--agents", type=_integer, required=True)
+    gen.add_argument("--categories", type=_integer, required=True)
     gen.add_argument("--capacity", default="const:1")
     gen.add_argument("--density", type=float, default=0.5)
     gen.add_argument("--preferential-fraction", type=float, default=0.0)
     gen.add_argument("--tiers", default="equal")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--correlated", action="store_true")
     gen.add_argument("--output", "-o")
 
     verify = sub.add_parser("verify", help="run property sweeps for a rule")
     verify.add_argument("--rule", required=True, choices=RULES)
     verify.add_argument("--sweep", choices=("small", "corpus", "random"), default="small")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_integer, default=0)
 
     bench = sub.add_parser("bench", help="time rules on generated instances, in CPU seconds")
     bench.add_argument("--sizes", default="500,1000,2000")
     bench.add_argument("--rules", default="mma,rev")
-    bench.add_argument("--repetitions", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--categories", type=int, default=10)
+    bench.add_argument("--repetitions", type=_integer, default=3)
+    bench.add_argument("--seed", type=_integer, default=0)
+    bench.add_argument("--categories", type=_integer, default=10)
     bench.add_argument("--density", type=float, default=0.1)
     return parser
 
@@ -650,6 +648,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not bad input or a failed check: exit 1 would read as
+        # "axiom failed"
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ from .bipartite import (
 from .model import InstanceError, Matching, Record, ReserveSystem
 
 
-class PrefsNotEligible(ValueError):
+class PrefsNotEligible(InstanceError):
     """A preference list names a category the agent is not eligible for."""
 
 
-class NotMaximumSeed(ValueError):
+class NotMaximumSeed(InstanceError):
     """The supplied initial matching is not maximum-cardinality."""
 
 

@@ -108,7 +108,7 @@ def dual_maximum_matching(
     sizes = []
     for members in stages:
         if start is not None:
-            _seed_from(match, start, members, seq)
+            _seed_from(match, start, members, caps)
         if start is None or augment_backward(
             members, [len(agents) for agents in members], match, caps, []
         ):
@@ -125,23 +125,16 @@ def _seed_from(
     match: GraphMatching,
     start: Matching,
     members: Sequence[Sequence[int]],
-    seq: SequentialReserveSystem,
+    caps: Sequence[int],
 ) -> None:
-    """Add the pairs of ``start`` in the stage's categories (those with a
-    non-empty ``members`` list) whose agent is still unmatched in ``match``,
-    is eligible there and finds a free slot."""
-    caps, is_eligible = seq.capacities, seq.base.is_eligible
-    assignment, load = match.assignment, match.load
-    for agent, c in enumerate(start.assignment):
-        if (
-            c is not None
-            and 0 <= c < len(caps)
-            and members[c]
-            and assignment[agent] is None
-            and load[c] < caps[c]
-            and is_eligible(agent, c)
-        ):
-            match.assign(agent, c)
+    """Add the pairs (agent, c) of ``start`` with agent in the stage's
+    ``members[c]`` whose agent is still unmatched in ``match`` and whose
+    category has a free slot."""
+    held, assignment, load = start.assignment, match.assignment, match.load
+    for c, agents in enumerate(members):
+        for agent in agents:
+            if held[agent] == c and assignment[agent] is None and load[c] < caps[c]:
+                match.assign(agent, c)
 
 
 def _beneficiary_load(match: GraphMatching, seq: SequentialReserveSystem) -> int:

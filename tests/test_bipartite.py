@@ -9,16 +9,13 @@ from typing import Optional, Sequence
 import pytest
 
 from reservematch.bipartite import (
-    AlternatingPath,
     EligibilityGraph,
     GraphMatching,
     InvalidSeed,
-    PathInconsistent,
-    END_VACANCY,
     START_LOSES,
     START_UNMATCHED,
     _validate_seed,
-    apply_path,
+    augment_backward,
     build_graph,
     find_alternating_path,
     maximum_matching,
@@ -167,20 +164,14 @@ def test_size_counter_tracks_moves():
             elif op == "from_matching":
                 match = GraphMatching.from_matching(match.to_matching(), num_categories)
             else:
-                # random node sequences; apply_path rejects the ones that do
-                # not fit the matching
-                length = rng.randint(2, 5)
-                nodes = tuple(
-                    rng.randrange(num_agents if k % 2 else num_categories)
-                    for k in range(length)
-                )
-                kind = rng.choice((START_LOSES, START_UNMATCHED))
-                if kind == START_UNMATCHED:
-                    nodes = (agent,) + nodes[: length - 1]
-                try:
-                    match = apply_path(match, AlternatingPath(nodes, kind, END_VACANCY))
-                except PathInconsistent:
-                    pass
+                # a backward search over random member lists applies an
+                # augmenting path when it finds one
+                members = [
+                    rng.sample(range(num_agents), rng.randint(0, num_agents))
+                    for _ in range(num_categories)
+                ]
+                caps = [rng.randint(0, 3) for _ in range(num_categories)]
+                augment_backward(members, list(map(len, members)), match, caps, [])
             assert match.size() == matched(match)
 
 
@@ -423,39 +414,3 @@ def test_unmatched_entry_path(grouped_six):
     assert path.start_kind == START_UNMATCHED
     assert path.nodes[-1] == 2
     assert match.assignment[path.nodes[0]] is None
-
-
-def test_apply_path_shift_and_involution(contested_pair):
-    graph = build_graph(contested_pair)
-    match = GraphMatching(3, 2)
-    match.assign(1, 0)
-    path = AlternatingPath((0, 1, 1), START_LOSES, "vacancy")
-    shifted = apply_path(match, path, graph)
-    assert shifted.assignment[1] == 1
-    assert shifted.load[0] == 0
-    # same path again undoes the update
-    back = apply_path(shifted, path, graph)
-    assert back.assignment == match.assignment
-
-
-def test_apply_path_augmenting_step(contested_pair):
-    graph = build_graph(contested_pair)
-    match = GraphMatching(3, 2)
-    path = AlternatingPath((2, 1), START_UNMATCHED, "vacancy")
-    grown = apply_path(match, path, graph)
-    assert grown.size() == match.size() + 1
-    assert apply_path(grown, path, graph).assignment == match.assignment
-
-
-def test_apply_path_inconsistent(contested_pair):
-    graph = build_graph(contested_pair)
-    match = GraphMatching(3, 2)
-    match.assign(2, 1)
-    # agent 1 is matched to neither path-adjacent category
-    bad = AlternatingPath((0, 1, 1), START_LOSES, "vacancy")
-    with pytest.raises(PathInconsistent):
-        apply_path(match, bad)
-    # an unmatched-endpoint flip must name an eligible category
-    ineligible = AlternatingPath((2, 0), START_UNMATCHED, "vacancy")
-    with pytest.raises(PathInconsistent):
-        apply_path(GraphMatching(3, 2), ineligible, graph)

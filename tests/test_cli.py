@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import runpy
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import reservematch
+from reservematch import cli
 from reservematch.cli import main
 from reservematch.model import matching_to_json, Matching
 
@@ -658,6 +660,12 @@ def test_non_integer_ranking_element_exits_2(capsys, corpus_dir, tmp_path, eleme
         ["--capacity", "const:x"],
         ["--preferential-fraction", "0.5", "--tiers", "random:x"],
         ["--capacity", "uniform:3:1"],
+        # text int() reads as an integer but that is not ASCII -?[0-9]+
+        ["--capacity", "const:+1"],
+        ["--capacity", "const: 1"],
+        ["--capacity", "uniform:0:1_0"],
+        ["--preferential-fraction", "0.5", "--tiers", "random:+2"],
+        ["--tiers", "random:\uff12"],
     ],
 )
 def test_gen_bad_spec_exits_2(capsys, tmp_path, spec):
@@ -665,6 +673,77 @@ def test_gen_bad_spec_exits_2(capsys, tmp_path, spec):
         capsys, "gen", "--agents", "3", "--categories", "2",
         "-o", str(tmp_path / "inst.json"), *spec,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--agents", "1_0", "--categories", "2"],
+        ["gen", "--agents", "3", "--categories", " 2"],
+        ["gen", "--agents", "3", "--categories", "2", "--seed", "\uff15"],
+        ["gen", "--agents", "+3", "--categories", "2"],
+        ["verify", "--rule", "da", "--seed", "1_0"],
+        ["bench", "--sizes", "10", "--rules", "mma", "--repetitions", " 1"],
+        ["bench", "--sizes", "10", "--rules", "mma", "--seed", "+0"],
+        ["bench", "--sizes", "10", "--rules", "mma", "--categories", "1_0"],
+    ],
+)
+def test_integer_option_exits_2_unless_plain_digits(capsys, argv):
+    """An integer option takes ASCII ``-?[0-9]+`` only. argparse reports
+    anything else ``int()`` would read as it reports ``--agents x``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "invalid int value" in err
+
+
+def test_negative_integer_option_is_read(capsys):
+    code, out = run_cli(capsys, "gen", "--agents", "2", "--categories", "1", "--seed", "-1")
+    assert code == 0
+    assert json.loads(out)["agents"] == 2
+
+
+def _broken_rule(system):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_exits_3(capsys, corpus_dir, monkeypatch):
+    """A bug is neither bad input (2) nor a failed check (1): it exits 3,
+    after its traceback and one ``internal error:`` line."""
+    monkeypatch.setattr(cli, "da_allocate", _broken_rule)
+    code = main(["solve", "-i", str(corpus_dir / "contested_pair.json"), "--rule", "da"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.count("internal error:") == 1
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+_BREAK_DA = """
+import reservematch.rules_basic
+
+def da_allocate(system):
+    raise RuntimeError("boom")
+
+reservematch.rules_basic.da_allocate = da_allocate
+"""
+
+
+def test_internal_error_is_the_process_exit_code(corpus_dir, tmp_path):
+    """``python -m reservematch.cli`` exits with main's code. A
+    ``sitecustomize`` breaks ``da`` before the CLI module imports it."""
+    (tmp_path / "sitecustomize.py").write_text(_BREAK_DA)
+    src = pathlib.Path(reservematch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(tmp_path), str(src))))
+    done = subprocess.run(
+        [sys.executable, "-m", "reservematch.cli",
+         "solve", "-i", str(corpus_dir / "contested_pair.json"), "--rule", "da"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 3
+    assert done.stderr.splitlines()[-1] == "internal error: RuntimeError: boom"
 
 
 _IMPORT_PROBE = """
