@@ -66,6 +66,21 @@ def _integer(text: str) -> int:
 # argparse names an option's type in its error: "invalid int value: '1_0'"
 _integer.__name__ = "int"
 
+_FLOAT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+
+
+def _float(text: str) -> float:
+    """``float(text)`` for plain ASCII decimals (``-?`` digits with an
+    optional ``.`` fraction) only: anything else ``float()`` would read
+    (spaces, a ``+`` sign, ``_`` separators, non-ASCII digits, exponents,
+    ``nan``, ``inf``) raises ValueError."""
+    if _FLOAT.fullmatch(text) is None:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
+_float.__name__ = "float"
+
 
 # ---------------------------------------------------------------------------
 # Instance generation
@@ -149,14 +164,13 @@ class GeneratorSpec:
             tiers = list(range(ncat))
             rng.shuffle(tiers)
         elif self.tier_scheme.startswith("random:"):
-            try:
-                k = _integer(self.tier_scheme.split(":", 1)[1])
-            except ValueError:
+            k = self.tier_scheme.split(":", 1)[1]
+            if _INTEGER.fullmatch(k) is None or int(k) < 1:
                 raise InstanceError(
                     f"bad tier scheme {self.tier_scheme!r}: expected random:K "
-                    f"with an integer K"
-                ) from None
-            tiers = [rng.randrange(max(1, k)) for _ in range(ncat)]
+                    f"with an integer K >= 1"
+                )
+            tiers = [rng.randrange(int(k)) for _ in range(ncat)]
         else:
             raise InstanceError(f"unknown tier scheme {self.tier_scheme!r}")
         return SequentialReserveSystem(
@@ -230,6 +244,8 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace and args.rule != "scu":
+        raise InstanceError(f"--trace is written by --rule scu only, not {args.rule}")
     system = parse_instance(_read_text(args.instance))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -481,6 +497,8 @@ def run_bench(
 
     if categories < 1:
         raise InstanceError(f"--categories must be at least 1, got {categories}")
+    if repetitions < 0:
+        raise InstanceError(f"--repetitions must be at least 0, got {repetitions}")
     rows: list[dict[str, Any]] = []
     medians: dict[tuple[str, int], float] = {}
     for size in sizes:
@@ -539,10 +557,10 @@ def run_bench(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes)
-    rules = [r for r in args.rules.split(",") if r]
+    rules = args.rules.split(",")
     for rule in rules:
         if rule not in RULES:
-            raise InstanceError(f"unknown rule {rule!r}")
+            raise InstanceError(f"unknown rule {rule!r} in --rules {args.rules!r}")
     report = run_bench(
         sizes,
         rules,
@@ -606,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--agents", type=_integer, required=True)
     gen.add_argument("--categories", type=_integer, required=True)
     gen.add_argument("--capacity", default="const:1")
-    gen.add_argument("--density", type=float, default=0.5)
-    gen.add_argument("--preferential-fraction", type=float, default=0.0)
+    gen.add_argument("--density", type=_float, default=0.5)
+    gen.add_argument("--preferential-fraction", type=_float, default=0.0)
     gen.add_argument("--tiers", default="equal")
     gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--correlated", action="store_true")
@@ -624,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repetitions", type=_integer, default=3)
     bench.add_argument("--seed", type=_integer, default=0)
     bench.add_argument("--categories", type=_integer, default=10)
-    bench.add_argument("--density", type=float, default=0.1)
+    bench.add_argument("--density", type=_float, default=0.1)
     return parser
 
 

@@ -14,6 +14,7 @@ are fixed by edge id, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
+from operator import add, lt, sub
 from typing import Iterable, Optional
 
 from .model import Matching, Record, SequentialReserveSystem
@@ -66,6 +67,21 @@ class BoundedFlowNetwork:
         self.upper.append(upper)
         return len(self.src) - 1
 
+    def add_edges(
+        self, us: list[int], vs: list[int], lower: list[int], upper: list[int]
+    ) -> range:
+        """``add_edge`` for each (u, v, lower, upper) in turn; the new edge
+        ids, in that order."""
+        if (lower and min(lower) < 0) or any(map(lt, upper, lower)):
+            k = next(k for k, (lo, up) in enumerate(zip(lower, upper)) if lo < 0 or up < lo)
+            raise ValueError(f"bad bounds ({lower[k]}, {upper[k]}) on edge {us[k]}->{vs[k]}")
+        first = len(self.src)
+        self.src += us
+        self.dst += vs
+        self.lower += lower
+        self.upper += upper
+        return range(first, len(self.src))
+
     def num_edges(self) -> int:
         return len(self.src)
 
@@ -89,120 +105,143 @@ class BoundedFlowNetwork:
         return "\n".join(lines) + "\n"
 
 
+_UNBOUNDED = 1 << 60  # the sink -> source arc's capacity, and the cap on a push
+
+
 class _Dinic:
-    """Plain max-flow core on non-negative capacities."""
+    """Plain max-flow core on non-negative capacities (Dinic 1970, with
+    current-arc pointers). The residual arrays are built in bulk: arc 2e
+    carries ``caps[e]`` from ``tails[e]`` to ``heads[e]`` and arc 2e + 1 is
+    its reverse. Each node's arcs are scanned in ascending arc id."""
 
-    def __init__(self, num_nodes: int):
+    def __init__(self, num_nodes: int, tails: list[int], heads: list[int], caps: list[int]):
+        arcs = 2 * len(tails)
         self.n = num_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
+        self.to = [0] * arcs
+        self.to[0::2] = heads
+        self.to[1::2] = tails
+        self.cap = [0] * arcs
+        self.cap[0::2] = caps
+        tail = [0] * arcs
+        tail[0::2] = tails
+        tail[1::2] = heads
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        arc = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[u].append(arc)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(arc + 1)
-        return arc
+        adj = self.adj
+        for arc, u in enumerate(tail):
+            adj[u].append(arc)
 
     def max_flow(self, s: int, t: int) -> int:
+        to, cap, adj = self.to, self.cap, self.adj
         flow = 0
         while True:
+            # levels by breadth-first layers, up to the layer that reaches t;
+            # t's layer-mates lie on no shortest s-t path and stay unlevelled
             level = [-1] * self.n
             level[s] = 0
-            queue: deque[int] = deque([s])
-            while queue:
-                u = queue.popleft()
-                for arc in self.adj[u]:
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
+            layer = [s]
+            depth = 0
+            while layer and level[t] < 0:
+                depth += 1
+                found = []
+                for u in layer:
+                    for arc in adj[u]:
+                        if cap[arc] and level[to[arc]] < 0:
+                            v = to[arc]
+                            level[v] = depth
+                            found.append(v)
+                layer = found
             if level[t] < 0:
                 return flow
+            for v in layer:
+                level[v] = -1
+            level[t] = depth
+            # blocking flow: walk down admissible arcs from s on an explicit
+            # path, retreat past dead ends, augment on reaching t and start
+            # again from s; it[u] is u's current arc
             it = [0] * self.n
-
-            def dfs(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.adj[u]):
-                    arc = self.adj[u][it[u]]
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[arc]))
-                        if pushed > 0:
-                            self.cap[arc] -= pushed
-                            self.cap[arc ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(_UNBOUNDED, *[cap[arc] for arc in path])
+                    for arc in path:
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                arcs, want = adj[u], level[u] + 1
+                for i in range(it[u], len(arcs)):
+                    arc = arcs[i]
+                    if cap[arc] and level[to[arc]] == want:
+                        it[u] = i
+                        path.append(arc)
+                        u = to[arc]
+                        break
+                else:
+                    if not path:
+                        break
+                    it[u] = len(arcs)
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
-    def flow_on(self, arc: int, original_cap: int) -> int:
-        return original_cap - self.cap[arc]
 
-
-def _verify(network: BoundedFlowNetwork, values: list[int]) -> None:
+def _verify(network: BoundedFlowNetwork, values: list[int]) -> int:
+    """Check every bound and conservation at every node but the source and
+    sink, in one pass over the edges; return the net flow out of the
+    source."""
+    if len(values) != network.num_edges():
+        raise AssertionError(f"{len(values)} flow values for {network.num_edges()} edges")
     balance = [0] * network.num_nodes
-    for e in range(network.num_edges()):
-        f = values[e]
-        if not network.lower[e] <= f <= network.upper[e]:
-            raise AssertionError(
-                f"edge {e} flow {f} outside [{network.lower[e]}, {network.upper[e]}]"
-            )
-        balance[network.src[e]] -= f
-        balance[network.dst[e]] += f
-    for v in range(network.num_nodes):
-        if v in (network.source, network.sink):
-            continue
-        if balance[v] != 0:
+    for e, (u, v, lo, up, f) in enumerate(
+        zip(network.src, network.dst, network.lower, network.upper, values)
+    ):
+        if not lo <= f <= up:
+            raise AssertionError(f"edge {e} flow {f} outside [{lo}, {up}]")
+        if f:
+            balance[u] -= f
+            balance[v] += f
+    total = -balance[network.source]
+    balance[network.source] = balance[network.sink] = 0
+    for v, net in enumerate(balance):
+        if net:
             raise AssertionError(f"conservation violated at node {v}")
+    return total
 
 
 def feasible_flow(network: BoundedFlowNetwork) -> Optional[Flow]:
     """Some integral flow meeting all bounds, or None when none exists."""
-    for e in range(network.num_edges()):
-        if network.lower[e] > network.upper[e]:
-            return None
+    lower, upper = network.lower, network.upper
+    caps = list(map(sub, upper, lower))
+    if caps and min(caps) < 0:
+        return None
     n = network.num_nodes
     super_s, super_t = n, n + 1
-    dinic = _Dinic(n + 2)
     excess = [0] * n
-    edge_arcs: list[int] = []
-    for e in range(network.num_edges()):
-        lo, up = network.lower[e], network.upper[e]
-        edge_arcs.append(dinic.add(network.src[e], network.dst[e], up - lo))
-        excess[network.dst[e]] += lo
-        excess[network.src[e]] -= lo
-    dinic.add(network.sink, network.source, 1 << 60)
+    for u, v, lo in zip(network.src, network.dst, lower):
+        if lo:
+            excess[v] += lo
+            excess[u] -= lo
+    # every edge, then the sink -> source arc, then the supernode arcs
+    tails, heads = network.src + [network.sink], network.dst + [network.source]
+    caps.append(_UNBOUNDED)
     need = 0
-    for v in range(n):
-        if excess[v] > 0:
-            dinic.add(super_s, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            dinic.add(v, super_t, -excess[v])
+    for v, units in enumerate(excess):
+        if units > 0:
+            tails.append(super_s)
+            heads.append(v)
+            caps.append(units)
+            need += units
+        elif units < 0:
+            tails.append(v)
+            heads.append(super_t)
+            caps.append(-units)
+    dinic = _Dinic(n + 2, tails, heads, caps)
     if dinic.max_flow(super_s, super_t) < need:
         return None
-    values = [
-        network.lower[e] + dinic.flow_on(edge_arcs[e], network.upper[e] - network.lower[e])
-        for e in range(network.num_edges())
-    ]
-    _verify(network, values)
-    total = sum(
-        values[e] for e in range(network.num_edges()) if network.src[e] == network.source
-    ) - sum(
-        values[e] for e in range(network.num_edges()) if network.dst[e] == network.source
-    )
-    return Flow(tuple(values), total)
+    # the flow above an edge's lower bound sits on its reverse arc
+    values = list(map(add, lower, dinic.cap[1::2]))
+    return Flow(tuple(values), _verify(network, values))
 
 
 class WarmFlow:
@@ -388,13 +427,20 @@ def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
     """The full network: one unit group per agent, agent edges first, then
     the assignment edges category by category."""
     base = system.base
-    rn = _layers(system, "i", [(a,) for a in range(base.num_agents)])
+    n = base.num_agents
+    rn = _layers(system, "i", [(a,) for a in range(n)])
     net, agent_node = rn.network, rn.group_node
-    for a in range(base.num_agents):
-        rn.group_edge[a] = net.add_edge(0, agent_node[a], 0, 1)
+    rn.group_edge.update(zip(range(n), net.add_edges([0] * n, agent_node, [0] * n, [1] * n)))
+    pairs: list[tuple[int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
     for c in range(base.num_categories):
-        for a in base.eligible_agents(c):
-            rn.assign_edge[(a, c)] = net.add_edge(agent_node[a], rn.category_node[c], 0, 1)
+        eligible = base.eligible_agents(c)
+        pairs += [(a, c) for a in eligible]
+        tails += [agent_node[a] for a in eligible]
+        heads += [rn.category_node[c]] * len(eligible)
+    edges = net.add_edges(tails, heads, [0] * len(pairs), [1] * len(pairs))
+    rn.assign_edge.update(zip(pairs, edges))
     return _add_class_edges(system, rn)
 
 

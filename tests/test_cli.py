@@ -666,6 +666,9 @@ def test_non_integer_ranking_element_exits_2(capsys, corpus_dir, tmp_path, eleme
         ["--capacity", "uniform:0:1_0"],
         ["--preferential-fraction", "0.5", "--tiers", "random:+2"],
         ["--tiers", "random:\uff12"],
+        # K tiers to draw from: none, or fewer than none
+        ["--tiers", "random:0"],
+        ["--tiers", "random:-5"],
     ],
 )
 def test_gen_bad_spec_exits_2(capsys, tmp_path, spec):
@@ -697,6 +700,72 @@ def test_integer_option_exits_2_unless_plain_digits(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "invalid int value" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--agents", "3", "--categories", "2", "--density", " 0.5"],
+        ["gen", "--agents", "3", "--categories", "2", "--density", "0.0_5"],
+        ["gen", "--agents", "3", "--categories", "2", "--density", "\uff10.\uff15"],
+        ["gen", "--agents", "3", "--categories", "2", "--density", "5e-1"],
+        ["gen", "--agents", "3", "--categories", "2", "--density", "nan"],
+        ["gen", "--agents", "3", "--categories", "2", "--preferential-fraction", " 1"],
+        ["gen", "--agents", "3", "--categories", "2", "--preferential-fraction", "+1"],
+        ["gen", "--agents", "3", "--categories", "2", "--preferential-fraction", "inf"],
+        ["bench", "--sizes", "10", "--rules", "mma", "--density", "0.1 "],
+        ["bench", "--sizes", "10", "--rules", "mma", "--density", ""],
+    ],
+)
+def test_float_option_exits_2_unless_plain_decimal(capsys, argv):
+    """A float option takes ASCII ``-?`` digits with an optional ``.``
+    fraction only. argparse reports anything else ``float()`` would read as
+    it reports ``--density x``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "invalid float value" in err
+
+
+def test_plain_decimal_options_are_read(capsys):
+    outputs = set()
+    for density in ("0.5", ".5", "0.50", "00.5"):
+        code, out = run_cli(
+            capsys, "gen", "--agents", "4", "--categories", "2", "--density", density,
+            "--preferential-fraction", "1.", "--seed", "3",
+        )
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    # a negative decimal is read, and then refused by the range check
+    _bad_input_exit(capsys, "gen", "--agents", "3", "--categories", "2", "--density", "-0.5")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--sizes", "10", "--rules", "mma", "--repetitions", "-2"],
+        ["bench", "--sizes", "10", "--rules", ""],
+        ["bench", "--sizes", "10", "--rules", "mma,"],
+        ["bench", "--sizes", "10", "--rules", "mma,,rev"],
+    ],
+)
+def test_bench_request_that_times_nothing_exits_2(capsys, argv):
+    """A negative repetition count or an empty rule name is bad input, not
+    an empty table."""
+    _bad_input_exit(capsys, *argv)
+
+
+@pytest.mark.parametrize("rule", ["da", "rev", "mma"])
+def test_trace_with_a_rule_that_writes_none_exits_2(capsys, corpus_dir, tmp_path, rule):
+    trace = tmp_path / "trace.jsonl"
+    _bad_input_exit(
+        capsys, "solve", "-i", str(corpus_dir / "contested_pair.json"), "--rule", rule,
+        "--baseline", "0,1,2", "--trace", str(trace),
+    )
+    assert not trace.exists()
 
 
 def test_negative_integer_option_is_read(capsys):

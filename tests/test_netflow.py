@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
+from collections import deque
+from typing import Optional
 
 import pytest
 
@@ -12,6 +16,7 @@ from reservematch.model import Matching, as_sequential
 from reservematch.netflow import (
     BoundedFlowNetwork,
     DecodeAmbiguity,
+    Flow,
     OPEN_CLASS,
     PREF_CLASS,
     WarmFlow,
@@ -342,3 +347,206 @@ def test_warm_pin_agrees_with_fresh_solve():
             else:
                 assert (list(warm.values), warm.total, list(net.lower), list(net.upper)) == before
     assert 0 < successes < pins
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail a block that has not ended after ``seconds`` (a search whose
+    current-arc pointers stop advancing never ends) instead of hanging."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_feasible_flow_on_a_long_path():
+    # one augmenting path of 3000 arcs: the blocking-flow search keeps its
+    # path on a list, not on the interpreter's call stack
+    n = 3000
+    net = BoundedFlowNetwork(n, 0, n - 1)
+    for v in range(n - 1):
+        net.add_edge(v, v + 1, 0, 1)
+    net.set_lower(0, 1)
+    with _deadline(60):
+        flow = feasible_flow(net)
+    assert flow == Flow((1,) * (n - 1), 1)
+
+
+# ---------------------------------------------------------------------------
+# feasible_flow against the recursive reference
+
+
+# ``_Dinic`` and ``feasible_flow`` as they were before the blocking-flow
+# search moved onto an explicit stack, its BFS stopped at the sink and its
+# residual arrays were built in bulk, kept verbatim: a refute's witness is
+# decoded from this flow, so the two must return the same one.
+class _DinicReference:
+    """Plain max-flow core on non-negative capacities."""
+
+    def __init__(self, num_nodes: int):
+        self.n = num_nodes
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+
+    def add(self, u: int, v: int, cap: int) -> int:
+        arc = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[u].append(arc)
+        self.to.append(u)
+        self.cap.append(0)
+        self.adj[v].append(arc + 1)
+        return arc
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue: deque[int] = deque([s])
+            while queue:
+                u = queue.popleft()
+                for arc in self.adj[u]:
+                    v = self.to[arc]
+                    if self.cap[arc] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u: int, limit: int) -> int:
+                if u == t:
+                    return limit
+                while it[u] < len(self.adj[u]):
+                    arc = self.adj[u][it[u]]
+                    v = self.to[arc]
+                    if self.cap[arc] > 0 and level[v] == level[u] + 1:
+                        pushed = dfs(v, min(limit, self.cap[arc]))
+                        if pushed > 0:
+                            self.cap[arc] -= pushed
+                            self.cap[arc ^ 1] += pushed
+                            return pushed
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if pushed == 0:
+                    break
+                flow += pushed
+
+    def flow_on(self, arc: int, original_cap: int) -> int:
+        return original_cap - self.cap[arc]
+
+
+def _dinic_reference(network: BoundedFlowNetwork) -> Optional[Flow]:
+    """Some integral flow meeting all bounds, or None when none exists."""
+    for e in range(network.num_edges()):
+        if network.lower[e] > network.upper[e]:
+            return None
+    n = network.num_nodes
+    super_s, super_t = n, n + 1
+    dinic = _DinicReference(n + 2)
+    excess = [0] * n
+    edge_arcs: list[int] = []
+    for e in range(network.num_edges()):
+        lo, up = network.lower[e], network.upper[e]
+        edge_arcs.append(dinic.add(network.src[e], network.dst[e], up - lo))
+        excess[network.dst[e]] += lo
+        excess[network.src[e]] -= lo
+    dinic.add(network.sink, network.source, 1 << 60)
+    need = 0
+    for v in range(n):
+        if excess[v] > 0:
+            dinic.add(super_s, v, excess[v])
+            need += excess[v]
+        elif excess[v] < 0:
+            dinic.add(v, super_t, -excess[v])
+    if dinic.max_flow(super_s, super_t) < need:
+        return None
+    values = [
+        network.lower[e] + dinic.flow_on(edge_arcs[e], network.upper[e] - network.lower[e])
+        for e in range(network.num_edges())
+    ]
+    _verify(network, values)
+    total = sum(
+        values[e] for e in range(network.num_edges()) if network.src[e] == network.source
+    ) - sum(
+        values[e] for e in range(network.num_edges()) if network.dst[e] == network.source
+    )
+    return Flow(tuple(values), total)
+
+
+def test_feasible_flow_equals_reference_on_random_networks():
+    rng = random.Random(1970)
+    feasible = 0
+    for trial in range(1000):
+        net = _random_network(rng)
+        expected = _dinic_reference(net)
+        with _deadline(60):
+            got = feasible_flow(net)
+        assert got == expected, (trial, net.src, net.dst, net.lower, net.upper)
+        feasible += expected is not None
+    assert 100 < feasible < 900
+
+
+def _random_pins(rng, seq, rn):
+    """Unit lower bounds on a few assignment edges: the pairs of a random
+    eligibility-compliant matching, or arbitrary edges."""
+    if rng.random() < 0.5:
+        loads = [0] * seq.num_categories
+        pairs = []
+        for agent in rng.sample(range(seq.num_agents), seq.num_agents):
+            room = [
+                c for c in agent_categories(seq.base, agent) if loads[c] < seq.capacities[c]
+            ]
+            if room and rng.random() < 0.5:
+                c = rng.choice(room)
+                loads[c] += 1
+                pairs.append((agent, c))
+        return pairs
+    edges = sorted(rn.assign_edge)
+    return rng.sample(edges, min(len(edges), rng.randint(1, 6)))
+
+
+def test_feasible_flow_equals_reference_on_reserve_networks():
+    rng = random.Random(1956)
+    feasible = infeasible = 0
+    for trial in range(300):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(1, 40),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["uniform:0:3", "uniform:1:6", "const:2"]),
+            density=rng.choice([0.2, 0.5, 0.9]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["strict", "random:2", "equal"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        _, b, m = dual_maximum_matching(seq)
+        rn = build_reserve_network(seq)
+        net = rn.network
+        for pin in _random_pins(rng, seq, rn):
+            net.set_lower(rn.assign_edge[pin], 1)
+        net.set_lower(rn.class_edge[PREF_CLASS], b)
+        net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+        expected = _dinic_reference(net)
+        with _deadline(60):
+            got = feasible_flow(net)
+        assert got == expected, trial
+        if expected is None:
+            infeasible += 1
+        else:
+            feasible += 1
+    assert feasible > 50 and infeasible > 50

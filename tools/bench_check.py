@@ -151,6 +151,22 @@ def summary(samples: list) -> dict:
             "p75": round(q3, 6)}
 
 
+def alternate(script: str, sides: dict, rounds: int) -> dict:
+    """Each label's child outputs, one per round. A round runs ``script
+    --measure SRC`` once per side in a fresh interpreter, alternating which
+    side goes first, and parses the JSON it prints."""
+    outputs: dict = {label: [] for label in sides}
+    for round_ in range(rounds):
+        order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
+        for label in order:
+            done = subprocess.run(
+                [sys.executable, script, "--measure", sides[label]],
+                check=True, capture_output=True, text=True,
+            )
+            outputs[label].append(json.loads(done.stdout))
+    return outputs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sides", nargs="*", metavar="LABEL=SRC",
@@ -169,14 +185,9 @@ def main(argv=None) -> int:
 
     sides = dict(side.split("=", 1) for side in args.sides)
     samples: dict = {label: {} for label in sides}
-    for round_ in range(ROUNDS):
-        order = list(sides) if round_ % 2 == 0 else list(reversed(sides))
-        for label in order:
-            done = subprocess.run(
-                [sys.executable, __file__, "--measure", sides[label]],
-                check=True, capture_output=True, text=True,
-            )
-            for shape, kinds in json.loads(done.stdout).items():
+    for label, runs in alternate(__file__, sides, ROUNDS).items():
+        for run_ in runs:
+            for shape, kinds in run_.items():
                 for kind, layers in kinds.items():
                     for layer, values in layers.items():
                         stored = samples[label].setdefault(shape, {}).setdefault(kind, {})
