@@ -51,9 +51,6 @@ class EligibilityGraph(Record):
     def num_categories(self) -> int:
         return len(self.capacities)
 
-    def num_edges(self) -> int:
-        return sum(len(adj) for adj in self.agent_adj)
-
     def has_edge(self, agent: int, c: int) -> bool:
         return c in self.agent_adj[agent]
 

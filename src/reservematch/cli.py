@@ -217,19 +217,19 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
     if args.rule == "mma":
         base = base_of(system)
         seed = None
-        if args.seed_matching:
+        if args.seed_matching is not None:
             seed_matching = parse_matching(_read_text(args.seed_matching), base)
             seed = GraphMatching.from_matching(seed_matching, base.num_categories)
-        agent_order = _parse_int_list(args.agent_order) if args.agent_order else None
+        agent_order = None if args.agent_order is None else _parse_int_list(args.agent_order)
         cat_order = (
-            _parse_int_list(args.category_order) if args.category_order else None
+            None if args.category_order is None else _parse_int_list(args.category_order)
         )
         matching, _ = mma_allocate(base, seed, agent_order, cat_order)
         return matching
     if args.rule == "scu":
         sink = None
         trace_handle = None
-        if args.trace:
+        if args.trace is not None:
             trace_handle = open(args.trace, "w", encoding="utf-8")
 
             def sink(record: dict) -> None:
@@ -243,16 +243,29 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
     raise InstanceError(f"unknown rule {args.rule!r}")
 
 
+# The options only one rule reads, by destination: given with another rule
+# they would be ignored, so they are bad input.
+_RULE_OPTIONS = {
+    "baseline": "rev",
+    "seed_matching": "mma",
+    "agent_order": "mma",
+    "category_order": "mma",
+    "trace": "scu",
+}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.trace and args.rule != "scu":
-        raise InstanceError(f"--trace is written by --rule scu only, not {args.rule}")
+    for dest, rule in _RULE_OPTIONS.items():
+        if getattr(args, dest) is not None and args.rule != rule:
+            option = "--" + dest.replace("_", "-")
+            raise InstanceError(f"{option} is read by --rule {rule} only, not {args.rule}")
     system = parse_instance(_read_text(args.instance))
-    if args.dot:
+    if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(build_reserve_network(as_sequential(system)).network.to_dot())
-    if args.dot_compact:
+            handle.write(build_reserve_network(as_sequential(system)).to_dot())
+    if args.dot_compact is not None:
         with open(args.dot_compact, "w", encoding="utf-8") as handle:
-            handle.write(build_compact_network(as_sequential(system)).network.to_dot())
+            handle.write(build_compact_network(as_sequential(system)).to_dot())
     matching = _solve_matching(system, args)
     seq = as_sequential(system)
     summary = {
@@ -262,7 +275,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "loads": list(matching.loads(seq.num_categories)),
     }
     text = matching_to_json(matching)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     if args.format == "json":
@@ -363,7 +376,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         correlated=args.correlated,
     )
     text = instance_to_json(spec.build())
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

@@ -240,10 +240,6 @@ class PerturbationReport:
     trials: int = 0
     counterexamples: list[dict] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
     def to_raw(self) -> dict:
         return {
             "property": self.property_tag,

@@ -221,9 +221,6 @@ class PrecedenceOrder(Record):
             sorted(range(len(self.tier_of)), key=lambda c: (self.tier_of[c], c))
         )
 
-    def is_strict(self) -> bool:
-        return len(set(self.tier_of)) == len(self.tier_of)
-
 
 class HybridMarker(Record):
     """Names the split of open categories into an early and a late block."""

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import deque
 from operator import add, lt, sub
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+from .bipartite import build_graph
 from .model import Matching, Record, SequentialReserveSystem
 
 
@@ -40,38 +41,26 @@ class BoundedFlowNetwork:
     """Edge list with mutable bounds, solved by ``feasible_flow`` or kept
     feasible by a ``WarmFlow``."""
 
-    __slots__ = ("num_nodes", "source", "sink", "names", "src", "dst", "lower", "upper")
+    __slots__ = ("num_nodes", "source", "sink", "src", "dst", "lower", "upper")
 
-    def __init__(
-        self,
-        num_nodes: int,
-        source: int,
-        sink: int,
-        names: Optional[list[str]] = None,
-    ):
+    def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
-        self.names = names or [str(v) for v in range(num_nodes)]
         self.src: list[int] = []
         self.dst: list[int] = []
         self.lower: list[int] = []
         self.upper: list[int] = []
 
     def add_edge(self, u: int, v: int, lower: int = 0, upper: int = 0) -> int:
-        if lower < 0 or upper < lower:
-            raise ValueError(f"bad bounds ({lower}, {upper}) on edge {u}->{v}")
-        self.src.append(u)
-        self.dst.append(v)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        return len(self.src) - 1
+        """``add_edges`` of one edge; its id."""
+        return self.add_edges([u], [v], [lower], [upper])[0]
 
     def add_edges(
         self, us: list[int], vs: list[int], lower: list[int], upper: list[int]
     ) -> range:
-        """``add_edge`` for each (u, v, lower, upper) in turn; the new edge
-        ids, in that order."""
+        """One edge per (u, v, lower, upper), once every bound is checked;
+        the new edge ids, in that order."""
         if (lower and min(lower) < 0) or any(map(lt, upper, lower)):
             k = next(k for k, (lo, up) in enumerate(zip(lower, upper)) if lo < 0 or up < lo)
             raise ValueError(f"bad bounds ({lower[k]}, {upper[k]}) on edge {us[k]}->{vs[k]}")
@@ -87,22 +76,6 @@ class BoundedFlowNetwork:
 
     def set_lower(self, edge_id: int, value: int) -> None:
         self.lower[edge_id] = value
-
-    def set_upper(self, edge_id: int, value: int) -> None:
-        self.upper[edge_id] = value
-
-    def to_dot(self) -> str:
-        """Graphviz export; edges labeled with their (lower, upper) pair."""
-        lines = ["digraph flow {", "  rankdir=LR;"]
-        for v in range(self.num_nodes):
-            lines.append(f'  n{v} [label="{self.names[v]}"];')
-        for e in range(self.num_edges()):
-            lines.append(
-                f'  n{self.src[e]} -> n{self.dst[e]} '
-                f'[label="({self.lower[e]}, {self.upper[e]})"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 _UNBOUNDED = 1 << 60  # the sink -> source arc's capacity, and the cap on a push
@@ -353,135 +326,110 @@ PREF_CLASS = "preferential"
 
 class ReserveNetwork:
     """Three-layer network: source -> groups -> categories -> class nodes ->
-    sink, where a group is a set of agents with one eligibility set. The full
-    network has one group per agent (``group_of`` is the identity), the
-    compact one a group per distinct eligibility set; a group's edges carry
-    up to its size in units. The edge maps start empty."""
+    sink, where a group is a set of agents with one eligibility set and its
+    edges carry up to its size in units. ``category_groups[c]`` lists the
+    groups eligible for category c, in the order their edges into c get
+    their ids.
+
+    Node ids: the source 0, group k at 1 + k, then the categories, the open
+    and preferential class nodes and the sink. Edge ids: the group edges in
+    group order, the assignment edges category by category, the category ->
+    class edges, then the open and preferential class -> sink edges. Group
+    k's node is named ``label`` plus k, and only ``to_dot`` names nodes."""
 
     __slots__ = (
-        "network", "group_of", "group_members", "group_node", "category_node",
-        "class_node", "group_edge", "assign_edge", "category_edge", "class_edge",
+        "network", "label", "group_of", "group_members", "class_node",
+        "group_edge", "assign_edge", "category_edge", "class_edge",
     )
 
     def __init__(
         self,
-        network: BoundedFlowNetwork,
-        group_of: dict[int, int],
-        group_members: list[tuple[int, ...]],
-        group_node: list[int],
-        category_node: list[int],
-        class_node: dict[str, int],
+        system: SequentialReserveSystem,
+        label: str,
+        groups: list[tuple[int, ...]],
+        category_groups: Sequence[Sequence[int]],
     ) -> None:
-        self.network = network
-        self.group_of = group_of
-        self.group_members = group_members
-        self.group_node = group_node
-        self.category_node = category_node
-        self.class_node = class_node
-        self.group_edge: dict[int, int] = {}
-        self.assign_edge: dict[tuple[int, int], int] = {}
-        self.category_edge: dict[int, int] = {}
-        self.class_edge: dict[str, int] = {}
-
-
-def _layers(
-    system: SequentialReserveSystem, label: str, groups: list[tuple[int, ...]]
-) -> ReserveNetwork:
-    """The nodes of a reserve network with ``groups`` as its group layer
-    (named ``label`` plus the group id), and no edges yet."""
-    num_groups, num_categories = len(groups), system.num_categories
-    names = (
-        ["s"]
-        + [f"{label}{k}" for k in range(num_groups)]
-        + [f"c{c}" for c in range(num_categories)]
-        + ["C0", "C*", "t"]
-    )
-    open_node = 1 + num_groups + num_categories
-    return ReserveNetwork(
-        network=BoundedFlowNetwork(len(names), source=0, sink=open_node + 2, names=names),
-        group_of={a: k for k, members in enumerate(groups) for a in members},
-        group_members=groups,
-        group_node=list(range(1, 1 + num_groups)),
-        category_node=list(range(1 + num_groups, open_node)),
-        class_node={OPEN_CLASS: open_node, PREF_CLASS: open_node + 1},
-    )
-
-
-def _add_class_edges(system: SequentialReserveSystem, rn: ReserveNetwork) -> ReserveNetwork:
-    """Category -> class edges with the capacities, then the uncapacitated
-    class -> sink edges."""
-    net = rn.network
-    total_capacity = sum(system.capacities)
-    open_node, pref_node = rn.class_node[OPEN_CLASS], rn.class_node[PREF_CLASS]
-    for c in range(system.num_categories):
-        target = pref_node if system.is_beneficial(c) else open_node
-        rn.category_edge[c] = net.add_edge(
-            rn.category_node[c], target, 0, system.capacities[c]
+        num_groups, num_categories = len(groups), system.num_categories
+        first_category = 1 + num_groups
+        open_node = first_category + num_categories
+        net = BoundedFlowNetwork(open_node + 3, source=0, sink=open_node + 2)
+        self.network = net
+        self.label = label
+        self.group_members = groups
+        self.group_of = group_of = [0] * system.num_agents
+        for k, members in enumerate(groups):
+            for a in members:
+                group_of[a] = k
+        sizes = [len(members) for members in groups]
+        group_node = list(range(1, first_category))
+        self.group_edge = net.add_edges([0] * num_groups, group_node, [0] * num_groups, sizes)
+        pairs: list[tuple[int, int]] = []
+        tails: list[int] = []
+        heads: list[int] = []
+        upper: list[int] = []
+        for c, eligible in enumerate(category_groups):
+            pairs += [(k, c) for k in eligible]
+            tails += [group_node[k] for k in eligible]
+            heads += [first_category + c] * len(eligible)
+            upper += [sizes[k] for k in eligible]
+        self.assign_edge = dict(zip(pairs, net.add_edges(tails, heads, [0] * len(pairs), upper)))
+        pref_node = open_node + 1
+        self.class_node = {OPEN_CLASS: open_node, PREF_CLASS: pref_node}
+        self.category_edge = net.add_edges(
+            list(range(first_category, open_node)),
+            [pref_node if system.is_beneficial(c) else open_node for c in range(num_categories)],
+            [0] * num_categories,
+            list(system.capacities),
         )
-    rn.class_edge[OPEN_CLASS] = net.add_edge(open_node, net.sink, 0, total_capacity)
-    rn.class_edge[PREF_CLASS] = net.add_edge(pref_node, net.sink, 0, total_capacity)
-    return rn
+        total_capacity = sum(system.capacities)
+        open_edge, pref_edge = net.add_edges(
+            [open_node, pref_node], [net.sink] * 2, [0, 0], [total_capacity] * 2
+        )
+        self.class_edge = {OPEN_CLASS: open_edge, PREF_CLASS: pref_edge}
+
+    def to_dot(self) -> str:
+        """Graphviz export; edges labeled with their (lower, upper) pair."""
+        net = self.network
+        names = (
+            ["s"]
+            + [f"{self.label}{k}" for k in range(len(self.group_members))]
+            + [f"c{c}" for c in range(len(self.category_edge))]
+            + ["C0", "C*", "t"]
+        )
+        lines = ["digraph flow {", "  rankdir=LR;"]
+        lines += [f'  n{v} [label="{name}"];' for v, name in enumerate(names)]
+        lines += [
+            f'  n{u} -> n{v} [label="({lo}, {up})"];'
+            for u, v, lo, up in zip(net.src, net.dst, net.lower, net.upper)
+        ]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
-    """The full network: one unit group per agent, agent edges first, then
-    the assignment edges category by category."""
+    """The full network: one group per agent, group k being agent k."""
     base = system.base
-    n = base.num_agents
-    rn = _layers(system, "i", [(a,) for a in range(n)])
-    net, agent_node = rn.network, rn.group_node
-    rn.group_edge.update(zip(range(n), net.add_edges([0] * n, agent_node, [0] * n, [1] * n)))
-    pairs: list[tuple[int, int]] = []
-    tails: list[int] = []
-    heads: list[int] = []
-    for c in range(base.num_categories):
-        eligible = base.eligible_agents(c)
-        pairs += [(a, c) for a in eligible]
-        tails += [agent_node[a] for a in eligible]
-        heads += [rn.category_node[c]] * len(eligible)
-    edges = net.add_edges(tails, heads, [0] * len(pairs), [1] * len(pairs))
-    rn.assign_edge.update(zip(pairs, edges))
-    return _add_class_edges(system, rn)
-
-
-def _eligibility_classes(
-    system: SequentialReserveSystem,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(eligible categories, members) per distinct eligibility set, in
-    ascending order of each set's smallest member; one pass over the
-    eligible lists."""
-    cats: list[list[int]] = [[] for _ in range(system.num_agents)]
-    for c in range(system.num_categories):
-        for a in system.base.eligible_agents(c):
-            cats[a].append(c)
-    by_set: dict[tuple[int, ...], list[int]] = {}
-    for a in range(system.num_agents):
-        by_set.setdefault(tuple(cats[a]), []).append(a)
-    return [(key, tuple(members)) for key, members in by_set.items()]
-
-
-def agent_groups(system: SequentialReserveSystem) -> dict[int, tuple[int, ...]]:
-    """Partition agents by identical eligible-category sets.
-
-    Group ids are assigned in ascending order of each group's smallest member.
-    """
-    return {k: members for k, (_, members) in enumerate(_eligibility_classes(system))}
+    return ReserveNetwork(
+        system,
+        "i",
+        [(a,) for a in range(base.num_agents)],
+        [base.eligible_agents(c) for c in range(base.num_categories)],
+    )
 
 
 def build_compact_network(system: SequentialReserveSystem) -> ReserveNetwork:
-    """The grouped network: one group per distinct eligibility set, each
-    group edge followed by that group's assignment edges."""
-    classes = _eligibility_classes(system)
-    rn = _layers(system, "k", [members for _, members in classes])
-    net = rn.network
-    for k, (eligible, members) in enumerate(classes):
-        size = len(members)
-        rn.group_edge[k] = net.add_edge(0, rn.group_node[k], 0, size)
+    """The grouped network: one group per distinct eligibility set, in
+    ascending order of each set's smallest member."""
+    by_set: dict[tuple[int, ...], list[int]] = {}
+    for a, eligible in enumerate(build_graph(system.base).agent_adj):
+        by_set.setdefault(eligible, []).append(a)
+    category_groups: list[list[int]] = [[] for _ in range(system.num_categories)]
+    for k, eligible in enumerate(by_set):
         for c in eligible:
-            rn.assign_edge[(k, c)] = net.add_edge(
-                rn.group_node[k], rn.category_node[c], 0, size
-            )
-    return _add_class_edges(system, rn)
+            category_groups[c].append(k)
+    return ReserveNetwork(
+        system, "k", [tuple(members) for members in by_set.values()], category_groups
+    )
 
 
 def flow_to_matching(reserve: ReserveNetwork, flow: Flow) -> Matching:

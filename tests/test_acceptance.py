@@ -12,9 +12,12 @@ import time
 import pytest
 
 from util import (
+    agent_groups,
     fundamental_verdicts,
     hybrid_instance,
+    is_strict,
     mma_induced_matchings,
+    report_ok,
     sweep_instance,
 )
 
@@ -34,7 +37,6 @@ from reservematch.model import Matching, as_sequential, base_of
 from reservematch.netflow import (
     OPEN_CLASS,
     PREF_CLASS,
-    agent_groups,
     build_compact_network,
     build_reserve_network,
 )
@@ -156,7 +158,7 @@ def test_criterion_05_uniqueness(sweep):
     checked = 0
     for system in sweep:
         seq = as_sequential(system)
-        if not seq.precedence.is_strict():
+        if not is_strict(seq.precedence):
             continue
         maxima = oracle_maxima(system)
         scu_out = scu_allocate(system)
@@ -242,14 +244,14 @@ def test_criterion_08_incentive_consistency(contested_pair, da_gap):
         hide = report_no_incentive_to_hide(rule, system)
         improve = report_respect_improvements(rule, system)
         consistent = report_consistency(rule, system)
-        assert hide.ok and improve.ok and consistent.ok, system
+        assert report_ok(hide) and report_ok(improve) and report_ok(consistent), system
         trials += hide.trials + improve.trials + consistent.trials
 
     # required negative witnesses in the corpus
     dependence = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), contested_pair
     )
-    assert not dependence.ok
+    assert not report_ok(dependence)
     gap = da_allocate(da_gap)
     assert gap.matched_count() < oracle_maxima(da_gap).m
     seed = GraphMatching.from_matching(Matching((0, None, 1)), 2)

@@ -8,6 +8,8 @@ from typing import Optional, Sequence
 
 import pytest
 
+from util import num_edges
+
 from reservematch.bipartite import (
     EligibilityGraph,
     GraphMatching,
@@ -62,7 +64,7 @@ def test_build_graph_edges(contested_pair, grouped_six):
     assert g.num_categories == 2
     g6 = build_graph(grouped_six.base)
     # 3 + 6 + 3 eligibility edges
-    assert g6.num_edges() == 12
+    assert num_edges(g6) == 12
     assert g6.agent_adj == ((0, 1),) * 3 + ((1, 2),) * 3
 
 
@@ -70,7 +72,7 @@ def test_build_graph_edgeless():
     system = ReserveSystem(
         2, 1, (1,), (PriorityRanking((0, 1), 0),)
     )
-    assert build_graph(system).num_edges() == 0
+    assert num_edges(build_graph(system)) == 0
 
 
 def test_maximum_matching_sizes(contested_pair, grouped_six):

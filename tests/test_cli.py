@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -839,3 +840,109 @@ def test_cli_import_loads_only_the_solve_path():
     targets = runpy.run_path(str(src.parent / "perfbench" / "spans.py"))["TARGETS"]
     for layer in targets:
         assert f"reservematch.{layer}" in modules["all"], layer
+
+
+# ---------------------------------------------------------------------------
+# The option surface of solve and gen, walked from the parser
+
+
+# The solve options that only one rule reads, with a value that rule accepts
+# on contested_pair.json (3 agents, 2 categories); None: a file the test
+# writes.
+_RULE_OPTIONS = {
+    "--baseline": ("rev", "0,1,2"),
+    "--seed-matching": ("mma", None),
+    "--agent-order": ("mma", "2,0,1"),
+    "--category-order": ("mma", "1,0"),
+    "--trace": ("scu", None),
+}
+
+
+def _value_options(command):
+    """The long name of every option of the ``command`` subparser that takes
+    a value."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        max(action.option_strings, key=len)
+        for action in sub.choices[command]._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+def _rule_argv(rule, instance, output):
+    argv = ["solve", "--instance", instance, "--rule", rule, "--output", output]
+    return argv + (["--baseline", "0,1,2"] if rule == "rev" else [])
+
+
+def _options_argv(argv, option, value):
+    """``argv`` with ``option`` set to ``value``, replacing any value it had."""
+    if option in argv:
+        argv = list(argv)
+        argv[argv.index(option) + 1] = value
+        return argv
+    return argv + [option, value]
+
+
+def _exits_2_before_writing(capsys, argv, *paths):
+    """One ``error:`` line and no traceback, exit 2, nothing on stdout and
+    none of ``paths`` written; argparse's errors exit through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2, (argv, captured.err)
+    assert captured.err.count("error:") == 1, captured.err
+    assert "Traceback" not in captured.err, captured.err
+    assert captured.out == ""
+    for path in paths:
+        assert not path.exists(), path
+
+
+# each option with the rule that reads it; the options every rule reads with scu
+_SOLVE_CASES = [
+    (option, _RULE_OPTIONS[option][0] if option in _RULE_OPTIONS else "scu")
+    for option in _value_options("solve")
+]
+
+
+@pytest.mark.parametrize("option, rule", _SOLVE_CASES, ids=[o for o, _ in _SOLVE_CASES])
+def test_solve_option_given_the_empty_string_exits_2(capsys, corpus_dir, tmp_path, option, rule):
+    """An empty path reaches ``open``, and an empty order is the empty list,
+    which is no permutation of three agents: neither is ignored."""
+    output = tmp_path / "out.json"
+    argv = _rule_argv(rule, str(corpus_dir / "contested_pair.json"), str(output))
+    _exits_2_before_writing(capsys, _options_argv(argv, option, ""), output)
+
+
+@pytest.mark.parametrize("option", _value_options("gen"))
+def test_gen_option_given_the_empty_string_exits_2(capsys, option):
+    argv = ["gen", "--agents", "3", "--categories", "2"]
+    _exits_2_before_writing(capsys, _options_argv(argv, option, ""))
+
+
+_CROSS_RULE_CASES = [
+    (option, rule)
+    for option, (own, _) in _RULE_OPTIONS.items()
+    for rule in cli.RULES
+    if rule != own
+]
+
+
+@pytest.mark.parametrize("option, rule", _CROSS_RULE_CASES)
+def test_rule_option_given_to_another_rule_exits_2(capsys, corpus_dir, tmp_path, option, rule):
+    """An option only one rule reads is bad input with any other rule, and
+    is refused before anything is written."""
+    output, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+    seed = tmp_path / "seed.json"
+    seed.write_text(matching_to_json(Matching((None, None, None))))
+    value = _RULE_OPTIONS[option][1] or str(trace if option == "--trace" else seed)
+    argv = _rule_argv(rule, str(corpus_dir / "contested_pair.json"), str(output))
+    _exits_2_before_writing(capsys, argv + [option, value], output, trace)
+
+
+def test_rule_options_are_options_of_solve():
+    """A renamed option would pass its cross-rule cases through argparse's
+    unrecognized-argument error, so the table must name real options."""
+    assert set(_RULE_OPTIONS) <= set(_value_options("solve"))

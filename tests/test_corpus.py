@@ -23,7 +23,7 @@ from reservematch.model import (
 from reservematch.rules_basic import mma_allocate
 from reservematch.rules_sequential import IMPLEMENTATIONS, scu_allocate
 
-from util import chain_instance
+from util import chain_instance, is_strict
 
 SMALL = (
     "zero_agents",
@@ -64,7 +64,7 @@ def test_small_corpus_agrees_with_oracle(corpus_dir, tmp_path, capsys, name):
     assert scu_out in maxima.four_axiom_matchings
     winners = _precedence_winners(system, maxima)
     assert scu_out in winners
-    if as_sequential(system).precedence.is_strict():
+    if is_strict(as_sequential(system).precedence):
         assert winners == [scu_out]
     mma_out, _ = mma_allocate(base_of(system))
     assert mma_out in maxima.four_axiom_matchings
@@ -82,7 +82,7 @@ def test_one_tier_against_strict_tiers(corpus_dir):
     only strict tiers make it the one matching that respects precedence."""
     one, strict = _load(corpus_dir, "tiers_one"), _load(corpus_dir, "tiers_strict")
     assert one.base == strict.base and one.preferential == strict.preferential
-    assert set(one.precedence.tier_of) == {0} and strict.precedence.is_strict()
+    assert set(one.precedence.tier_of) == {0} and is_strict(strict.precedence)
     assert scu_allocate(one) == scu_allocate(strict)
     assert len(_precedence_winners(one, oracle_maxima(one))) > 1
     assert len(_precedence_winners(strict, oracle_maxima(strict))) == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from util import agent_categories
+from util import agent_categories, report_ok
 
 from reservematch.cli import GeneratorSpec
 from reservematch.harness import (
@@ -132,9 +132,9 @@ def test_scu_passes_hide_and_improvements():
             seed=rng.randrange(1 << 30),
         )
         system = spec.build()
-        assert report_no_incentive_to_hide(rule, system).ok
-        assert report_respect_improvements(rule, system).ok
-        assert report_consistency(rule, system).ok
+        assert report_ok(report_no_incentive_to_hide(rule, system))
+        assert report_ok(report_respect_improvements(rule, system))
+        assert report_ok(report_consistency(rule, system))
 
 
 def test_da_and_rev_pass_incentive_properties():
@@ -150,10 +150,10 @@ def test_da_and_rev_pass_incentive_properties():
         system = spec.build()
         da_rule = lambda s: da_allocate(base_of(s))
         rev_rule = lambda s: rev_allocate(base_of(s), list(range(base_of(s).num_agents)))
-        assert report_no_incentive_to_hide(da_rule, system).ok
-        assert report_respect_improvements(da_rule, system).ok
-        assert report_no_incentive_to_hide(rev_rule, system).ok
-        assert report_respect_improvements(rev_rule, system).ok
+        assert report_ok(report_no_incentive_to_hide(da_rule, system))
+        assert report_ok(report_respect_improvements(da_rule, system))
+        assert report_ok(report_no_incentive_to_hide(rev_rule, system))
+        assert report_ok(report_respect_improvements(rev_rule, system))
 
 
 def test_harness_reads_eligibility_from_the_graph(contested_pair, grouped_six, capsys):
@@ -204,14 +204,14 @@ def test_greedy_strawman_fails_hide():
         (PriorityRanking((0, 1), 1), PriorityRanking((1, 0), 2)),
     )
     report = report_no_incentive_to_hide(strawman, system)
-    assert not report.ok
+    assert not report_ok(report)
     assert report.counterexamples[0]["agent"] == 0
 
 
 def test_single_category_hide_trivial():
     system = ReserveSystem(1, 1, (1,), (PriorityRanking((0,), 1),))
     report = report_no_incentive_to_hide(lambda s: da_allocate(base_of(s)), system)
-    assert report.ok
+    assert report_ok(report)
 
 
 def test_consistency_two_levels(contested_pair):
@@ -220,18 +220,18 @@ def test_consistency_two_levels(contested_pair):
     toggle = iter([Matching((None, 0, 1)), Matching((0, 1, None))])
     flaky = lambda system: next(toggle)
     report = report_consistency(flaky, contested_pair)
-    assert not report.ok
+    assert not report_ok(report)
     assert report.counterexamples[0]["level"] == "matched-agents"
 
     toggle2 = iter([Matching((None, 0, 1)), Matching((None, 0, 1))])
-    assert report_consistency(lambda s: next(toggle2), contested_pair).ok
+    assert report_ok(report_consistency(lambda s: next(toggle2), contested_pair))
 
 
 def test_rev_baseline_dependence_found(contested_pair):
     report = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), contested_pair
     )
-    assert not report.ok  # the corpus witness
+    assert not report_ok(report)  # the corpus witness
 
 
 def test_baseline_independence_trivial_cases(contested_pair):
@@ -239,12 +239,12 @@ def test_baseline_independence_trivial_cases(contested_pair):
     report = report_independence_of_baseline(
         lambda system, order: da_allocate(base_of(system)), contested_pair
     )
-    assert report.ok
+    assert report_ok(report)
     single = ReserveSystem(1, 1, (1,), (PriorityRanking((0,), 1),))
     report = report_independence_of_baseline(
         lambda system, order: rev_allocate(base_of(system), order), single
     )
-    assert report.ok
+    assert report_ok(report)
 
 
 def test_corpus_contains_required_witnesses(da_gap, contested_pair):

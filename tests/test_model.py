@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from util import compare_priority
+from util import compare_priority, is_strict
 
 from reservematch import axioms
 from reservematch.cli import run_checks
@@ -253,7 +253,7 @@ def test_precedence_order_ties():
     order = PrecedenceOrder((1, 0, 1))
     assert order.strict_sequence() == (1, 0, 2)
     assert order.before(1, 0) and not order.before(0, 2)
-    assert not order.is_strict()
+    assert not is_strict(order)
 
 
 def test_capacity_zero_and_oversized_are_legal():

@@ -5,11 +5,12 @@ import itertools
 import random
 import signal
 from collections import deque
+from operator import lt
 from typing import Optional
 
 import pytest
 
-from util import agent_categories
+from util import agent_categories, agent_groups, set_upper
 
 from reservematch.cli import GeneratorSpec
 from reservematch.model import Matching, as_sequential
@@ -21,7 +22,6 @@ from reservematch.netflow import (
     PREF_CLASS,
     WarmFlow,
     _verify,
-    agent_groups,
     build_compact_network,
     build_reserve_network,
     feasible_flow,
@@ -220,15 +220,15 @@ def test_flow_to_matching_single_edge(grouped_six):
     # cap everything else so only the pinned unit flows
     for (a, c), e in rn.assign_edge.items():
         if (a, c) != (1, 0):
-            net.set_upper(e, 0)
+            set_upper(net, e, 0)
     flow = feasible_flow(net)
     assert flow_to_matching(rn, flow) == Matching((None, 0, None, None, None, None))
 
 
 def test_flow_to_matching_zero_flow(grouped_six):
     rn = build_reserve_network(grouped_six)
-    for e in rn.group_edge.values():
-        rn.network.set_upper(e, 0)
+    for e in rn.group_edge:
+        set_upper(rn.network, e, 0)
     flow = feasible_flow(rn.network)
     assert flow_to_matching(rn, flow) == Matching((None,) * 6)
 
@@ -272,14 +272,14 @@ def test_compact_decode_equals_full_on_distinct_sets():
                 if assignment[agent] == c:
                     rn.network.set_lower(e, 1)
                 else:
-                    rn.network.set_upper(e, 0)
+                    set_upper(rn.network, e, 0)
             assert flow_to_matching(rn, feasible_flow(rn.network)) == matching
         decoded += 1
     assert decoded >= 50
 
 
 def test_flow_values_verified_internally():
-    net = BoundedFlowNetwork(3, 0, 2, names=["s", "v", "t"])
+    net = BoundedFlowNetwork(3, 0, 2)
     net.add_edge(0, 1, 0, 5)
     net.add_edge(1, 2, 0, 3)
     net.set_lower(1, 3)  # the edge into the sink must run full
@@ -290,7 +290,7 @@ def test_flow_values_verified_internally():
 
 def test_dot_export(grouped_six):
     rn = build_reserve_network(grouped_six)
-    dot = rn.network.to_dot()
+    dot = rn.to_dot()
     assert dot.startswith("digraph")
     assert '"(0, 3)"' in dot  # class edges carry their bound pair
     assert '"C*"' in dot and '"C0"' in dot
@@ -550,3 +550,214 @@ def test_feasible_flow_equals_reference_on_reserve_networks():
         else:
             feasible += 1
     assert feasible > 50 and infeasible > 50
+
+
+# ---------------------------------------------------------------------------
+# Reserve networks against the two builders they replaced
+
+
+# ``BoundedFlowNetwork`` (with its node names and ``to_dot``),
+# ``ReserveNetwork``, ``_layers``, ``_add_class_edges``,
+# ``build_reserve_network``, ``_eligibility_classes`` and
+# ``build_compact_network`` as they were before the one ``ReserveNetwork``
+# constructor, kept line for line but for names, annotations and docstrings:
+# Dinic's arc order, and so every precedence witness, follows the full
+# network's edge ids, and the DOT export prints them.
+class _NetworkReference:
+    def __init__(self, num_nodes, source, sink, names=None):
+        self.num_nodes = num_nodes
+        self.source = source
+        self.sink = sink
+        self.names = names or [str(v) for v in range(num_nodes)]
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.lower: list[int] = []
+        self.upper: list[int] = []
+
+    def add_edge(self, u, v, lower=0, upper=0):
+        if lower < 0 or upper < lower:
+            raise ValueError(f"bad bounds ({lower}, {upper}) on edge {u}->{v}")
+        self.src.append(u)
+        self.dst.append(v)
+        self.lower.append(lower)
+        self.upper.append(upper)
+        return len(self.src) - 1
+
+    def add_edges(self, us, vs, lower, upper):
+        if (lower and min(lower) < 0) or any(map(lt, upper, lower)):
+            k = next(k for k, (lo, up) in enumerate(zip(lower, upper)) if lo < 0 or up < lo)
+            raise ValueError(f"bad bounds ({lower[k]}, {upper[k]}) on edge {us[k]}->{vs[k]}")
+        first = len(self.src)
+        self.src += us
+        self.dst += vs
+        self.lower += lower
+        self.upper += upper
+        return range(first, len(self.src))
+
+    def num_edges(self):
+        return len(self.src)
+
+    def to_dot(self):
+        lines = ["digraph flow {", "  rankdir=LR;"]
+        for v in range(self.num_nodes):
+            lines.append(f'  n{v} [label="{self.names[v]}"];')
+        for e in range(self.num_edges()):
+            lines.append(
+                f'  n{self.src[e]} -> n{self.dst[e]} '
+                f'[label="({self.lower[e]}, {self.upper[e]})"];'
+            )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+class _ReserveReference:
+    def __init__(self, network, group_of, group_members, group_node, category_node, class_node):
+        self.network = network
+        self.group_of = group_of
+        self.group_members = group_members
+        self.group_node = group_node
+        self.category_node = category_node
+        self.class_node = class_node
+        self.group_edge: dict[int, int] = {}
+        self.assign_edge: dict[tuple[int, int], int] = {}
+        self.category_edge: dict[int, int] = {}
+        self.class_edge: dict[str, int] = {}
+
+
+def _layers_reference(system, label, groups):
+    num_groups, num_categories = len(groups), system.num_categories
+    names = (
+        ["s"]
+        + [f"{label}{k}" for k in range(num_groups)]
+        + [f"c{c}" for c in range(num_categories)]
+        + ["C0", "C*", "t"]
+    )
+    open_node = 1 + num_groups + num_categories
+    return _ReserveReference(
+        network=_NetworkReference(len(names), source=0, sink=open_node + 2, names=names),
+        group_of={a: k for k, members in enumerate(groups) for a in members},
+        group_members=groups,
+        group_node=list(range(1, 1 + num_groups)),
+        category_node=list(range(1 + num_groups, open_node)),
+        class_node={OPEN_CLASS: open_node, PREF_CLASS: open_node + 1},
+    )
+
+
+def _add_class_edges_reference(system, rn):
+    net = rn.network
+    total_capacity = sum(system.capacities)
+    open_node, pref_node = rn.class_node[OPEN_CLASS], rn.class_node[PREF_CLASS]
+    for c in range(system.num_categories):
+        target = pref_node if system.is_beneficial(c) else open_node
+        rn.category_edge[c] = net.add_edge(
+            rn.category_node[c], target, 0, system.capacities[c]
+        )
+    rn.class_edge[OPEN_CLASS] = net.add_edge(open_node, net.sink, 0, total_capacity)
+    rn.class_edge[PREF_CLASS] = net.add_edge(pref_node, net.sink, 0, total_capacity)
+    return rn
+
+
+def _reserve_network_reference(system):
+    base = system.base
+    n = base.num_agents
+    rn = _layers_reference(system, "i", [(a,) for a in range(n)])
+    net, agent_node = rn.network, rn.group_node
+    rn.group_edge.update(zip(range(n), net.add_edges([0] * n, agent_node, [0] * n, [1] * n)))
+    pairs: list[tuple[int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    for c in range(base.num_categories):
+        eligible = base.eligible_agents(c)
+        pairs += [(a, c) for a in eligible]
+        tails += [agent_node[a] for a in eligible]
+        heads += [rn.category_node[c]] * len(eligible)
+    edges = net.add_edges(tails, heads, [0] * len(pairs), [1] * len(pairs))
+    rn.assign_edge.update(zip(pairs, edges))
+    return _add_class_edges_reference(system, rn)
+
+
+def _eligibility_classes_reference(system):
+    cats: list[list[int]] = [[] for _ in range(system.num_agents)]
+    for c in range(system.num_categories):
+        for a in system.base.eligible_agents(c):
+            cats[a].append(c)
+    by_set: dict[tuple[int, ...], list[int]] = {}
+    for a in range(system.num_agents):
+        by_set.setdefault(tuple(cats[a]), []).append(a)
+    return [(key, tuple(members)) for key, members in by_set.items()]
+
+
+def _compact_network_reference(system):
+    classes = _eligibility_classes_reference(system)
+    rn = _layers_reference(system, "k", [members for _, members in classes])
+    net = rn.network
+    for k, (eligible, members) in enumerate(classes):
+        size = len(members)
+        rn.group_edge[k] = net.add_edge(0, rn.group_node[k], 0, size)
+        for c in eligible:
+            rn.assign_edge[(k, c)] = net.add_edge(
+                rn.group_node[k], rn.category_node[c], 0, size
+            )
+    return _add_class_edges_reference(system, rn)
+
+
+def _edge(net, e):
+    return net.src[e], net.dst[e], net.lower[e], net.upper[e]
+
+
+def test_reserve_networks_equal_reference():
+    """The full network keeps every node id, edge id, bound, edge map and DOT
+    line of the builder it replaced. The compact one keeps its nodes, group
+    ids and edges, and its DOT text differs only in the order of its edge
+    lines."""
+    rng = random.Random(1962)
+    sizes = set()
+    for trial in range(300):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.choice([0, rng.randint(1, 6), rng.randint(1, 30)]),
+            num_categories=rng.choice([0, rng.randint(1, 3), rng.randint(1, 6)]),
+            capacity=rng.choice(["uniform:0:3", "uniform:1:6", "const:0"]),
+            density=rng.choice([0.2, 0.5, 0.9, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["strict", "random:2", "equal"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        sizes.add((seq.num_agents > 0, seq.num_categories > 0))
+
+        rn, ref = build_reserve_network(seq), _reserve_network_reference(seq)
+        net, ref_net = rn.network, ref.network
+        assert (net.num_nodes, net.source, net.sink) == (
+            ref_net.num_nodes, ref_net.source, ref_net.sink
+        ), trial
+        assert (net.src, net.dst, net.lower, net.upper) == (
+            ref_net.src, ref_net.dst, ref_net.lower, ref_net.upper
+        ), trial
+        assert list(rn.assign_edge.items()) == list(ref.assign_edge.items()), trial
+        assert dict(enumerate(rn.group_edge)) == ref.group_edge, trial
+        assert dict(enumerate(rn.category_edge)) == ref.category_edge, trial
+        assert (rn.class_edge, rn.class_node) == (ref.class_edge, ref.class_node), trial
+        assert dict(enumerate(rn.group_of)) == ref.group_of, trial
+        assert rn.group_members == ref.group_members, trial
+        assert rn.to_dot() == ref_net.to_dot(), trial
+
+        cn, ref = build_compact_network(seq), _compact_network_reference(seq)
+        net, ref_net = cn.network, ref.network
+        assert cn.group_members == ref.group_members, trial
+        assert dict(enumerate(cn.group_of)) == ref.group_of, trial
+        assert cn.assign_edge.keys() == ref.assign_edge.keys(), trial
+        for maps, ref_maps in (
+            (cn.assign_edge, ref.assign_edge),
+            (dict(enumerate(cn.group_edge)), ref.group_edge),
+            (dict(enumerate(cn.category_edge)), ref.category_edge),
+            (cn.class_edge, ref.class_edge),
+        ):
+            assert {key: _edge(net, e) for key, e in maps.items()} == {
+                key: _edge(ref_net, e) for key, e in ref_maps.items()
+            }, trial
+        assert net.num_edges() == ref_net.num_edges(), trial
+        lines, ref_lines = cn.to_dot().splitlines(), ref_net.to_dot().splitlines()
+        assert [line for line in lines if "->" not in line] == [
+            line for line in ref_lines if "->" not in line
+        ], trial
+        assert sorted(lines) == sorted(ref_lines), trial
+    assert sizes == {(False, False), (False, True), (True, False), (True, True)}

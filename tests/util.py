@@ -7,7 +7,9 @@ from __future__ import annotations
 import random
 
 from reservematch import axioms
+from reservematch.bipartite import EligibilityGraph
 from reservematch.cli import GeneratorSpec
+from reservematch.harness import PerturbationReport
 from reservematch.model import (
     HybridMarker,
     Matching,
@@ -16,6 +18,7 @@ from reservematch.model import (
     ReserveSystem,
     SequentialReserveSystem,
 )
+from reservematch.netflow import BoundedFlowNetwork, build_compact_network
 
 
 def compare_priority(system: ReserveSystem, c: int, a: int, b: int) -> bool:
@@ -31,6 +34,32 @@ def agent_categories(system: ReserveSystem, agent: int) -> tuple[int, ...]:
     return tuple(
         c for c in range(system.num_categories) if system.is_eligible(agent, c)
     )
+
+
+def num_edges(graph: EligibilityGraph) -> int:
+    """The number of (agent, category) eligibility edges."""
+    return sum(len(adj) for adj in graph.agent_adj)
+
+
+def is_strict(order: PrecedenceOrder) -> bool:
+    """True iff no two categories share a tier."""
+    return len(set(order.tier_of)) == len(order.tier_of)
+
+
+def report_ok(report: PerturbationReport) -> bool:
+    """True iff the property report found no counterexample."""
+    return not report.counterexamples
+
+
+def agent_groups(system: SequentialReserveSystem) -> dict[int, tuple[int, ...]]:
+    """Agents partitioned by identical eligible-category sets: the groups of
+    the compact reserve network, keyed by group id (ascending order of each
+    group's smallest member)."""
+    return dict(enumerate(build_compact_network(system).group_members))
+
+
+def set_upper(network: BoundedFlowNetwork, edge: int, value: int) -> None:
+    network.upper[edge] = value
 
 
 def fundamental_verdicts(system, matching, max_size):
