@@ -268,11 +268,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             handle.write(build_compact_network(as_sequential(system)).to_dot())
     matching = _solve_matching(system, args)
     seq = as_sequential(system)
+    loads = matching.loads(seq.num_categories)
     summary = {
         "rule": args.rule,
-        "matched": matching.matched_count(),
-        "beneficiaries": matching.beneficiary_count(seq.preferential),
-        "loads": list(matching.loads(seq.num_categories)),
+        "matched": sum(loads),
+        "beneficiaries": sum(loads[c] for c in seq.preferential),
+        "loads": list(loads),
     }
     text = matching_to_json(matching)
     if args.output is not None:
@@ -570,6 +571,8 @@ def run_bench(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes)
+    if not sizes:
+        raise InstanceError("--sizes names no size")
     rules = args.rules.split(",")
     for rule in rules:
         if rule not in RULES:

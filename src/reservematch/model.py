@@ -158,13 +158,11 @@ class ReserveSystem(Record):
             if q < 0:
                 raise NegativeCapacity(f"category {c} has negative capacity {q}")
         n = self.num_agents
+        everyone = set(range(n))
         for c, ranking in enumerate(self.priorities):
             r = ranking.ordered_agents
-            if (
-                len(r) == n == len(set(r))
-                and (n == 0 or (0 <= min(r) and max(r) < n))
-                and 0 <= ranking.eligible_cutoff <= n
-            ):
+            # n entries naming every agent: each agent exactly once
+            if len(r) == n and set(r) == everyone and 0 <= ranking.eligible_cutoff <= n:
                 continue
             # a bad ranking: rescan it to raise the first error in order
             seen: set[int] = set()
@@ -406,7 +404,7 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
         entry = by_id[c]
         capacities.append(_integer(entry["capacity"], "capacity", c))
         ranking = _typed(entry["ranking"], list, "ranking", c)
-        if set(map(type, ranking)) <= {int}:
+        if list(map(type, ranking)).count(int) == len(ranking):
             ranking = tuple(ranking)
         else:
             ranking = tuple(_integer(a, "ranking element", c) for a in ranking)
@@ -501,15 +499,19 @@ def matching_to_raw(matching: Matching) -> dict[str, Any]:
 def matching_to_json(matching: Matching) -> str:
     """``canonical_json(matching_to_raw(matching))``, written directly: the
     keys sorted as strings ("10" before "2"), two-space indent, ``null`` for
-    an unmatched agent and a trailing newline."""
+    an unmatched agent and a trailing newline.
+
+    The rows are sorted whole. Each reads ``"key": value`` after the same
+    indent, and the closing quote (0x22) sorts below every digit, so a key
+    that is a prefix of another ("1", "10") sorts first, as the keys do."""
     assignment = matching.assignment
     if not assignment:
         return '{\n  "assignment": {}\n}\n'
-    rows = ",\n".join(
-        f'    "{key}": {"null" if c is None else c}'
-        for key, c in sorted(zip(map(str, range(len(assignment))), assignment))
-    )
-    return '{\n  "assignment": {\n' + rows + "\n  }\n}\n"
+    rows = [
+        f'    "{a}": {"null" if c is None else c}' for a, c in enumerate(assignment)
+    ]
+    rows.sort()
+    return '{\n  "assignment": {\n' + ",\n".join(rows) + "\n  }\n}\n"
 
 
 def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:

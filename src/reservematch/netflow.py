@@ -52,10 +52,6 @@ class BoundedFlowNetwork:
         self.lower: list[int] = []
         self.upper: list[int] = []
 
-    def add_edge(self, u: int, v: int, lower: int = 0, upper: int = 0) -> int:
-        """``add_edges`` of one edge; its id."""
-        return self.add_edges([u], [v], [lower], [upper])[0]
-
     def add_edges(
         self, us: list[int], vs: list[int], lower: list[int], upper: list[int]
     ) -> range:
@@ -338,7 +334,7 @@ class ReserveNetwork:
     k's node is named ``label`` plus k, and only ``to_dot`` names nodes."""
 
     __slots__ = (
-        "network", "label", "group_of", "group_members", "class_node",
+        "network", "label", "group_of", "group_members",
         "group_edge", "assign_edge", "category_edge", "class_edge",
     )
 
@@ -374,7 +370,6 @@ class ReserveNetwork:
             upper += [sizes[k] for k in eligible]
         self.assign_edge = dict(zip(pairs, net.add_edges(tails, heads, [0] * len(pairs), upper)))
         pref_node = open_node + 1
-        self.class_node = {OPEN_CLASS: open_node, PREF_CLASS: pref_node}
         self.category_edge = net.add_edges(
             list(range(first_category, open_node)),
             [pref_node if system.is_beneficial(c) else open_node for c in range(num_categories)],

@@ -233,12 +233,16 @@ def mma_allocate(
             )
     initial_matching = match.to_matching()
 
+    # The pool holds scan ranks, distinct ints: agent_rank[a] is a's rank
+    # and by_rank[rank] its agent.
+    by_rank: Sequence[int]
+    agent_rank: Sequence[int]
     if agent_order is None:
-        agent_rank = list(range(system.num_agents))
+        by_rank = agent_rank = range(system.num_agents)
     else:
-        order = _validate_permutation(agent_order, system.num_agents, "agent order")
+        by_rank = _validate_permutation(agent_order, system.num_agents, "agent order")
         agent_rank = [0] * system.num_agents
-        for rank, a in enumerate(order):
+        for rank, a in enumerate(by_rank):
             agent_rank[a] = rank
     if category_order is None:
         cats_of: Sequence[Sequence[int]] = graph.agent_adj
@@ -251,9 +255,13 @@ def mma_allocate(
             cat_rank[c] = rank
         cats_of = [sorted(adj, key=cat_rank.__getitem__) for adj in graph.agent_adj]
     position = [ranking.position for ranking in system.priorities]
-    # Per category, a heap of its occupants with the lowest priority on top.
+    eligible = [system.eligible_agents(c) for c in range(system.num_categories)]
+    # Per category, a heap of its occupants' negated positions, the lowest
+    # priority on top. Every occupant is eligible (maximum_matching checks a
+    # seed), so a position indexes the eligible prefix: the occupant at -p
+    # is eligible[c][p].
     occupants = [
-        [(-position[c](b), b) for b in match.members[c]]
+        [-position[c](b) for b in match.members[c]]
         for c in range(system.num_categories)
     ]
     for heap in occupants:
@@ -264,16 +272,17 @@ def mma_allocate(
     # twice, so what it has proposed to is a prefix: proposed[agent] long.
     proposed = [0] * system.num_agents
     log: list[TraceEntry] = []
+    # An agent joins the pool when it is unmatched and leaves it before it
+    # is matched, so every pop is an unmatched agent. One with no category
+    # would propose nothing, so it never joins.
     pool = [
-        (agent_rank[a], a)
+        agent_rank[a]
         for a in range(system.num_agents)
-        if assignment[a] is None
+        if assignment[a] is None and cats_of[a]
     ]
     heapq.heapify(pool)
     while pool:
-        _, agent = heapq.heappop(pool)
-        if assignment[agent] is not None:
-            continue  # stale entry
+        agent = by_rank[heapq.heappop(pool)]
         cats = cats_of[agent]
         i = proposed[agent]
         while i < len(cats):
@@ -284,13 +293,13 @@ def mma_allocate(
             heap = occupants[c]
             if not heap:
                 continue  # zero-capacity category
-            rank = position[c](agent)
-            if rank < -heap[0][0]:
-                lowest = heapq.heapreplace(heap, (-rank, agent))[1]
+            pos = position[c](agent)
+            if pos < -heap[0]:
+                lowest = eligible[c][-heapq.heapreplace(heap, -pos)]
                 match.unassign(lowest)
                 match.assign(agent, c)
                 log.append(TraceEntry(agent, c, DISPLACED, lowest))
-                heapq.heappush(pool, (agent_rank[lowest], lowest))
+                heapq.heappush(pool, agent_rank[lowest])
                 break
             log.append(TraceEntry(agent, c, SKIPPED))
         proposed[agent] = i

@@ -922,6 +922,32 @@ def test_gen_option_given_the_empty_string_exits_2(capsys, option):
     _exits_2_before_writing(capsys, _options_argv(argv, option, ""))
 
 
+_COMMAND_CASES = [
+    (command, option)
+    for command in ("check", "verify", "bench")
+    for option in _value_options(command)
+]
+
+
+@pytest.mark.parametrize(
+    "command, option", _COMMAND_CASES, ids=[f"{c}{o}" for c, o in _COMMAND_CASES]
+)
+def test_command_option_given_the_empty_string_exits_2(
+    capsys, corpus_dir, tmp_path, command, option
+):
+    """``check``, ``verify`` and ``bench``: an empty value is refused, never
+    read as no value (``bench --sizes ""`` printed an empty table)."""
+    matching = tmp_path / "m.json"
+    matching.write_text(matching_to_json(Matching((None, None, None))))
+    argv = {
+        "check": ["check", "--instance", str(corpus_dir / "contested_pair.json"),
+                  "--matching", str(matching)],
+        "verify": ["verify", "--rule", "mma", "--sweep", "corpus"],
+        "bench": ["bench", "--sizes", "4", "--rules", "mma", "--repetitions", "1"],
+    }[command]
+    _exits_2_before_writing(capsys, _options_argv(argv, option, ""))
+
+
 _CROSS_RULE_CASES = [
     (option, rule)
     for option, (own, _) in _RULE_OPTIONS.items()

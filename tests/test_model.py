@@ -26,6 +26,8 @@ from reservematch.model import (
     SequentialReserveSystem,
     TierCountMismatch,
     UnknownCategoryInPreferential,
+    _integer,
+    _typed,
     as_sequential,
     canonical_json,
     instance_to_json,
@@ -309,6 +311,214 @@ def test_ranking_validation_messages(ranking, cutoff, error, message):
         with pytest.raises(error) as caught:
             build()
         assert type(caught.value) is error and str(caught.value) == message
+
+
+# ``ReserveSystem.__init__``, ``_validate_instance`` and ``validate_instance``
+# as they were with three passes per ranking (``len(set(r))``, ``min``,
+# ``max``) and a set-of-types check, kept line for line but for names and
+# docstrings: every error they raised, and its message, must stay the same.
+class _ReserveSystemReference(ReserveSystem):
+    __slots__ = ()
+
+    def __init__(self, num_agents, num_categories, capacities, priorities):
+        self._init(num_agents, num_categories, capacities, priorities)
+        if len(self.capacities) != self.num_categories:
+            raise InstanceError(
+                f"expected {self.num_categories} capacities, got {len(self.capacities)}"
+            )
+        if len(self.priorities) != self.num_categories:
+            raise InstanceError(
+                f"expected {self.num_categories} rankings, got {len(self.priorities)}"
+            )
+        for c, q in enumerate(self.capacities):
+            if q < 0:
+                raise NegativeCapacity(f"category {c} has negative capacity {q}")
+        n = self.num_agents
+        for c, ranking in enumerate(self.priorities):
+            r = ranking.ordered_agents
+            if (
+                len(r) == n == len(set(r))
+                and (n == 0 or (0 <= min(r) and max(r) < n))
+                and 0 <= ranking.eligible_cutoff <= n
+            ):
+                continue
+            seen = set()
+            for a in ranking.ordered_agents:
+                if a in seen:
+                    raise DuplicateAgentInRanking(
+                        f"agent {a} appears twice in the ranking of category {c}"
+                    )
+                if not 0 <= a < self.num_agents:
+                    raise RankingIncomplete(
+                        f"ranking of category {c} names unknown agent {a}"
+                    )
+                seen.add(a)
+            if len(seen) != self.num_agents:
+                raise RankingIncomplete(
+                    f"ranking of category {c} lists {len(seen)} of "
+                    f"{self.num_agents} agents"
+                )
+            if not 0 <= ranking.eligible_cutoff <= self.num_agents:
+                raise InstanceError(
+                    f"category {c} cutoff {ranking.eligible_cutoff} out of range"
+                )
+
+
+def _validate_instance_reference(raw):
+    try:
+        return _validate_instance_body_reference(raw)
+    except InstanceError:
+        raise
+    except KeyError as exc:
+        raise InstanceError(f"malformed instance data: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InstanceError(f"malformed instance data: {exc}") from exc
+
+
+def _validate_instance_body_reference(raw):
+    num_agents = _integer(raw["agents"], "agents")
+    categories = _typed(raw["categories"], list, "categories")
+    if num_agents < 0:
+        raise InstanceError(f"negative agent count {num_agents}")
+
+    num_categories = len(categories)
+    ids = sorted(_integer(entry["id"], "category id") for entry in categories)
+    if ids != list(range(num_categories)):
+        raise InstanceError(
+            f"category ids must be exactly 0..{num_categories - 1}, got {ids}"
+        )
+    by_id = {int(entry["id"]): entry for entry in categories}
+
+    capacities = []
+    priorities = []
+    for c in range(num_categories):
+        entry = by_id[c]
+        capacities.append(_integer(entry["capacity"], "capacity", c))
+        ranking = _typed(entry["ranking"], list, "ranking", c)
+        if set(map(type, ranking)) <= {int}:
+            ranking = tuple(ranking)
+        else:
+            ranking = tuple(_integer(a, "ranking element", c) for a in ranking)
+        cutoff = _integer(entry["eligible_cutoff"], "eligible_cutoff", c)
+        priorities.append(PriorityRanking(ranking, cutoff))
+    base = _ReserveSystemReference(
+        num_agents, num_categories, tuple(capacities), tuple(priorities)
+    )
+
+    has_pref = "preferential" in raw and raw["preferential"] is not None
+    has_tiers = "tiers" in raw and raw["tiers"] is not None
+    has_hybrid = raw.get("hybrid") is not None
+    if not has_pref and not has_tiers and not has_hybrid:
+        return base
+
+    preferential = frozenset(
+        _integer(c, "preferential category")
+        for c in (_typed(raw["preferential"], list, "preferential") if has_pref else ())
+    )
+    tiers = _typed(raw["tiers"], list, "tiers") if has_tiers else [0] * num_categories
+    if len(tiers) != num_categories:
+        raise TierCountMismatch(
+            f"expected {num_categories} tiers, got {len(tiers)}"
+        )
+    hybrid = None
+    if has_hybrid:
+        marker = _typed(raw["hybrid"], dict, "hybrid")
+        hybrid = HybridMarker(
+            open_early=frozenset(
+                _integer(c, "hybrid category")
+                for c in _typed(marker["open_early"], list, "hybrid.open_early")
+            ),
+            open_late=frozenset(
+                _integer(c, "hybrid category")
+                for c in _typed(marker["open_late"], list, "hybrid.open_late")
+            ),
+        )
+    return SequentialReserveSystem(
+        base=base,
+        preferential=preferential,
+        precedence=PrecedenceOrder(
+            tuple(_integer(t, "tier", c) for c, t in enumerate(tiers))
+        ),
+        hybrid=hybrid,
+    )
+
+
+_CORRUPTIONS = (
+    "true", "float", "string", "duplicate", "negative", "out of range", "short",
+    "long", "cutoff",
+)
+
+
+def _corrupt(rng, entry, n, how):
+    """Spoil one category entry of an ``n``-agent instance in place, one way."""
+    r = entry["ranking"]
+    i = rng.randrange(n)
+    if how in ("true", "float", "string"):
+        r[i] = {"true": True, "float": 1.0, "string": "1"}[how]
+    elif how == "duplicate":
+        r[i] = r[rng.choice([j for j in range(n) if j != i])]
+    elif how == "negative":
+        r[i] = -rng.randint(1, 3)
+    elif how == "out of range":
+        r[i] = n + rng.randint(0, 2)
+    elif how == "short":
+        del r[i]
+    elif how == "long":
+        r.insert(i, rng.choice(r + [n]))
+    else:
+        entry["eligible_cutoff"] = rng.choice([-1, -2, n + 1, n + 3])
+
+
+def _outcome(build):
+    """The class and message of the error ``build()`` raises, or the
+    validated system's rankings and capacities."""
+    try:
+        system = build()
+    except Exception as exc:  # every class counts; the reference is the judge
+        return type(exc), str(exc)
+    return system.priorities, system.capacities
+
+
+def test_ranking_validation_equals_reference():
+    """On dense random rankings, each spoiled one way, validation raises the
+    error its three-pass form raised, with the same message; the same holds
+    for the ``ReserveSystem`` constructor, except that a string element there
+    raises ``TypeError`` from a different comparison (an instance file cannot
+    hold one: the element type check comes first)."""
+    rng = random.Random(4242)
+    raised = dict.fromkeys(_CORRUPTIONS, 0)
+    for trial in range(1500):
+        n, k = rng.randint(2, 12), rng.randint(1, 4)
+        raw = {"agents": n, "categories": []}
+        for c in range(k):
+            ranking = rng.sample(range(n), n)
+            raw["categories"].append(
+                {"id": c, "capacity": rng.randint(0, 2), "ranking": ranking,
+                 "eligible_cutoff": rng.randint(0, n)}
+            )
+        how = None if trial % 10 == 0 else rng.choice(_CORRUPTIONS)
+        if how is not None:
+            _corrupt(rng, raw["categories"][rng.randrange(k)], n, how)
+        got = _outcome(lambda: validate_instance(raw))
+        assert got == _outcome(lambda: _validate_instance_reference(raw)), (trial, how)
+        if how is None:
+            assert not isinstance(got[0], type), trial
+            continue
+        raised[how] += isinstance(got[0], type)
+        rankings = tuple(
+            PriorityRanking(tuple(e["ranking"]), e["eligible_cutoff"])
+            for e in raw["categories"]
+        )
+        capacities = tuple(e["capacity"] for e in raw["categories"])
+        got, want = (
+            _outcome(lambda: cls(n, k, capacities, rankings))
+            for cls in (ReserveSystem, _ReserveSystemReference)
+        )
+        if how == "string":
+            assert got[0] is want[0] is TypeError, trial
+        else:
+            assert got == want, (trial, how)
+    assert all(raised.values()), raised
 
 
 def test_records_have_value_semantics():

@@ -10,7 +10,7 @@ from typing import Optional
 
 import pytest
 
-from util import agent_categories, agent_groups, set_upper
+from util import add_edge, agent_categories, agent_groups, class_node, set_upper
 
 from reservematch.cli import GeneratorSpec
 from reservematch.model import Matching, as_sequential
@@ -63,7 +63,7 @@ def test_reserve_network_shape(grouped_six):
 
 def test_reserve_network_no_preferential(precedence_chain):
     rn = build_reserve_network(precedence_chain)
-    pref_node = rn.class_node[PREF_CLASS]
+    pref_node = class_node(rn)[PREF_CLASS]
     incoming = [e for e in range(rn.network.num_edges()) if rn.network.dst[e] == pref_node]
     assert incoming == []
 
@@ -280,8 +280,8 @@ def test_compact_decode_equals_full_on_distinct_sets():
 
 def test_flow_values_verified_internally():
     net = BoundedFlowNetwork(3, 0, 2)
-    net.add_edge(0, 1, 0, 5)
-    net.add_edge(1, 2, 0, 3)
+    add_edge(net, 0, 1, 0, 5)
+    add_edge(net, 1, 2, 0, 3)
     net.set_lower(1, 3)  # the edge into the sink must run full
     flow = feasible_flow(net)
     assert flow.total == 3
@@ -300,12 +300,12 @@ def _random_network(rng):
     n = rng.randint(2, 7)
     net = BoundedFlowNetwork(n, 0, n - 1)
     if rng.random() < 0.4:
-        net.add_edge(0, n - 1, 0, rng.randint(1, 2))
+        add_edge(net, 0, n - 1, 0, rng.randint(1, 2))
     for _ in range(rng.randint(1, 12)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             upper = rng.randint(0, 3)
-            net.add_edge(u, v, rng.choice([0, 0, 0, min(1, upper)]), upper)
+            add_edge(net, u, v, rng.choice([0, 0, 0, min(1, upper)]), upper)
     return net
 
 
@@ -313,7 +313,7 @@ def _with_lower(net, edge, value):
     copy = BoundedFlowNetwork(net.num_nodes, net.source, net.sink)
     for e in range(net.num_edges()):
         lower = value if e == edge else net.lower[e]
-        copy.add_edge(net.src[e], net.dst[e], 0, net.upper[e])
+        add_edge(copy, net.src[e], net.dst[e], 0, net.upper[e])
         copy.set_lower(e, lower)
     return copy
 
@@ -375,7 +375,7 @@ def test_feasible_flow_on_a_long_path():
     n = 3000
     net = BoundedFlowNetwork(n, 0, n - 1)
     for v in range(n - 1):
-        net.add_edge(v, v + 1, 0, 1)
+        add_edge(net, v, v + 1, 0, 1)
     net.set_lower(0, 1)
     with _deadline(60):
         flow = feasible_flow(net)
@@ -735,7 +735,7 @@ def test_reserve_networks_equal_reference():
         assert list(rn.assign_edge.items()) == list(ref.assign_edge.items()), trial
         assert dict(enumerate(rn.group_edge)) == ref.group_edge, trial
         assert dict(enumerate(rn.category_edge)) == ref.category_edge, trial
-        assert (rn.class_edge, rn.class_node) == (ref.class_edge, ref.class_node), trial
+        assert (rn.class_edge, class_node(rn)) == (ref.class_edge, ref.class_node), trial
         assert dict(enumerate(rn.group_of)) == ref.group_of, trial
         assert rn.group_members == ref.group_members, trial
         assert rn.to_dot() == ref_net.to_dot(), trial

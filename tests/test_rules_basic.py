@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import statistics
@@ -25,9 +26,12 @@ from reservematch.cli import GeneratorSpec
 from reservematch.harness import oracle_maxima
 from reservematch.model import InstanceError, Matching, PriorityRanking, ReserveSystem
 from reservematch.rules_basic import (
+    DISPLACED,
+    SKIPPED,
     MMATrace,
     NotMaximumSeed,
     PrefsNotEligible,
+    TraceEntry,
     _validate_permutation,
     da_allocate,
     default_preferences,
@@ -513,6 +517,143 @@ def test_mma_characterization_small():
         maxima = oracle_maxima(system)
         produced = mma_induced_matchings(system, maxima)
         assert produced == set(maxima.four_axiom_matchings)
+
+
+# ``mma_allocate`` as it was with tuple heaps, every unmatched agent in the
+# pool and a stale-entry check, kept line for line but for its name and
+# docstring: the rule's output and its whole trace follow the pop order.
+def _mma_reference(system, initial=None, agent_order=None, category_order=None):
+    graph = build_graph(system)
+    if initial is None:
+        match = maximum_matching(graph)
+    else:
+        match = initial.copy()
+        best = maximum_matching(graph, seed=match)
+        if best.size() != match.size():
+            raise NotMaximumSeed(
+                f"seed has {match.size()} matched agents, maximum is {best.size()}"
+            )
+    initial_matching = match.to_matching()
+
+    if agent_order is None:
+        agent_rank = list(range(system.num_agents))
+    else:
+        order = _validate_permutation(agent_order, system.num_agents, "agent order")
+        agent_rank = [0] * system.num_agents
+        for rank, a in enumerate(order):
+            agent_rank[a] = rank
+    if category_order is None:
+        cats_of = graph.agent_adj
+    else:
+        order = _validate_permutation(
+            category_order, system.num_categories, "category order"
+        )
+        cat_rank = [0] * system.num_categories
+        for rank, c in enumerate(order):
+            cat_rank[c] = rank
+        cats_of = [sorted(adj, key=cat_rank.__getitem__) for adj in graph.agent_adj]
+    position = [ranking.position for ranking in system.priorities]
+    occupants = [
+        [(-position[c](b), b) for b in match.members[c]]
+        for c in range(system.num_categories)
+    ]
+    for heap in occupants:
+        heapq.heapify(heap)
+
+    capacities, load, assignment = graph.capacities, match.load, match.assignment
+    proposed = [0] * system.num_agents
+    log = []
+    pool = [
+        (agent_rank[a], a)
+        for a in range(system.num_agents)
+        if assignment[a] is None
+    ]
+    heapq.heapify(pool)
+    while pool:
+        _, agent = heapq.heappop(pool)
+        if assignment[agent] is not None:
+            continue  # stale entry
+        cats = cats_of[agent]
+        i = proposed[agent]
+        while i < len(cats):
+            c = cats[i]
+            i += 1
+            assert load[c] == capacities[c]
+            heap = occupants[c]
+            if not heap:
+                continue  # zero-capacity category
+            rank = position[c](agent)
+            if rank < -heap[0][0]:
+                lowest = heapq.heapreplace(heap, (-rank, agent))[1]
+                match.unassign(lowest)
+                match.assign(agent, c)
+                log.append(TraceEntry(agent, c, DISPLACED, lowest))
+                heapq.heappush(pool, (agent_rank[lowest], lowest))
+                break
+            log.append(TraceEntry(agent, c, SKIPPED))
+        proposed[agent] = i
+    return match.to_matching(), MMATrace(initial_matching, tuple(log))
+
+
+def _random_maximum_seed(rng, system):
+    """A maximum matching grown by Hopcroft-Karp from a random feasible
+    partial one, so that it is seldom the rule's own start."""
+    graph = build_graph(system)
+    start = GraphMatching(system.num_agents, system.num_categories)
+    for a in rng.sample(range(system.num_agents), system.num_agents):
+        open_ = [c for c in graph.agent_adj[a] if start.load[c] < graph.capacities[c]]
+        if open_ and rng.random() < 0.7:
+            start.assign(a, rng.choice(open_))
+    return maximum_matching(graph, seed=start)
+
+
+def _assert_mma_equals_reference(system, seed=None, agent_order=None, category_order=None):
+    got = mma_allocate(
+        system, None if seed is None else seed.copy(), agent_order, category_order
+    )
+    want = _mma_reference(
+        system, None if seed is None else seed.copy(), agent_order, category_order
+    )
+    assert got[0] == want[0]
+    assert got[1].initial == want[1].initial
+    assert got[1].log == want[1].log
+    return want[1]
+
+
+def test_mma_equals_reference_on_random_instances():
+    rng = random.Random(2323)
+    shapes = dict.fromkeys(
+        ("agent order", "category order", "seed", "zero capacity",
+         "agent without category", "displacement"), 0
+    )
+    for trial in range(1200):
+        system = GeneratorSpec(
+            num_agents=rng.randint(0, 30),
+            num_categories=rng.randint(1, 5),
+            capacity=rng.choice(["const:0", "const:1", "uniform:0:3", "uniform:1:6"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            seed=trial,
+        ).build()
+        n, k = system.num_agents, system.num_categories
+        agent_order = rng.sample(range(n), n) if rng.random() < 0.5 else None
+        category_order = rng.sample(range(k), k) if rng.random() < 0.5 else None
+        seed = _random_maximum_seed(rng, system) if rng.random() < 0.5 else None
+        trace = _assert_mma_equals_reference(system, seed, agent_order, category_order)
+        shapes["agent order"] += agent_order is not None
+        shapes["category order"] += category_order is not None
+        shapes["seed"] += seed is not None
+        shapes["zero capacity"] += 0 in system.capacities
+        shapes["agent without category"] += not all(build_graph(system).agent_adj)
+        shapes["displacement"] += any(e.outcome == DISPLACED for e in trace.log)
+    assert all(shapes.values()), shapes
+
+
+def test_mma_equals_reference_at_mma_large_size():
+    system = GeneratorSpec(4000, 10, capacity="const:200", density=0.1, seed=51).build()
+    order = random.Random(51).sample(range(4000), 4000)
+    trace = _assert_mma_equals_reference(system)
+    assert sum(e.outcome == DISPLACED for e in trace.log) > 100
+    _assert_mma_equals_reference(system, agent_order=order)
 
 
 def test_mma_faster_than_rev_trend():

@@ -18,7 +18,13 @@ from reservematch.model import (
     ReserveSystem,
     SequentialReserveSystem,
 )
-from reservematch.netflow import BoundedFlowNetwork, build_compact_network
+from reservematch.netflow import (
+    OPEN_CLASS,
+    PREF_CLASS,
+    BoundedFlowNetwork,
+    ReserveNetwork,
+    build_compact_network,
+)
 
 
 def compare_priority(system: ReserveSystem, c: int, a: int, b: int) -> bool:
@@ -60,6 +66,17 @@ def agent_groups(system: SequentialReserveSystem) -> dict[int, tuple[int, ...]]:
 
 def set_upper(network: BoundedFlowNetwork, edge: int, value: int) -> None:
     network.upper[edge] = value
+
+
+def add_edge(network: BoundedFlowNetwork, u: int, v: int, lower: int = 0, upper: int = 0) -> int:
+    """``add_edges`` of one edge; its id."""
+    return network.add_edges([u], [v], [lower], [upper])[0]
+
+
+def class_node(rn: ReserveNetwork) -> dict[str, int]:
+    """The open and preferential class nodes: the two nodes before the sink."""
+    sink = rn.network.sink
+    return {OPEN_CLASS: sink - 2, PREF_CLASS: sink - 1}
 
 
 def fundamental_verdicts(system, matching, max_size):
