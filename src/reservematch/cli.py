@@ -672,6 +672,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
+    # argparse drops a "--" given as an option's "=" value (--agents=--) and
+    # stores an empty list where one value belongs, unchecked by its type
+    for name, value in vars(args).items():
+        if isinstance(value, list) and (not value or [] in value):
+            _shared_parser().error(f"argument --{name.replace('_', '-')}: expected one argument")
     if getattr(args, "axiom", None) is None and args.command == "check":
         args.axiom = ["all"]
     # looked up per call, not stored in the cached parser, so a command

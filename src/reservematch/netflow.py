@@ -1,12 +1,14 @@
 """Directed flow networks with per-edge lower and upper bounds.
 
-Provides feasibility under lower bounds via the standard circulation
-transformation (subtract lower bounds, add an excess/deficit supernode pair,
-saturate with Dinic), a warm-started feasible flow (``WarmFlow``) whose lower
-bounds rise one unit at a time with at most one residual-cycle search each,
-and the three-layer reserve network with one node per group of agents sharing
-an eligibility set; the full network is the case of one agent per group. A
-matching and a reserve-network flow convert both ways (``matching_to_flow``,
+Both flow engines work on one residual layout (``_Residual``): arc 2e
+carries edge e's room forward and arc 2e + 1 its room backward. Feasibility
+under lower bounds uses the standard circulation transformation (subtract
+lower bounds, add an excess/deficit supernode pair, saturate with Dinic). A
+warm-started feasible flow (``WarmFlow``) lets lower bounds rise one unit at
+a time with at most one residual-cycle search each. The three-layer reserve
+network has one node per group of agents sharing an eligibility set; the
+full network is the case of one agent per group. A matching and a
+reserve-network flow convert both ways (``matching_to_flow``,
 ``flow_to_matching``). All flows are integral; augmentation and search order
 are fixed by edge id, so results are deterministic.
 """
@@ -77,11 +79,11 @@ class BoundedFlowNetwork:
 _UNBOUNDED = 1 << 60  # the sink -> source arc's capacity, and the cap on a push
 
 
-class _Dinic:
-    """Plain max-flow core on non-negative capacities (Dinic 1970, with
-    current-arc pointers). The residual arrays are built in bulk: arc 2e
+class _Residual:
+    """Residual arcs on non-negative capacities, built in bulk: arc 2e
     carries ``caps[e]`` from ``tails[e]`` to ``heads[e]`` and arc 2e + 1 is
-    its reverse. Each node's arcs are scanned in ascending arc id."""
+    its reverse, with no room until flow is pushed. Each node's arcs are
+    scanned in ascending arc id."""
 
     def __init__(self, num_nodes: int, tails: list[int], heads: list[int], caps: list[int]):
         arcs = 2 * len(tails)
@@ -98,6 +100,33 @@ class _Dinic:
         adj = self.adj
         for arc, u in enumerate(tail):
             adj[u].append(arc)
+
+    def path(self, start: int, goal: int) -> Optional[list[int]]:
+        """The arcs of a shortest path from ``start`` to ``goal`` over arcs
+        with room, found breadth-first and closed as soon as ``goal`` is
+        discovered; None when there is none (or ``goal`` is ``start``)."""
+        to, cap, adj = self.to, self.cap, self.adj
+        parent = {start: -1}
+        queue = deque([start])
+        while queue:
+            for arc in adj[queue.popleft()]:
+                v = to[arc]
+                if cap[arc] and v not in parent:
+                    parent[v] = arc
+                    if v == goal:
+                        path = []
+                        while v != start:
+                            arc = parent[v]
+                            path.append(arc)
+                            v = to[arc ^ 1]
+                        path.reverse()
+                        return path
+                    queue.append(v)
+        return None
+
+
+class _Dinic(_Residual):
+    """Plain max-flow core (Dinic 1970, with current-arc pointers)."""
 
     def max_flow(self, s: int, t: int) -> int:
         to, cap, adj = self.to, self.cap, self.adj
@@ -222,95 +251,53 @@ class WarmFlow:
     current flow has a cycle through the edge (feasible flows with lower
     bounds: Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6), so each
     pin is at most one breadth-first search instead of a fresh solve. The
-    residual graph is the one ``feasible_flow`` solves: every edge plus an
-    uncapacitated sink -> source arc carrying ``total``.
+    residual graph is the one ``feasible_flow`` solves: every edge e, with
+    ``upper - value`` on arc 2e and ``value - lower`` on arc 2e + 1, then an
+    uncapacitated sink -> source arc whose reverse holds the total.
     """
 
-    __slots__ = ("network", "values", "total", "_incident")
+    __slots__ = ("network", "_residual")
 
     def __init__(self, network: BoundedFlowNetwork, flow: Flow):
         self.network = network
-        self.values = list(flow.values)
-        self.total = flow.total
-        _verify(network, self.values)
-        # arcs at each node in edge-id order; -1 is the sink -> source arc
-        self._incident: list[list[int]] = [[] for _ in range(network.num_nodes)]
-        for e in range(network.num_edges()):
-            self._incident[network.src[e]].append(e)
-            if network.dst[e] != network.src[e]:
-                self._incident[network.dst[e]].append(e)
-        self._incident[network.source].append(-1)
-        self._incident[network.sink].append(-1)
+        values = list(flow.values)
+        _verify(network, values)
+        self._residual = _Residual(
+            network.num_nodes,
+            network.src + [network.sink],
+            network.dst + [network.source],
+            list(map(sub, network.upper, values)) + [_UNBOUNDED],
+        )
+        self._residual.cap[1::2] = list(map(sub, values, network.lower)) + [flow.total]
 
     def flow(self) -> Flow:
         """Snapshot of the maintained flow, checked in full."""
-        _verify(self.network, self.values)
-        return Flow(tuple(self.values), self.total)
+        cap = self._residual.cap
+        values = list(map(add, self.network.lower, cap[1:-1:2]))
+        _verify(self.network, values)
+        return Flow(tuple(values), cap[-1])
 
     def pin(self, edge: int) -> bool:
         """Raise ``edge``'s lower bound by one and keep the flow feasible;
         False (and nothing changed) when no feasible flow carries that many
         units there. A unit above the old bound is pinned in place; else
         one residual cycle through the edge brings one in."""
-        net, values = self.network, self.values
-        if values[edge] <= net.lower[edge]:
-            if values[edge] >= net.upper[edge]:
+        net, residual = self.network, self._residual
+        cap, forward, back = residual.cap, 2 * edge, 2 * edge + 1
+        if not cap[back]:
+            if not cap[forward]:
                 return False
-            cycle = self._residual_path(net.dst[edge], net.src[edge])
+            cycle = residual.path(net.dst[edge], net.src[edge])
             if cycle is None:
                 return False
-            cycle.append((edge, 1))
-            for e, step in cycle:
-                if e < 0:
-                    self.total += step
-                    assert self.total >= 0, "sink -> source flow went negative"
-                else:
-                    values[e] += step
-                    assert net.lower[e] <= values[e] <= net.upper[e], (
-                        f"edge {e} flow {values[e]} outside "
-                        f"[{net.lower[e]}, {net.upper[e]}]"
-                    )
+            cycle.append(forward)
+            for arc in cycle:
+                cap[arc] -= 1
+                cap[arc ^ 1] += 1
+                assert cap[arc] >= 0, f"arc {arc} lost more room than it had"
+        cap[back] -= 1
         net.set_lower(edge, net.lower[edge] + 1)
         return True
-
-    def _residual_path(self, start: int, goal: int) -> Optional[list[tuple[int, int]]]:
-        """Shortest residual path as (edge, +1 forward / -1 backward) steps,
-        closing as soon as ``goal`` is discovered."""
-        net, values = self.network, self.values
-        src, dst, lower, upper = net.src, net.dst, net.lower, net.upper
-        source, sink = net.source, net.sink
-        parent: dict[int, tuple[int, int, int]] = {start: (start, 0, 0)}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for e in self._incident[u]:
-                if e < 0:
-                    if u == sink:
-                        v, step = source, 1
-                    elif self.total > 0:
-                        v, step = sink, -1
-                    else:
-                        continue
-                elif src[e] == u:
-                    if values[e] >= upper[e]:
-                        continue
-                    v, step = dst[e], 1
-                else:
-                    if values[e] <= lower[e]:
-                        continue
-                    v, step = src[e], -1
-                if v in parent:
-                    continue
-                parent[v] = (u, e, step)
-                if v == goal:
-                    path = []
-                    while v != start:
-                        v, e, step = parent[v]
-                        path.append((e, step))
-                    path.reverse()
-                    return path
-                queue.append(v)
-        return None
 
 
 # ---------------------------------------------------------------------------

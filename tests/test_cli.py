@@ -843,7 +843,7 @@ def test_cli_import_loads_only_the_solve_path():
 
 
 # ---------------------------------------------------------------------------
-# The option surface of solve and gen, walked from the parser
+# The option surface, walked from the parser
 
 
 # The solve options that only one rule reads, with a value that rule accepts
@@ -858,16 +858,22 @@ _RULE_OPTIONS = {
 }
 
 
-def _value_options(command):
+def _value_options(command, types=None):
     """The long name of every option of the ``command`` subparser that takes
-    a value."""
+    a value, or only of those read through one of ``types``."""
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return [
         max(action.option_strings, key=len)
         for action in sub.choices[command]._actions
         if action.option_strings and action.nargs != 0
+        and (types is None or action.type in types)
     ]
+
+
+# The two ways to give an option no value: ``--agents ""``, and ``--agents=--``,
+# whose "--" argparse drops, storing an empty list unchecked by the type.
+_NO_VALUE = ("", "=--")
 
 
 def _rule_argv(rule, instance, output):
@@ -876,12 +882,13 @@ def _rule_argv(rule, instance, output):
 
 
 def _options_argv(argv, option, value):
-    """``argv`` with ``option`` set to ``value``, replacing any value it had."""
+    """``argv`` with ``option`` set to ``value``, replacing any value it had;
+    a value that starts with ``=`` is joined to the option in one token."""
+    tokens = [option + value] if value.startswith("=") else [option, value]
     if option in argv:
-        argv = list(argv)
-        argv[argv.index(option) + 1] = value
-        return argv
-    return argv + [option, value]
+        at = argv.index(option)
+        return argv[:at] + tokens + argv[at + 2:]
+    return argv + tokens
 
 
 def _exits_2_before_writing(capsys, argv, *paths):
@@ -902,50 +909,101 @@ def _exits_2_before_writing(capsys, argv, *paths):
 
 # each option with the rule that reads it; the options every rule reads with scu
 _SOLVE_CASES = [
-    (option, _RULE_OPTIONS[option][0] if option in _RULE_OPTIONS else "scu")
+    (option, _RULE_OPTIONS[option][0] if option in _RULE_OPTIONS else "scu", value)
+    for value in _NO_VALUE
     for option in _value_options("solve")
 ]
 
 
-@pytest.mark.parametrize("option, rule", _SOLVE_CASES, ids=[o for o, _ in _SOLVE_CASES])
-def test_solve_option_given_the_empty_string_exits_2(capsys, corpus_dir, tmp_path, option, rule):
+@pytest.mark.parametrize(
+    "option, rule, value", _SOLVE_CASES, ids=[o + v for o, _, v in _SOLVE_CASES]
+)
+def test_solve_option_given_the_empty_string_exits_2(
+    capsys, corpus_dir, tmp_path, option, rule, value
+):
     """An empty path reaches ``open``, and an empty order is the empty list,
-    which is no permutation of three agents: neither is ignored."""
+    which is no permutation of three agents: neither is ignored. ``=--``
+    stores no value at all, which ``open`` and the rules do not take."""
     output = tmp_path / "out.json"
     argv = _rule_argv(rule, str(corpus_dir / "contested_pair.json"), str(output))
-    _exits_2_before_writing(capsys, _options_argv(argv, option, ""), output)
+    _exits_2_before_writing(capsys, _options_argv(argv, option, value), output)
 
 
-@pytest.mark.parametrize("option", _value_options("gen"))
-def test_gen_option_given_the_empty_string_exits_2(capsys, option):
+_GEN_CASES = [(option, value) for value in _NO_VALUE for option in _value_options("gen")]
+
+
+@pytest.mark.parametrize(
+    "option, value", _GEN_CASES, ids=[o + v for o, v in _GEN_CASES]
+)
+def test_gen_option_given_the_empty_string_exits_2(capsys, option, value):
     argv = ["gen", "--agents", "3", "--categories", "2"]
-    _exits_2_before_writing(capsys, _options_argv(argv, option, ""))
+    _exits_2_before_writing(capsys, _options_argv(argv, option, value))
+
+
+def _command_argv(command, corpus_dir, tmp_path):
+    """A valid, quick argument vector of ``command`` (not ``solve``)."""
+    matching = tmp_path / "m.json"
+    matching.write_text(matching_to_json(Matching((None, None, None))))
+    return {
+        "gen": ["gen", "--agents", "3", "--categories", "2"],
+        "check": ["check", "--instance", str(corpus_dir / "contested_pair.json"),
+                  "--matching", str(matching)],
+        "verify": ["verify", "--rule", "mma", "--sweep", "corpus"],
+        "bench": ["bench", "--sizes", "4", "--rules", "mma", "--repetitions", "1"],
+    }[command]
 
 
 _COMMAND_CASES = [
-    (command, option)
+    (command, option, value)
+    for value in _NO_VALUE
     for command in ("check", "verify", "bench")
     for option in _value_options(command)
 ]
 
 
 @pytest.mark.parametrize(
-    "command, option", _COMMAND_CASES, ids=[f"{c}{o}" for c, o in _COMMAND_CASES]
+    "command, option, value",
+    _COMMAND_CASES,
+    ids=[c + o + v for c, o, v in _COMMAND_CASES],
 )
 def test_command_option_given_the_empty_string_exits_2(
-    capsys, corpus_dir, tmp_path, command, option
+    capsys, corpus_dir, tmp_path, command, option, value
 ):
     """``check``, ``verify`` and ``bench``: an empty value is refused, never
     read as no value (``bench --sizes ""`` printed an empty table)."""
-    matching = tmp_path / "m.json"
-    matching.write_text(matching_to_json(Matching((None, None, None))))
-    argv = {
-        "check": ["check", "--instance", str(corpus_dir / "contested_pair.json"),
-                  "--matching", str(matching)],
-        "verify": ["verify", "--rule", "mma", "--sweep", "corpus"],
-        "bench": ["bench", "--sizes", "4", "--rules", "mma", "--repetitions", "1"],
-    }[command]
-    _exits_2_before_writing(capsys, _options_argv(argv, option, ""))
+    argv = _command_argv(command, corpus_dir, tmp_path)
+    _exits_2_before_writing(capsys, _options_argv(argv, option, value))
+
+
+@pytest.mark.parametrize("value", _NO_VALUE, ids=["empty", "=--"])
+def test_format_given_no_value_exits_2(capsys, value):
+    """The top-level option: ``--format=--`` printed the text report."""
+    argv = _options_argv([], "--format", value) + ["gen", "--agents", "3", "--categories", "2"]
+    _exits_2_before_writing(capsys, argv)
+
+
+# Tokens int() or float() would read, or that name no count, fed to every
+# option with an integer or float type; a seed may be any integer, so only
+# the other options get the negative.
+_MALFORMED = (" 1", "+1", "1_0", "\uff11", "nan", "inf")
+_TYPED_CASES = [
+    (command, option, token)
+    for command in ("gen", "verify", "bench")
+    for option in _value_options(command, (cli._integer, cli._float))
+    for token in _MALFORMED + (() if option == "--seed" else ("-1",))
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, token",
+    _TYPED_CASES,
+    ids=[f"{c}{o}:{ascii(t)}" for c, o, t in _TYPED_CASES],
+)
+def test_typed_option_given_a_malformed_token_exits_2(
+    capsys, corpus_dir, tmp_path, command, option, token
+):
+    argv = _command_argv(command, corpus_dir, tmp_path)
+    _exits_2_before_writing(capsys, _options_argv(argv, option, token))
 
 
 _CROSS_RULE_CASES = [

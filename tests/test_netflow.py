@@ -331,21 +331,22 @@ def test_warm_pin_agrees_with_fresh_solve():
             e = rng.randrange(net.num_edges())
             raised = net.lower[e] + 1
             expected = feasible_flow(_with_lower(net, e, raised)) is not None
-            before = (list(warm.values), warm.total, list(net.lower), list(net.upper))
+            before = (warm.flow(), list(net.lower), list(net.upper))
             assert warm.pin(e) == expected
             pins += 1
             if expected:
                 successes += 1
                 assert net.lower[e] == raised
-                _verify(net, warm.values)
+                flow = warm.flow()
+                _verify(net, flow.values)
                 out_of_source = sum(
-                    warm.values[d] for d in range(net.num_edges()) if net.src[d] == net.source
+                    flow.values[d] for d in range(net.num_edges()) if net.src[d] == net.source
                 ) - sum(
-                    warm.values[d] for d in range(net.num_edges()) if net.dst[d] == net.source
+                    flow.values[d] for d in range(net.num_edges()) if net.dst[d] == net.source
                 )
-                assert warm.total == out_of_source
+                assert flow.total == out_of_source
             else:
-                assert (list(warm.values), warm.total, list(net.lower), list(net.upper)) == before
+                assert (warm.flow(), list(net.lower), list(net.upper)) == before
     assert 0 < successes < pins
 
 
@@ -550,6 +551,185 @@ def test_feasible_flow_equals_reference_on_reserve_networks():
         else:
             feasible += 1
     assert feasible > 50 and infeasible > 50
+
+
+# ---------------------------------------------------------------------------
+# WarmFlow against its incidence-list form
+
+
+# ``WarmFlow`` as it was before it moved onto ``_Dinic``'s arc arrays, kept
+# verbatim but for its name: each scu candidate of the ``flow`` and
+# ``compact`` rules is one pin, so the two must take the same cycle, answer
+# every pin alike and hold the same flow after it.
+class _WarmFlowReference:
+    """A feasible integral flow kept feasible while lower bounds rise one
+    unit at a time.
+
+    When an edge carries no unit above its lower bound, a feasible flow with
+    that bound one higher exists exactly when the residual graph of the
+    current flow has a cycle through the edge (feasible flows with lower
+    bounds: Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6), so each
+    pin is at most one breadth-first search instead of a fresh solve. The
+    residual graph is the one ``feasible_flow`` solves: every edge plus an
+    uncapacitated sink -> source arc carrying ``total``.
+    """
+
+    __slots__ = ("network", "values", "total", "_incident")
+
+    def __init__(self, network: BoundedFlowNetwork, flow: Flow):
+        self.network = network
+        self.values = list(flow.values)
+        self.total = flow.total
+        _verify(network, self.values)
+        # arcs at each node in edge-id order; -1 is the sink -> source arc
+        self._incident: list[list[int]] = [[] for _ in range(network.num_nodes)]
+        for e in range(network.num_edges()):
+            self._incident[network.src[e]].append(e)
+            if network.dst[e] != network.src[e]:
+                self._incident[network.dst[e]].append(e)
+        self._incident[network.source].append(-1)
+        self._incident[network.sink].append(-1)
+
+    def flow(self) -> Flow:
+        """Snapshot of the maintained flow, checked in full."""
+        _verify(self.network, self.values)
+        return Flow(tuple(self.values), self.total)
+
+    def pin(self, edge: int) -> bool:
+        """Raise ``edge``'s lower bound by one and keep the flow feasible;
+        False (and nothing changed) when no feasible flow carries that many
+        units there. A unit above the old bound is pinned in place; else
+        one residual cycle through the edge brings one in."""
+        net, values = self.network, self.values
+        if values[edge] <= net.lower[edge]:
+            if values[edge] >= net.upper[edge]:
+                return False
+            cycle = self._residual_path(net.dst[edge], net.src[edge])
+            if cycle is None:
+                return False
+            cycle.append((edge, 1))
+            for e, step in cycle:
+                if e < 0:
+                    self.total += step
+                    assert self.total >= 0, "sink -> source flow went negative"
+                else:
+                    values[e] += step
+                    assert net.lower[e] <= values[e] <= net.upper[e], (
+                        f"edge {e} flow {values[e]} outside "
+                        f"[{net.lower[e]}, {net.upper[e]}]"
+                    )
+        net.set_lower(edge, net.lower[edge] + 1)
+        return True
+
+    def _residual_path(self, start: int, goal: int) -> Optional[list[tuple[int, int]]]:
+        """Shortest residual path as (edge, +1 forward / -1 backward) steps,
+        closing as soon as ``goal`` is discovered."""
+        net, values = self.network, self.values
+        src, dst, lower, upper = net.src, net.dst, net.lower, net.upper
+        source, sink = net.source, net.sink
+        parent: dict[int, tuple[int, int, int]] = {start: (start, 0, 0)}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for e in self._incident[u]:
+                if e < 0:
+                    if u == sink:
+                        v, step = source, 1
+                    elif self.total > 0:
+                        v, step = sink, -1
+                    else:
+                        continue
+                elif src[e] == u:
+                    if values[e] >= upper[e]:
+                        continue
+                    v, step = dst[e], 1
+                else:
+                    if values[e] <= lower[e]:
+                        continue
+                    v, step = src[e], -1
+                if v in parent:
+                    continue
+                parent[v] = (u, e, step)
+                if v == goal:
+                    path = []
+                    while v != start:
+                        v, e, step = parent[v]
+                        path.append((e, step))
+                    path.reverse()
+                    return path
+                queue.append(v)
+        return None
+
+
+def _pins_agree(warm, reference, edges):
+    """Pin ``edges`` in turn on both engines, each on its own copy of one
+    network; the answer, the flow and the lower bounds agree after every
+    pin. Returns the number of pins that succeeded."""
+    successes = 0
+    for e in edges:
+        answer = warm.pin(e)
+        assert answer == reference.pin(e), e
+        assert warm.flow() == reference.flow(), e
+        assert warm.network.lower == reference.network.lower, e
+        successes += answer
+    return successes
+
+
+def _copy_network(net):
+    copy = BoundedFlowNetwork(net.num_nodes, net.source, net.sink)
+    copy.add_edges(list(net.src), list(net.dst), list(net.lower), list(net.upper))
+    return copy
+
+
+def test_warm_flow_equals_reference_on_random_networks():
+    rng = random.Random(1993)
+    pins = successes = 0
+    for _ in range(1500):
+        net = _random_network(rng)
+        start = feasible_flow(net)
+        if start is None or net.num_edges() == 0:
+            continue
+        twin = _copy_network(net)
+        edges = [rng.randrange(net.num_edges()) for _ in range(rng.randint(1, 12))]
+        successes += _pins_agree(WarmFlow(net, start), _WarmFlowReference(twin, start), edges)
+        pins += len(edges)
+    assert 0.2 * pins < successes < 0.8 * pins
+
+
+@pytest.mark.parametrize("build", [build_reserve_network, build_compact_network],
+                         ids=["full", "compact"])
+def test_warm_flow_equals_reference_on_reserve_networks(build):
+    """Started as the ``flow`` and ``compact`` scu states start: class
+    bounds b and m - b, the flow of the dual maximum matching."""
+    rng = random.Random(2024)
+    pins = successes = 0
+    for _ in range(150):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(1, 40),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["uniform:0:3", "uniform:1:6", "const:2"]),
+            density=rng.choice([0.2, 0.5, 0.9]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["strict", "random:2", "equal"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        mu, b, m = dual_maximum_matching(seq)
+        engines = []
+        for engine in (WarmFlow, _WarmFlowReference):
+            rn = build(seq)
+            rn.network.set_lower(rn.class_edge[PREF_CLASS], b)
+            rn.network.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+            engines.append(engine(rn.network, matching_to_flow(rn, seq, mu.to_matching())))
+        assign = sorted(rn.assign_edge.values())
+        if not assign:
+            continue
+        edges = [
+            rng.choice(assign) if rng.random() < 0.8 else rng.randrange(rn.network.num_edges())
+            for _ in range(rng.randint(1, 3 * seq.num_agents))
+        ]
+        successes += _pins_agree(*engines, edges)
+        pins += len(edges)
+    assert 0.1 * pins < successes < 0.9 * pins
 
 
 # ---------------------------------------------------------------------------

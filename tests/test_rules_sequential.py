@@ -424,7 +424,7 @@ def test_network_state_starts_without_a_flow_solve(grouped_six, monkeypatch, com
     monkeypatch.setattr(netflow, "_Dinic", no_dinic)
     state = SCUNetworkState(grouped_six, compact)
     _, b, m = dual_maximum_matching(grouped_six)
-    assert (state.b, state.m, state.warm.total) == (b, m, m)
+    assert (state.b, state.m, state.warm.flow().total) == (b, m, m)
 
 
 def test_default_implementation_is_bipartite(grouped_six, corpus_dir, tmp_path, monkeypatch):
