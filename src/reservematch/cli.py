@@ -33,7 +33,6 @@ from .model import (
     canonical_json,
     instance_to_json,
     matching_to_json,
-    matching_to_raw,
     parse_instance,
     parse_matching,
 )
@@ -280,7 +279,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     if args.format == "json":
-        print(canonical_json({"matching": matching_to_raw(matching), "summary": summary}), end="")
+        # canonical_json({"matching": ..., "summary": summary}), built from the
+        # matching text already written: each part nested two spaces deeper
+        matching_text, summary_text = (
+            part.rstrip("\n").replace("\n", "\n  ") for part in (text, canonical_json(summary))
+        )
+        print(f'{{\n  "matching": {matching_text},\n  "summary": {summary_text}\n}}')
     else:
         print(f"rule: {summary['rule']}")
         print(f"matched: {summary['matched']}")
@@ -469,14 +473,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         matching = rule_fn(system)
         four = run_checks(system, matching, list(axioms.FUNDAMENTAL))
-        four_report = {
-            "property": "four-axioms",
-            "trials": 1,
-            "counterexamples": [
-                v.to_raw() for v in four if not v.passed
-            ],
-        }
-        entry["reports"] = [r.to_raw() for r in reports] + [four_report]
+        failing = [v.to_raw() for v in four if not v.passed]
+        reports.append(harness.PerturbationReport("four-axioms", 1, failing))
+        entry["reports"] = [r.to_raw() for r in reports]
         for report in entry["reports"]:
             if report["counterexamples"] and report["property"] in gated:
                 failed = True

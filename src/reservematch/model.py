@@ -490,16 +490,10 @@ def instance_to_json(system: AnySystem) -> str:
     return canonical_json(instance_to_raw(system))
 
 
-def matching_to_raw(matching: Matching) -> dict[str, Any]:
-    return {
-        "assignment": {str(a): c for a, c in enumerate(matching.assignment)}
-    }
-
-
 def matching_to_json(matching: Matching) -> str:
-    """``canonical_json(matching_to_raw(matching))``, written directly: the
-    keys sorted as strings ("10" before "2"), two-space indent, ``null`` for
-    an unmatched agent and a trailing newline.
+    """The ``canonical_json`` of ``{"assignment": {str(a): c for each agent
+    a}}``, written directly: the keys sorted as strings ("10" before "2"),
+    two-space indent, ``null`` for an unmatched agent and a trailing newline.
 
     The rows are sorted whole. Each reads ``"key": value`` after the same
     indent, and the closing quote (0x22) sorts below every digit, so a key

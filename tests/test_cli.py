@@ -14,6 +14,7 @@ import reservematch
 from reservematch import cli
 from reservematch.cli import main
 from reservematch.model import matching_to_json, Matching
+from util import MALFORMED_NUMBERS
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -982,15 +983,13 @@ def test_format_given_no_value_exits_2(capsys, value):
     _exits_2_before_writing(capsys, argv)
 
 
-# Tokens int() or float() would read, or that name no count, fed to every
-# option with an integer or float type; a seed may be any integer, so only
-# the other options get the negative.
-_MALFORMED = (" 1", "+1", "1_0", "\uff11", "nan", "inf")
+# MALFORMED_NUMBERS fed to every option with an integer or float type; a
+# seed may be any integer, so only the other options get the negative.
 _TYPED_CASES = [
     (command, option, token)
     for command in ("gen", "verify", "bench")
     for option in _value_options(command, (cli._integer, cli._float))
-    for token in _MALFORMED + (() if option == "--seed" else ("-1",))
+    for token in MALFORMED_NUMBERS + (() if option == "--seed" else ("-1",))
 ]
 
 

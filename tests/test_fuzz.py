@@ -1,12 +1,14 @@
-"""Property tests of the command line's exit-code contract on generated
-instance files: every valid instance solves and checks with exit 0, and every
-malformed one ends with exit 2 and a single ``error:`` line."""
+"""Property tests of the command line's exit-code contract: every valid
+generated instance solves and checks with exit 0, every malformed one ends
+with exit 2 and a single ``error:`` line, and a mutated argument vector ends
+with exit 0, 1 or 2, never an internal error."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import pathlib
 import tempfile
 
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservematch import axioms
-from reservematch.cli import main
+from reservematch.cli import RULES, main
+from util import MALFORMED_NUMBERS
 
 # axioms each rule satisfies on every instance (da is stable but may leave
 # the matching short of maximum cardinality)
@@ -49,9 +52,14 @@ def instances(draw, min_agents=0, min_categories=0):
 
 
 def _run(*argv: str) -> tuple[int, str]:
+    """The exit code and standard error of one in-process call; argparse
+    exits through SystemExit."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -133,3 +141,86 @@ def test_malformed_instances_exit_2(raw, data):
             code, err = _run(*argv)
             assert code == 2, (argv, raw)
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+CORPUS = {
+    path: json.loads(path.read_text())
+    for path in sorted((pathlib.Path(__file__).parent / "corpus").glob("*.json"))
+}
+INSTANCES = [path for path, raw in CORPUS.items() if "agents" in raw]
+MATCHINGS = [str(path) for path, raw in CORPUS.items() if "assignment" in raw]
+
+
+@st.composite
+def argument_vectors(draw):
+    """A valid ``solve``, ``check`` or ``gen`` argument vector over the corpus
+    files, as a list of option groups. File names other than the corpus
+    paths are relative, and ``empty.json`` is the empty matching (a corpus
+    matching may belong to another instance, which exits 2). Every size
+    is at most 30: a huge ``gen`` size is valid input whose memory use grows
+    without bound."""
+    command = draw(st.sampled_from(["solve", "check", "gen"]))
+    groups = [["--format", "json"]] if draw(st.booleans()) else []
+    if command == "gen":
+        groups += [["gen"], ["--agents", str(draw(st.integers(0, 30)))],
+                   ["--categories", str(draw(st.integers(0, 30)))]]
+        optional = [["--capacity", "const:2"], ["--capacity", "uniform:0:3"],
+                    ["--density", "0.3"], ["--preferential-fraction", "0.5"],
+                    ["--tiers", "strict"], ["--tiers", "random:3"], ["--seed", "7"],
+                    ["--correlated"], ["-o", "gen.json"]]
+    else:
+        path = draw(st.sampled_from(INSTANCES))
+        n, k = CORPUS[path]["agents"], len(CORPUS[path]["categories"])
+        groups += [[command], ["-i", str(path)]]
+    if command == "check":
+        groups.append(["-m", draw(st.just("empty.json") | st.sampled_from(MATCHINGS))])
+        optional = [["--axiom", name] for name in axioms.FUNDAMENTAL]
+        optional += [["--axiom", "all"], ["--search", "oracle"]]
+    elif command == "solve":
+        rule = draw(st.sampled_from(RULES))
+        groups.append(["--rule", rule])
+        if rule == "rev":
+            groups.append(["--baseline", ",".join(map(str, reversed(range(n))))])
+        optional = [["-o", "out.json"], ["--dot", "full.dot"], ["--dot-compact", "compact.dot"]]
+        optional += {
+            "mma": [["--agent-order", ",".join(map(str, reversed(range(n))))],
+                    ["--category-order", ",".join(map(str, reversed(range(k))))],
+                    ["--seed-matching", "empty.json"]],
+            "scu": [["--impl", "flow"], ["--impl", "compact"], ["--trace", "trace.jsonl"]],
+        }.get(rule, [])
+    return groups + draw(st.lists(st.sampled_from(optional), max_size=3))
+
+
+def _mutate_argv(draw, groups) -> None:
+    """Drop, duplicate or swap an option group, or give a value a malformed
+    token."""
+    if not groups:
+        return
+    i, j = (draw(st.integers(0, len(groups) - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "malform"]))
+    if kind == "drop":
+        del groups[i]
+    elif kind == "duplicate":
+        groups.insert(i, list(groups[i]))
+    elif kind == "swap":
+        groups[i], groups[j] = groups[j], groups[i]
+    elif len(groups[i]) == 2:
+        groups[i] = [groups[i][0], draw(st.sampled_from(MALFORMED_NUMBERS + ("", "-1")))]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(groups=argument_vectors(), data=st.data())
+def test_mutated_argument_vectors_never_fail_internally(groups, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_argv(data.draw, groups)
+    argv = [token for group in groups for token in group]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            pathlib.Path("empty.json").write_text('{"assignment": {}}')
+            code, err = _run(*argv)
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err and "internal error:" not in err, (argv, err)

@@ -1,0 +1,89 @@
+"""The pure parts of the layer timers' driver, ``tools/layer_timing.py``:
+the timers it puts on module attributes, the merging and summaries of the
+children's samples, and the reference-second scaling. No process is
+started."""
+
+from __future__ import annotations
+
+import itertools
+import pathlib
+import sys
+import types
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+
+import layer_timing  # noqa: E402
+
+
+def _module():
+    inner = types.SimpleNamespace(fn=lambda x: x + 1)
+    outer = types.SimpleNamespace(fn=lambda x: inner.fn(x) * 2)
+    return inner, outer
+
+
+def test_patched_functions_are_restored_after_a_timed_call_raises():
+    inner, outer = _module()
+    originals = (inner.fn, outer.fn)
+    clock = layer_timing.LayerClock({"inner": (inner, "fn"), "outer": (outer, "fn")})
+    with pytest.raises(TypeError):
+        with clock.patched():
+            assert (inner.fn, outer.fn) != originals
+            clock.run(outer.fn, "x")
+    assert (inner.fn, outer.fn) == originals
+    assert clock.calls == {"inner": 1, "outer": 1}
+
+
+def _nest(path, layers):
+    for key in reversed(path):
+        layers = {key: layers}
+    return layers
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+# bench_solve.py nests samples by layer, bench_precedence.py by size then
+# layer, bench_check.py by shape, kind, then layer
+@pytest.mark.parametrize("path", [(), ("2000",), ("mma-large", "refute")])
+def test_children_samples_merge_and_summarise_at_each_depth(path):
+    samples: dict = {}
+    for child in range(3):
+        layer_timing.merge(samples, _nest(path, {"total": [child, child + 10], "hk": [1]}))
+    assert samples == _nest(path, {"total": [0, 10, 1, 11, 2, 12], "hk": [1, 1, 1]})
+
+    halved = layer_timing.leaves(lambda v: [x / 2 for x in v], samples)
+    report = layer_timing.report({"a": samples, "b": halved}, {"repeats_per_run": 5})
+    assert report["settings"] == {
+        "clock": layer_timing.CLOCK,
+        "repeats_per_run": 5,
+        "rounds": layer_timing.ROUNDS,
+        "sides": ["a", "b"],
+    }
+    assert _at(report["runs"]["a"], path) == {
+        "total": {"n": 6, "p25": 0.75, "p50": 6.0, "p75": 11.25},
+        "hk": {"n": 3, "p25": 1.0, "p50": 1.0, "p75": 1.0},
+    }
+    assert _at(report["speedup_over_a"]["b"], path) == {"total": 2.0, "hk": 2.0}
+
+
+# kernel readings before and after the op, in REF_S, and their mean
+@pytest.mark.parametrize("readings, mean", [((1, 1), 1), ((2, 2), 2), ((1, 3), 2)])
+def test_a_kernel_slower_than_the_reference_scales_every_layer_down(monkeypatch, readings, mean):
+    """Each process_time call reads one tick more than the last, so every
+    layer's CPU time is a fixed count of ticks."""
+    ticks = itertools.count()
+    kernel = (reading * layer_timing.calib.REF_S for reading in readings)
+    monkeypatch.setattr(layer_timing, "time", types.SimpleNamespace(process_time=ticks.__next__))
+    monkeypatch.setattr(layer_timing.calib, "kernel_s", kernel.__next__)
+    inner, outer = _module()
+    clock = layer_timing.LayerClock({"inner": (inner, "fn"), "outer": (outer, "fn")})
+    with clock.patched():
+        result, spent = clock.run(outer.fn, 1)
+    assert result == 4
+    # total: ticks 0..5; outer: 1..4; inner: 2..3
+    assert spent == pytest.approx({"inner": 1 / mean, "outer": 3 / mean, "total": 5 / mean})

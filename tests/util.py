@@ -26,6 +26,10 @@ from reservematch.netflow import (
     build_compact_network,
 )
 
+# Tokens int() or float() would read, or that name no count: the command
+# line's integer and float options refuse each of them.
+MALFORMED_NUMBERS = (" 1", "+1", "1_0", "\uff11", "nan", "inf")
+
 
 def compare_priority(system: ReserveSystem, c: int, a: int, b: int) -> bool:
     """True iff agent a ranks strictly above agent b at category c."""
