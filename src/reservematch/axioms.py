@@ -303,18 +303,18 @@ def _precedence_flags(seq: SequentialReserveSystem, matching: Matching):
 
 def _alternative_pins(
     seq: SequentialReserveSystem, matching: Matching, i: int, cj: int
-) -> Optional[list[tuple[int, int]]]:
+) -> list[tuple[int, int]]:
     """The pairs an alternative matching for the flag (i, cj) must hold:
-    the earlier categories' occupants, cj's higher-priority occupants and i
-    at cj; None when i is one of those occupants, which leaves no
-    alternative."""
-    base = seq.base
-    earlier = [c for c in range(base.num_categories) if seq.precedence.before(c, cj)]
-    pins = [(k, c) for c in earlier for k in matching.agents_in(c)]
-    rank = base.position(cj, i)
-    pins += [(ell, cj) for ell in matching.agents_in(cj) if base.position(cj, ell) < rank]
-    if any(k == i for k, _ in pins):
-        return None
+    the occupants of strictly earlier tiers, cj's occupants ranked above i,
+    and i at cj. A flagged i is unmatched or held strictly later than cj, so
+    it is none of those occupants."""
+    tier = seq.precedence.tier_of
+    rank = seq.base.position(cj, i)
+    pins = [
+        (k, c)
+        for k, c in enumerate(matching.assignment)
+        if c is not None and (tier[c] < tier[cj] or (c == cj and seq.base.position(cj, k) < rank))
+    ]
     return pins + [(i, cj)]
 
 
@@ -361,8 +361,6 @@ def check_respect_precedence(
         raise ValueError(f"unknown search mode {search!r}")
     for i, j, cj in _precedence_flags(seq, matching):
         pins = _alternative_pins(seq, matching, i, cj)
-        if pins is None:
-            continue
         if search == "flow":
             alt = pinned_alternative(seq, pins, b, m)
         else:

@@ -505,30 +505,30 @@ def run_bench(
     categories: int = 10,
     density: float = 0.1,
 ) -> dict[str, Any]:
-    """Timing table over generated instances; medians per (rule, size)."""
+    """Timing table over generated instances. Each repetition builds one
+    instance per size and times every rule on it back to back, in one
+    stretch of CPU speed; a ratio is the median of per-repetition ratios."""
     import statistics
 
     if categories < 1:
         raise InstanceError(f"--categories must be at least 1, got {categories}")
     if repetitions < 0:
         raise InstanceError(f"--repetitions must be at least 0, got {repetitions}")
+    allocators = [(rule, _rule_callable(rule)) for rule in rules]
     rows: list[dict[str, Any]] = []
-    medians: dict[tuple[str, int], float] = {}
+    samples: dict[tuple[str, int], list[float]] = {}
     for size in sizes:
-        for rule in rules:
-            allocate = _rule_callable(rule)
-            samples = []
-            for rep in range(repetitions):
-                spec = GeneratorSpec(
-                    num_agents=size,
-                    num_categories=categories,
-                    capacity=f"const:{max(1, size // (2 * categories))}",
-                    density=density,
-                    seed=seed + rep,
-                )
-                system = spec.build()
+        for rep in range(repetitions):
+            system = GeneratorSpec(
+                num_agents=size,
+                num_categories=categories,
+                capacity=f"const:{max(1, size // (2 * categories))}",
+                density=density,
+                seed=seed + rep,
+            ).build()
+            for rule, allocate in allocators:
                 elapsed = _timed(lambda: allocate(system))
-                samples.append(elapsed)
+                samples.setdefault((rule, size), []).append(elapsed)
                 rows.append(
                     {
                         "rule": rule,
@@ -538,8 +538,6 @@ def run_bench(
                         "seconds": elapsed,
                     }
                 )
-            if samples:
-                medians[(rule, size)] = statistics.median(samples)
     report: dict[str, Any] = {
         "sizes": list(sizes),
         "rules": list(rules),
@@ -547,20 +545,17 @@ def run_bench(
         "seed": seed,
         "rows": rows,
         "medians": [
-            {"rule": rule, "size": size, "seconds": value}
-            for (rule, size), value in sorted(medians.items())
+            {"rule": rule, "size": size, "seconds": statistics.median(values)}
+            for (rule, size), values in sorted(samples.items())
         ],
     }
     if "mma" in rules and "rev" in rules and repetitions > 0:
         ratios = []
         for size in sizes:
-            mma_med = medians[("mma", size)]
-            ratios.append(
-                {
-                    "size": size,
-                    "ratio": medians[("rev", size)] / mma_med if mma_med > 0 else float("inf"),
-                }
-            )
+            # the k-th samples of both rules ran on repetition k's instance
+            pairs = zip(samples[("mma", size)], samples[("rev", size)])
+            per_rep = [rev / mma if mma > 0 else float("inf") for mma, rev in pairs]
+            ratios.append({"size": size, "ratio": statistics.median(per_rep)})
         report["rev_over_mma"] = ratios
         report["ratio_monotone"] = all(
             ratios[k]["ratio"] > ratios[k - 1]["ratio"] for k in range(1, len(ratios))
@@ -572,10 +567,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes)
     if not sizes:
         raise InstanceError("--sizes names no size")
+    if len(set(sizes)) < len(sizes):
+        raise InstanceError(f"--sizes {args.sizes!r} names a size twice")
     rules = args.rules.split(",")
     for rule in rules:
         if rule not in RULES:
             raise InstanceError(f"unknown rule {rule!r} in --rules {args.rules!r}")
+    if len(set(rules)) < len(rules):
+        raise InstanceError(f"--rules {args.rules!r} names a rule twice")
     report = run_bench(
         sizes,
         rules,

@@ -434,6 +434,38 @@ def test_bench_zero_repetitions(capsys):
     assert json.loads(out)["rows"] == []
 
 
+def test_bench_times_every_rule_of_a_repetition_on_one_instance(monkeypatch):
+    calls = []
+    times = iter([1.0, 10.0, 2.0, 2.0, 4.0, 40.0] * 2)
+
+    def rule_callable(rule):
+        return lambda system: calls.append((rule, system))
+
+    def timed(fn):
+        fn()
+        return next(times)
+
+    monkeypatch.setattr(cli, "_rule_callable", rule_callable)
+    monkeypatch.setattr(cli, "_timed", timed)
+    report = cli.run_bench(sizes=(6, 9), rules=("mma", "rev"), repetitions=3, seed=4, categories=2)
+    assert [rule for rule, _ in calls] == ["mma", "rev"] * 6
+    for (_, first), (_, second) in zip(calls[::2], calls[1::2]):
+        assert first is second
+    assert len({id(system) for _, system in calls}) == 6
+    assert [(row["size"], row["rep"], row["rule"]) for row in report["rows"]] == [
+        (size, rep, rule) for size in (6, 9) for rep in range(3) for rule in ("mma", "rev")
+    ]
+    # per-repetition ratios 10, 1, 10: their median, not median(rev) / median(mma) = 5
+    assert report["rev_over_mma"] == [{"size": 6, "ratio": 10.0}, {"size": 9, "ratio": 10.0}]
+    assert report["ratio_monotone"] is False
+    assert report["medians"] == [
+        {"rule": "mma", "size": 6, "seconds": 2.0},
+        {"rule": "mma", "size": 9, "seconds": 2.0},
+        {"rule": "rev", "size": 6, "seconds": 10.0},
+        {"rule": "rev", "size": 9, "seconds": 10.0},
+    ]
+
+
 def test_bench_zero_categories_exits_2(capsys):
     # the generated capacity divides the size by the category count
     _bad_input_exit(capsys, "bench", "--sizes", "10", "--rules", "mma", "--categories", "0")
@@ -752,11 +784,14 @@ def test_plain_decimal_options_are_read(capsys):
         ["bench", "--sizes", "10", "--rules", ""],
         ["bench", "--sizes", "10", "--rules", "mma,"],
         ["bench", "--sizes", "10", "--rules", "mma,,rev"],
+        ["bench", "--sizes", "40,40", "--rules", "mma,rev"],
+        ["bench", "--sizes", "10", "--rules", "mma,mma"],
     ],
 )
 def test_bench_request_that_times_nothing_exits_2(capsys, argv):
     """A negative repetition count or an empty rule name is bad input, not
-    an empty table."""
+    an empty table; a repeated size or rule is bad input, not a table whose
+    rows or ratios read twice."""
     _bad_input_exit(capsys, *argv)
 
 
