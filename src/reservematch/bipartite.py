@@ -10,7 +10,9 @@ first category with a free slot, so the pass returns the same matching.
 ``augment_backward`` is the cheap exact test beside it: one augmenting-path
 search run backwards from the free slots over per-category agent prefixes,
 with no graph. ``rev`` runs it per rejection check, and ``check`` runs it
-once per stage of the dual maximum matching to certify a maximum start.
+on each stage of the dual maximum matching until it finds no path, which
+certifies the stage (at most isqrt(n) + 1 times before Hopcroft-Karp
+takes over).
 """
 
 from __future__ import annotations
@@ -119,6 +121,15 @@ class GraphMatching:
             self.members[old].discard(agent)
             self.assignment[agent] = None
             self._size -= 1
+
+    def undo(self, journal: Sequence[tuple[int, Optional[int]]]) -> None:
+        """Reverse the moves in ``journal``, each (agent, category it held
+        before the move), latest first."""
+        for agent, held in reversed(journal):
+            if held is None:
+                self.unassign(agent)
+            else:
+                self.assign(agent, held)
 
     def size(self) -> int:
         """Number of matched agents, O(1)."""
@@ -309,7 +320,8 @@ def augment_backward(
     is maximum there.
 
     A path found is applied to ``match`` at once, and every move is appended
-    to ``journal`` as (agent, category it held) so the caller can undo it.
+    to ``journal`` as (agent, category it held), so that
+    ``match.undo(journal)`` takes it back.
     Callers rely only on whether a path exists, never on which one is found.
     """
     assignment = match.assignment

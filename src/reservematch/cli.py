@@ -321,9 +321,10 @@ def run_checks(
     need_b = axioms.MAX_BENEFICIARY in names or axioms.RESPECT_PRECEDENCE in names
     m = b = None
     if need_m or need_b:
-        # seeded from the matching under check: one backward search per
-        # stage certifies a maximum seed, and Hopcroft-Karp finishes only a
-        # stage whose search found a path
+        # seeded from the matching under check: backward searches apply
+        # paths until one finds none, which certifies the stage; only a
+        # stage whose isqrt(n) + 1 searches all found a path runs
+        # Hopcroft-Karp
         _, b, m = dual_maximum_matching(seq, start=matching)
     verdicts = []
     for name in names:

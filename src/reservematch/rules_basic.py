@@ -158,11 +158,7 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
         if all(augment_backward(elig, limit, match, capacities, journal) for _ in range(lost)):
             thresh = limit
         else:
-            for agent_id, old in reversed(journal):
-                if old is None:
-                    match.unassign(agent_id)
-                else:
-                    match.assign(agent_id, old)
+            match.undo(journal)
 
     # Deterministic final pass from scratch on the surviving graph.
     final_graph = EligibilityGraph.from_members(

@@ -32,15 +32,17 @@ termination, which is asserted every run.
 
 ``dual_maximum_matching`` is one loop over two stages, the preferential
 categories and then all of them. ``check`` passes the matching under check
-as its start: each stage is seeded from it and certified by one backward
-augmenting search (``bipartite.augment_backward``), so a maximum matching
-costs no graph and no Hopcroft-Karp pass. Unseeded, or when that search
-finds a path, a stage runs Hopcroft-Karp on its own graph.
+as its start: each stage is seeded from it and runs backward augmenting
+searches (``bipartite.augment_backward``) until one finds no path, which
+certifies the stage, so a maximum matching, or one a few units short, costs
+no graph and no Hopcroft-Karp pass. Unseeded, or when all isqrt(n) + 1
+allowed searches find a path, a stage runs Hopcroft-Karp on its own graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from math import isqrt
 from typing import Callable, Container, Optional, Sequence, Union
 
 from .bipartite import (
@@ -86,15 +88,17 @@ def dual_maximum_matching(
     Each stage is one set of member lists: the preferential categories'
     eligible agents (``()`` at the open ones), when there are preferential
     categories, then every category's. With ``start``, a stage is seeded
-    from its pairs in ``start`` that fit the capacities and then certified
-    by one backward augmenting search (``augment_backward``) over its
-    lists. A search that finds no path proves the stage maximum (Berge), so
-    a maximum ``start`` costs no graph and no Hopcroft-Karp pass. One
-    search, not a loop of them: each further path would cost another pass
-    over the edges, where Hopcroft-Karp bounds the rest of the stage by
-    O(sqrt(n)) passes. So without ``start``, or when the search applied a
-    path, Hopcroft-Karp finishes the stage from the working matching on the
-    stage's own graph. b and m do not depend on the seed.
+    from its pairs in ``start`` that fit the capacities, and then backward
+    augmenting searches (``augment_backward``) over its lists apply one
+    path each until a search finds none. That search proves the stage
+    maximum (Berge), so a maximum ``start`` costs one search per stage and
+    no graph. Each search is at most one pass over the stage's edges, and
+    Hopcroft-Karp bounds its own work by O(sqrt(n)) phases of one pass
+    each, so a stage gets at most isqrt(n) + 1 searches. When the last of
+    them still found a path, their paths are undone and Hopcroft-Karp
+    finishes the stage from the seed on the stage's own graph, as it does
+    from the previous stage's matching without ``start``. b and m do not
+    depend on the seed.
     """
     seq = as_sequential(system)
     n, caps = seq.num_agents, seq.capacities
@@ -107,11 +111,19 @@ def dual_maximum_matching(
     match = GraphMatching(n, seq.num_categories)
     sizes = []
     for members in stages:
+        searches_left = 0
         if start is not None:
             _seed_from(match, start, members, caps)
-        if start is None or augment_backward(
-            members, [len(agents) for agents in members], match, caps, []
-        ):
+            limit = [len(agents) for agents in members]
+            journal: list[tuple[int, Optional[int]]] = []
+            searches_left = isqrt(n) + 1
+            while searches_left and augment_backward(members, limit, match, caps, journal):
+                searches_left -= 1
+            if not searches_left:
+                # from the matching the searches leave, Hopcroft-Karp took
+                # up to 1.5x as long as from the seed
+                match.undo(journal)
+        if not searches_left:  # unseeded, or the last allowed search found a path
             graph = EligibilityGraph.from_members(n, members, caps)
             match = maximum_matching(graph, seed=match)
         sizes.append(match.size())

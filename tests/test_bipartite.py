@@ -23,7 +23,7 @@ from reservematch.bipartite import (
     maximum_matching,
 )
 from reservematch.cli import GeneratorSpec
-from reservematch.model import PriorityRanking, ReserveSystem
+from reservematch.model import PriorityRanking, ReserveSystem, as_sequential
 
 
 def brute_force_max(graph) -> int:
@@ -175,6 +175,65 @@ def test_size_counter_tracks_moves():
                 caps = [rng.randint(0, 3) for _ in range(num_categories)]
                 augment_backward(members, list(map(len, members)), match, caps, [])
             assert match.size() == matched(match)
+
+
+def test_backward_searches_reach_the_maximum_one_path_at_a_time():
+    """The Berge certificate the seeded dual maximum rests on: from any
+    start within capacity, each search that finds a path applies it and
+    adds exactly one pair, every step keeps eligibility and capacities, and
+    the search that finds none leaves a maximum matching. Undoing the
+    searches' journal gives the start back."""
+    rng = random.Random("backward-berge")
+    seen = set()
+    for trial in range(300):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(0, 40),
+            num_categories=rng.randint(1, 6),
+            capacity=rng.choice(["const:0", "uniform:0:2", "uniform:0:6"]),
+            density=rng.choice([0.05, 0.2, 0.5, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.4, 1.0]),
+            tier_scheme=rng.choice(["equal", "random:2", "random:3"]),
+            seed=trial,
+        ).build())
+        n, caps = seq.num_agents, seq.capacities
+        elig = [seq.base.eligible_agents(c) for c in range(seq.num_categories)]
+        # both stages' member lists: the preferential categories', then all
+        for members in (
+            [agents if c in seq.preferential else () for c, agents in enumerate(elig)],
+            elig,
+        ):
+            match = GraphMatching(n, seq.num_categories)
+            pairs = [(a, c) for c, agents in enumerate(members) for a in agents]
+            rng.shuffle(pairs)
+            for a, c in pairs[:rng.randint(0, len(pairs))]:
+                if match.assignment[a] is None and match.load[c] < caps[c]:
+                    match.assign(a, c)
+            maximum = maximum_matching(EligibilityGraph.from_members(n, members, caps)).size()
+            limit = [len(agents) for agents in members]
+            start, journal = list(match.assignment), []
+            size, paths = match.size(), 0
+            while augment_backward(members, limit, match, caps, journal):
+                paths += 1
+                assert match.size() == size + 1, trial
+                size += 1
+                for a, c in enumerate(match.assignment):
+                    assert c is None or a in members[c], trial
+                assert all(load <= cap for load, cap in zip(match.load, caps)), trial
+            assert size == maximum, trial
+            match.undo(journal)
+            assert match.assignment == start and match.size() == sum(
+                c is not None for c in start), trial
+            seen.update({
+                "zero capacity": 0 in caps,
+                "agent with no category": n > len(set().union(*elig)),
+                "tied tiers": len(set(seq.precedence.tier_of)) < seq.num_categories,
+                "several paths": paths > 1,
+                "maximum start": paths == 0 and maximum > 0,
+            }.items())
+    assert {name for name, hit in seen if hit} == {
+        "zero capacity", "agent with no category", "tied tiers",
+        "several paths", "maximum start",
+    }
 
 
 def test_determinism(grouped_six):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, deque
+from math import isqrt
 
 import pytest
 
@@ -231,7 +232,8 @@ def _grid_systems():
 @pytest.mark.parametrize("kind", ["maximum", "deficit-one", "partial", "arbitrary"])
 def test_seeded_dual_maximum_grid(kind, monkeypatch):
     """Every kind of start gives the unseeded b and m; a maximum start is
-    certified by the backward searches alone and comes back unchanged."""
+    certified by the backward searches alone and comes back unchanged, and
+    a start one unit short needs no Hopcroft-Karp pass either."""
     rng = random.Random(f"grid-{kind}")
     seen = set()
     for seq in _grid_systems():
@@ -253,6 +255,7 @@ def test_seeded_dual_maximum_grid(kind, monkeypatch):
         assert calls["from_members"] == calls["maximum_matching"] <= 2
         if kind == "maximum":
             assert tuple(match.assignment) == start.assignment
+        if kind in ("maximum", "deficit-one"):
             assert not calls
         seen.update({
             "no agents": seq.num_agents == 0,
@@ -264,9 +267,91 @@ def test_seeded_dual_maximum_grid(kind, monkeypatch):
         }.items())
     wanted = {"no agents", "zero capacity", "none preferential",
               "some preferential", "all preferential"}
-    if kind != "maximum":
+    if kind in ("partial", "arbitrary"):
         wanted.add("hopcroft-karp")
     assert {name for name, hit in seen if hit} >= wanted
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record each ``augment_backward`` call of ``dual_maximum_matching`` as
+    (the stage's member lists, whether it found a path)."""
+    from reservematch import rules_sequential
+
+    searches = []
+    search = rules_sequential.augment_backward
+
+    def counted_search(members, *args):
+        found = search(members, *args)
+        searches.append((members, found))
+        return found
+
+    monkeypatch.setattr(rules_sequential, "augment_backward", counted_search)
+    return searches
+
+
+def _per_stage(searches) -> list:
+    """The outcomes of ``searches``, one list per stage, in stage order."""
+    stages: dict = {}
+    for members, found in searches:
+        stages.setdefault(id(members), []).append(found)
+    return list(stages.values())
+
+
+@pytest.mark.parametrize("preferential_fraction", [0.0, 0.4])
+def test_seeded_stage_runs_at_most_isqrt_n_plus_one_searches(
+    preferential_fraction, monkeypatch
+):
+    """A seeded stage runs backward searches until one finds no path, at
+    most isqrt(n) + 1 of them, and runs Hopcroft-Karp, from the seed, only
+    when the last allowed search still found one. A start k <= isqrt(n)
+    short of maximum needs at most k paths per stage, so it builds no
+    graph."""
+    from reservematch import rules_sequential
+
+    seq = as_sequential(GeneratorSpec(
+        400, 10, capacity="const:20", density=0.15,
+        preferential_fraction=preferential_fraction, tier_scheme="random:3", seed=401,
+    ).build())
+    unseeded, b, m = dual_maximum_matching(seq)
+    bound = isqrt(seq.num_agents) + 1
+    assert (b > bound and m - b > bound) if seq.preferential else m > bound
+    rng = random.Random("search-bound")
+    matched = [a for a, c in enumerate(unseeded.assignment) if c is not None]
+    for k in (1, bound - 1):
+        assignment = list(unseeded.assignment)
+        for agent in rng.sample(matched, k):
+            assignment[agent] = None
+        with monkeypatch.context() as patch:
+            calls = _count_graph_calls(patch)
+            searches = _count_searches(patch)
+            match, b_seeded, m_seeded = dual_maximum_matching(
+                seq, start=Matching(tuple(assignment))
+            )
+        assert (b_seeded, m_seeded, match.size()) == (b, m, m)
+        assert not calls
+        for stage in _per_stage(searches):
+            assert len(stage) <= k + 1 and stage[-1] is False and all(stage[:-1])
+    # from an empty start every stage needs more paths than the bound
+    seed_sizes = []
+    with monkeypatch.context() as patch:
+        calls = _count_graph_calls(patch)
+        searches = _count_searches(patch)
+        hopcroft_karp = rules_sequential.maximum_matching
+
+        def seeded_hopcroft_karp(graph, seed):
+            seed_sizes.append(seed.size())
+            return hopcroft_karp(graph, seed=seed)
+
+        patch.setattr(rules_sequential, "maximum_matching", seeded_hopcroft_karp)
+        match, b_seeded, m_seeded = dual_maximum_matching(
+            seq, start=Matching((None,) * seq.num_agents)
+        )
+    assert (b_seeded, m_seeded, match.size()) == (b, m, m)
+    stages = _per_stage(searches)
+    assert stages == [[True] * bound] * (2 if seq.preferential else 1)
+    assert calls == {"from_members": len(stages), "maximum_matching": len(stages)}
+    # Hopcroft-Karp starts from the seed: the searches' paths are undone
+    assert seed_sizes == ([0, b] if seq.preferential else [0])
 
 
 def _tampered(seq, assignment):
@@ -287,9 +372,9 @@ def _tampered(seq, assignment):
 @pytest.mark.parametrize("rule", ["scu", "mma"])
 def test_check_certifies_maxima_without_hopcroft_karp(rule, tmp_path, monkeypatch, capsys):
     """A passing check builds no graph and runs no Hopcroft-Karp pass: the
-    backward searches certify both maxima. One unit short, the check runs
-    one pass for the stage that lost it and says what the Hopcroft-Karp
-    path says."""
+    backward searches certify both maxima. One unit short, one more search
+    applies the missing path and the next certifies the stage, still with
+    no graph; the check says what the Hopcroft-Karp path says."""
     from reservematch import rules_sequential
 
     seq = as_sequential(GeneratorSpec(
@@ -328,7 +413,7 @@ def test_check_certifies_maxima_without_hopcroft_karp(rule, tmp_path, monkeypatc
     with monkeypatch.context() as patch:
         calls = _count_graph_calls(patch)
         assert main(check + ["-m", str(short)]) == 1
-    assert calls == {"from_members": 1, "maximum_matching": 1}
+    assert not calls
     certified = capsys.readouterr().out
     with monkeypatch.context() as patch:
         patch.setattr(rules_sequential, "augment_backward", lambda *args: True)
