@@ -235,7 +235,7 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
                 trace_handle.write(json.dumps(record, sort_keys=True) + "\n")
 
         try:
-            return scu_allocate(system, impl=args.impl, trace_sink=sink)
+            return scu_allocate(system, impl=args.impl or DEFAULT_IMPL, trace_sink=sink)
         finally:
             if trace_handle is not None:
                 trace_handle.close()
@@ -249,6 +249,7 @@ _RULE_OPTIONS = {
     "seed_matching": "mma",
     "agent_order": "mma",
     "category_order": "mma",
+    "impl": "scu",
     "trace": "scu",
 }
 
@@ -618,7 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed-matching", help="matching file seeding mma")
     solve.add_argument("--agent-order", help="comma-separated scan order (mma)")
     solve.add_argument("--category-order", help="comma-separated proposal order (mma)")
-    solve.add_argument("--impl", choices=IMPLEMENTATIONS, default=DEFAULT_IMPL)
+    solve.add_argument(
+        "--impl", choices=IMPLEMENTATIONS, help=f"step implementation (scu; default {DEFAULT_IMPL})"
+    )
     solve.add_argument("--trace", help="JSON-lines step trace (scu)")
     solve.add_argument("--output", "-o", help="write the matching file here")
     solve.add_argument("--dot", help="export the full reserve network as DOT")

@@ -890,6 +890,7 @@ _RULE_OPTIONS = {
     "--seed-matching": ("mma", None),
     "--agent-order": ("mma", "2,0,1"),
     "--category-order": ("mma", "1,0"),
+    "--impl": ("scu", "compact"),
     "--trace": ("scu", None),
 }
 

@@ -47,8 +47,8 @@ def _at(tree, path):
     return tree
 
 
-# bench_solve.py nests samples by layer, bench_precedence.py by size then
-# layer, bench_check.py by shape, kind, then layer
+# a flat timer nests samples by layer, bench_solve.py and bench_precedence.py
+# by workload or size then layer, bench_check.py by shape, kind, then layer
 @pytest.mark.parametrize("path", [(), ("2000",), ("mma-large", "refute")])
 def test_children_samples_merge_and_summarise_at_each_depth(path):
     samples: dict = {}

@@ -791,22 +791,28 @@ def test_quotient_rows_follow_every_step():
 def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
     """Counts, not timings: each search of the start and of each candidate
     runs on the K + 3 nodes of the category quotient whatever the number of
-    agents; a search over the agent nodes expands O(n) of them."""
+    agents; a search over the agent nodes expands O(n) of them. A step whose
+    goal is a direct successor of its root returns that arc and expands no
+    node."""
     from reservematch import rules_sequential
 
-    searches = []
+    search = rules_sequential._quotient_path
+    popped = [0]
+    searches = []  # (root, path, nodes expanded) of each search
 
     class CountingDeque(deque):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.expanded = 0
-            searches.append(self)
-
         def popleft(self):
-            self.expanded += 1
+            popped[0] += 1
             return super().popleft()
 
+    def counted(state, root, goals):
+        before = popped[0]
+        path = search(state, root, goals)
+        searches.append((root, path, popped[0] - before))
+        return path
+
     monkeypatch.setattr(rules_sequential, "deque", CountingDeque)
+    monkeypatch.setattr(rules_sequential, "_quotient_path", counted)
     for n in (400, 1600):
         system = GeneratorSpec(
             num_agents=n,
@@ -821,11 +827,15 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
         scu_state_init(system)
         # the start: at least the last, failing search of each stage
         assert len(searches) >= 2
-        assert max(q.expanded for q in searches) <= 10 + 3, n
+        assert max(expanded for _, _, expanded in searches) <= 10 + 3, n
         searches.clear()
         scu_allocate(system, impl="bipartite")
         assert len(searches) > n // 10
-        assert max(q.expanded for q in searches) <= 10 + 3, n
+        assert max(expanded for _, _, expanded in searches) <= 10 + 3, n
+        steps = [(path, expanded) for root, path, expanded in searches if root < 10]
+        direct = [expanded for path, expanded in steps if path is not None and len(path) == 2]
+        assert direct and not any(direct), n
+        assert any(expanded for _, expanded in steps), n
 
 
 # The two quotient searches of the bipartite state as they were before the
@@ -950,7 +960,12 @@ def test_one_quotient_search_finds_the_reference_paths(monkeypatch):
                 state.step(agent, c)
                 assert found == ([] if cur == c else [expected])
                 outcomes["step", expected is not None] += 1
+                if expected is not None:
+                    arc = "source" if cur is None else "category"
+                    outcomes["step path", "longer" if len(expected) > 2 else arc] += 1
     assert min(outcomes[kind, hit] for kind in ("start", "step") for hit in (False, True)) > 0
+    # both branches of the direct-arc test, and the breadth-first search past it
+    assert min(outcomes["step path", shape] for shape in ("category", "source", "longer")) > 0
 
 
 @pytest.mark.parametrize("compact", [False, True], ids=["flow", "compact"])
