@@ -172,18 +172,11 @@ def _own_ranks(base: ReserveSystem, assignment: Assignment) -> list[Optional[int
     """Each occupant's position at its own category, None for an unmatched
     agent. An occupant that is not eligible there gets the category's cutoff:
     every eligible agent ranks above it, as above its true position."""
-    own: list[Optional[int]] = []
-    for agent, c in enumerate(assignment):
-        if c is None:
-            own.append(None)
-            continue
-        ranking = base.priorities[c]
-        own.append(
-            ranking.position(agent)
-            if ranking.is_eligible(agent)
-            else ranking.eligible_cutoff
-        )
-    return own
+    rank_of = [ranking.eligible_ranks().get for ranking in base.priorities]
+    cutoff = [ranking.eligible_cutoff for ranking in base.priorities]
+    return [
+        None if c is None else rank_of[c](agent, cutoff[c]) for agent, c in enumerate(assignment)
+    ]
 
 
 def _swap_bounds(
@@ -366,7 +359,7 @@ def check_respect_precedence(
         else:
             alt = _alternative_in_space(seq, pins, b, m, space)
         if alt is not None:
-            witness = {str(a): c for a, c in enumerate(alt.assignment)}
+            witness = dict(zip(map(str, range(len(alt.assignment))), alt.assignment))
             return AxiomVerdict(
                 RESPECT_PRECEDENCE,
                 False,

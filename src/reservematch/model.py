@@ -15,6 +15,7 @@ without the cost of importing ``dataclasses`` on every start of the CLI.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Any, Mapping, Optional, Union
 
 
@@ -127,6 +128,10 @@ class PriorityRanking(Record):
     def eligible(self) -> tuple[int, ...]:
         """Eligible agents, highest priority first."""
         return self.ordered_agents[: self.eligible_cutoff]
+
+    def eligible_ranks(self) -> Mapping[int, int]:
+        """Each eligible agent's index in ``eligible()``, read-only."""
+        return MappingProxyType(self._rank)
 
 
 class ReserveSystem(Record):

@@ -7,17 +7,21 @@ lower bounds, add an excess/deficit supernode pair, saturate with Dinic). A
 warm-started feasible flow (``WarmFlow``) lets lower bounds rise one unit at
 a time with at most one residual-cycle search each. The three-layer reserve
 network has one node per group of agents sharing an eligibility set; the
-full network is the case of one agent per group. A matching and a
-reserve-network flow convert both ways (``matching_to_flow``,
-``flow_to_matching``). All flows are integral; augmentation and search order
-are fixed by edge id, so results are deterministic.
-"""
+full network is the case of one agent per group. Its edge lists are laid out
+layer by layer in bulk, and a category's assignment edges are one id range,
+so a (group, category) edge id is that category's offset plus the group's
+position among the category's groups. A matching and a reserve-network flow
+convert both ways (``matching_to_flow``, ``flow_to_matching``). All flows are
+integral; augmentation and search order are fixed by edge id, so results are
+deterministic."""
 
 from __future__ import annotations
 
+import gc
 from collections import deque
-from operator import add, lt, sub
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, le, lt, sub
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bipartite import build_graph
 from .model import Matching, Record, SequentialReserveSystem
@@ -76,7 +80,7 @@ class BoundedFlowNetwork:
         self.lower[edge_id] = value
 
 
-_UNBOUNDED = 1 << 60  # the sink -> source arc's capacity, and the cap on a push
+_UNBOUNDED = 1 << 60  # the sink -> source arc's capacity
 
 
 class _Residual:
@@ -154,20 +158,26 @@ class _Dinic(_Residual):
                 level[v] = -1
             level[t] = depth
             # blocking flow: walk down admissible arcs from s on an explicit
-            # path, retreat past dead ends, augment on reaching t and start
-            # again from s; it[u] is u's current arc
+            # path, retreat past dead ends and augment on reaching t; it[u]
+            # is u's current arc. The paths are those of the plain walk that
+            # starts again from s after each augmentation: that walk would
+            # retrace the path up to its first saturated arc, so the search
+            # resumes at that arc's tail; and it would step into a dead end
+            # only to retreat at once, so a dead end leaves the level graph.
             it = [0] * self.n
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    pushed = min(_UNBOUNDED, *[cap[arc] for arc in path])
+                    room = [cap[arc] for arc in path]
+                    pushed = min(room)
                     for arc in path:
                         cap[arc] -= pushed
                         cap[arc ^ 1] += pushed
                     flow += pushed
-                    path.clear()
-                    u = s
+                    j = room.index(pushed)
+                    u = to[path[j] ^ 1]
+                    del path[j:]
                 arcs, want = adj[u], level[u] + 1
                 for i in range(it[u], len(arcs)):
                     arc = arcs[i]
@@ -179,31 +189,29 @@ class _Dinic(_Residual):
                 else:
                     if not path:
                         break
-                    it[u] = len(arcs)
+                    level[u] = -1
                     u = to[path.pop() ^ 1]
                     it[u] += 1
 
 
-def _verify(network: BoundedFlowNetwork, values: list[int]) -> int:
+def _verify(network: BoundedFlowNetwork, values: Sequence[int]) -> int:
     """Check every bound and conservation at every node but the source and
-    sink, in one pass over the edges; return the net flow out of the
-    source."""
+    sink, both read from the edge lists; return the net flow out of the
+    source. Only edges that carry flow move a node's balance."""
     if len(values) != network.num_edges():
         raise AssertionError(f"{len(values)} flow values for {network.num_edges()} edges")
+    lower, upper = network.lower, network.upper
+    if not (all(map(le, lower, values)) and all(map(le, values, upper))):
+        e = next(e for e, (lo, up, f) in enumerate(zip(lower, upper, values)) if not lo <= f <= up)
+        raise AssertionError(f"edge {e} flow {values[e]} outside [{lower[e]}, {upper[e]}]")
     balance = [0] * network.num_nodes
-    for e, (u, v, lo, up, f) in enumerate(
-        zip(network.src, network.dst, network.lower, network.upper, values)
-    ):
-        if not lo <= f <= up:
-            raise AssertionError(f"edge {e} flow {f} outside [{lo}, {up}]")
-        if f:
-            balance[u] -= f
-            balance[v] += f
+    for u, v, f in compress(zip(network.src, network.dst, values), values):
+        balance[u] -= f
+        balance[v] += f
     total = -balance[network.source]
     balance[network.source] = balance[network.sink] = 0
-    for v, net in enumerate(balance):
-        if net:
-            raise AssertionError(f"conservation violated at node {v}")
+    if any(balance):
+        raise AssertionError(f"conservation violated at node {next(compress(count(), balance))}")
     return total
 
 
@@ -216,21 +224,21 @@ def feasible_flow(network: BoundedFlowNetwork) -> Optional[Flow]:
     n = network.num_nodes
     super_s, super_t = n, n + 1
     excess = [0] * n
-    for u, v, lo in zip(network.src, network.dst, lower):
-        if lo:
-            excess[v] += lo
-            excess[u] -= lo
+    for u, v, lo in compress(zip(network.src, network.dst, lower), lower):
+        excess[v] += lo
+        excess[u] -= lo
     # every edge, then the sink -> source arc, then the supernode arcs
     tails, heads = network.src + [network.sink], network.dst + [network.source]
     caps.append(_UNBOUNDED)
     need = 0
-    for v, units in enumerate(excess):
+    for v in compress(range(n), excess):
+        units = excess[v]
         if units > 0:
             tails.append(super_s)
             heads.append(v)
             caps.append(units)
             need += units
-        elif units < 0:
+        else:
             tails.append(v)
             heads.append(super_t)
             caps.append(-units)
@@ -312,17 +320,20 @@ class ReserveNetwork:
     sink, where a group is a set of agents with one eligibility set and its
     edges carry up to its size in units. ``category_groups[c]`` lists the
     groups eligible for category c, in the order their edges into c get
-    their ids.
+    their ids, and ``rank[c]`` maps each of them to its index there.
 
     Node ids: the source 0, group k at 1 + k, then the categories, the open
     and preferential class nodes and the sink. Edge ids: the group edges in
     group order, the assignment edges category by category, the category ->
-    class edges, then the open and preferential class -> sink edges. Group
-    k's node is named ``label`` plus k, and only ``to_dot`` names nodes."""
+    class edges, then the open and preferential class -> sink edges. Each
+    layer is laid out in bulk. Category c's assignment edges are the ids
+    ``assign_start[c]`` up to ``assign_start[c + 1]``, so group k's edge into
+    c is ``assign_start[c] + rank[c][k]``. Group k's node is named ``label``
+    plus k, and only ``to_dot`` names nodes."""
 
     __slots__ = (
-        "network", "label", "group_of", "group_members",
-        "group_edge", "assign_edge", "category_edge", "class_edge",
+        "network", "label", "group_of", "group_members", "category_groups", "rank",
+        "group_edge", "assign_start", "category_edge", "class_edge",
     )
 
     def __init__(
@@ -331,32 +342,35 @@ class ReserveNetwork:
         label: str,
         groups: list[tuple[int, ...]],
         category_groups: Sequence[Sequence[int]],
+        rank: Sequence[Mapping[int, int]],
     ) -> None:
         num_groups, num_categories = len(groups), system.num_categories
         first_category = 1 + num_groups
         open_node = first_category + num_categories
+        pref_node = open_node + 1
         net = BoundedFlowNetwork(open_node + 3, source=0, sink=open_node + 2)
         self.network = net
         self.label = label
         self.group_members = groups
+        self.category_groups = category_groups
+        self.rank = rank
         self.group_of = group_of = [0] * system.num_agents
         for k, members in enumerate(groups):
             for a in members:
                 group_of[a] = k
-        sizes = [len(members) for members in groups]
-        group_node = list(range(1, first_category))
-        self.group_edge = net.add_edges([0] * num_groups, group_node, [0] * num_groups, sizes)
-        pairs: list[tuple[int, int]] = []
-        tails: list[int] = []
-        heads: list[int] = []
-        upper: list[int] = []
-        for c, eligible in enumerate(category_groups):
-            pairs += [(k, c) for k in eligible]
-            tails += [group_node[k] for k in eligible]
-            heads += [first_category + c] * len(eligible)
-            upper += [sizes[k] for k in eligible]
-        self.assign_edge = dict(zip(pairs, net.add_edges(tails, heads, [0] * len(pairs), upper)))
-        pref_node = open_node + 1
+        sizes = list(map(len, groups))
+        self.group_edge = net.add_edges(
+            [0] * num_groups, list(range(1, first_category)), [0] * num_groups, sizes
+        )
+        widths = list(map(len, category_groups))
+        self.assign_start = list(accumulate(widths, initial=len(self.group_edge)))
+        edge_groups = list(chain.from_iterable(category_groups))  # in assignment-edge order
+        net.add_edges(
+            list(map(add, edge_groups, repeat(1))),
+            list(chain.from_iterable(map(repeat, range(first_category, open_node), widths))),
+            [0] * len(edge_groups),
+            list(map(sizes.__getitem__, edge_groups)),
+        )
         self.category_edge = net.add_edges(
             list(range(first_category, open_node)),
             [pref_node if system.is_beneficial(c) else open_node for c in range(num_categories)],
@@ -368,6 +382,18 @@ class ReserveNetwork:
             [open_node, pref_node], [net.sink] * 2, [0, 0], [total_capacity] * 2
         )
         self.class_edge = {OPEN_CLASS: open_edge, PREF_CLASS: pref_edge}
+
+    def assign_edge(self, group: int, category: int) -> Optional[int]:
+        """The id of ``group``'s edge into ``category``; None when the group
+        is not eligible there."""
+        index = self.rank[category].get(group)
+        return None if index is None else self.assign_start[category] + index
+
+    def assign_edges(self) -> Iterator[tuple[int, int, int]]:
+        """(group, category, edge id) of every assignment edge, in id order."""
+        for c, (groups, start) in enumerate(zip(self.category_groups, self.assign_start)):
+            for e, k in enumerate(groups, start):
+                yield k, c, e
 
     def to_dot(self) -> str:
         """Graphviz export; edges labeled with their (lower, upper) pair."""
@@ -389,13 +415,16 @@ class ReserveNetwork:
 
 
 def build_reserve_network(system: SequentialReserveSystem) -> ReserveNetwork:
-    """The full network: one group per agent, group k being agent k."""
+    """The full network: one group per agent, group k being agent k, so a
+    category's groups and their indices are its eligible agents and their
+    ranks."""
     base = system.base
     return ReserveNetwork(
         system,
         "i",
-        [(a,) for a in range(base.num_agents)],
-        [base.eligible_agents(c) for c in range(base.num_categories)],
+        list(zip(range(base.num_agents))),
+        [ranking.eligible() for ranking in base.priorities],
+        [ranking.eligible_ranks() for ranking in base.priorities],
     )
 
 
@@ -410,27 +439,32 @@ def build_compact_network(system: SequentialReserveSystem) -> ReserveNetwork:
         for c in eligible:
             category_groups[c].append(k)
     return ReserveNetwork(
-        system, "k", [tuple(members) for members in by_set.values()], category_groups
+        system,
+        "k",
+        [tuple(members) for members in by_set.values()],
+        category_groups,
+        [dict(zip(groups, range(len(groups)))) for groups in category_groups],
     )
 
 
 def flow_to_matching(reserve: ReserveNetwork, flow: Flow) -> Matching:
-    """Decode a flow into a matching: each unit on a single-agent group is
-    that agent's assignment. A unit on a group of several agents names no
-    agent and is rejected as ambiguous."""
+    """Decode a flow into a matching, one category's edge range at a time:
+    each unit on a single-agent group is that agent's assignment. A unit on
+    a group of several agents names no agent and is rejected as
+    ambiguous."""
     assignment: list[Optional[int]] = [None] * len(reserve.group_of)
-    for (k, c), e in reserve.assign_edge.items():
-        units = flow.values[e]
-        if units == 0:
-            continue
-        members = reserve.group_members[k]
-        if len(members) > 1:
-            raise DecodeAmbiguity(
-                f"group {k} carries {units} units into category {c}"
-            )
-        if assignment[members[0]] is not None:
-            raise DecodeAmbiguity(f"agent {members[0]} carries two units")
-        assignment[members[0]] = c
+    values, group_members = flow.values, reserve.group_members
+    for c, (groups, start) in enumerate(zip(reserve.category_groups, reserve.assign_start)):
+        units = values[start:start + len(groups)]
+        for k, carried in compress(zip(groups, units), units):
+            members = group_members[k]
+            if len(members) > 1:
+                raise DecodeAmbiguity(
+                    f"group {k} carries {carried} units into category {c}"
+                )
+            if assignment[members[0]] is not None:
+                raise DecodeAmbiguity(f"agent {members[0]} carries two units")
+            assignment[members[0]] = c
     return Matching(tuple(assignment))
 
 
@@ -448,7 +482,7 @@ def matching_to_flow(
         klass = PREF_CLASS if system.is_beneficial(c) else OPEN_CLASS
         for e in (
             reserve.group_edge[k],
-            reserve.assign_edge[(k, c)],
+            reserve.assign_edge(k, c),
             reserve.category_edge[c],
             reserve.class_edge[klass],
         ):
@@ -466,14 +500,25 @@ def pinned_alternative(
     the class totals b and m - b, decoded from a feasible flow on a fresh
     full reserve network; None when none exists. A pin with no edge is an
     ineligible pair, which no eligibility-compliant matching holds."""
-    rn = build_reserve_network(system)
-    net = rn.network
-    for pin in pins:
-        edge = rn.assign_edge.get(pin)
-        if edge is None:
-            return None
-        net.set_lower(edge, 1)
-    net.set_lower(rn.class_edge[PREF_CLASS], b)
-    net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
-    flow = feasible_flow(net)
-    return None if flow is None else flow_to_matching(rn, flow)
+    # The residual graph's one list per node makes the collector run about
+    # once per 700 nodes, and its first passes traverse every list of the
+    # network: about a tenth of a 100,000-agent refute. Nothing here makes a
+    # cycle, and the network is garbage on return, so the collector pauses
+    # for the call.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rn = build_reserve_network(system)
+        net = rn.network
+        for agent, category in pins:
+            edge = rn.assign_edge(agent, category)
+            if edge is None:
+                return None
+            net.set_lower(edge, 1)
+        net.set_lower(rn.class_edge[PREF_CLASS], b)
+        net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+        flow = feasible_flow(net)
+        return None if flow is None else flow_to_matching(rn, flow)
+    finally:
+        if collecting:
+            gc.enable()

@@ -280,7 +280,7 @@ class SCUNetworkState(FixLedger):
         """Fix ``agent`` at ``c`` if some matching keeps every fix, places
         the agent there and keeps both maxima: the fix is one more unit of
         lower bound on the group's edge into ``c``."""
-        edge = self.reserve.assign_edge[(self.reserve.group_of[agent], c)]
+        edge = self.reserve.assign_edge(self.reserve.group_of[agent], c)
         if not self.warm.pin(edge):
             return NO_CHANGE
         self.fix(agent, c)
@@ -290,7 +290,7 @@ class SCUNetworkState(FixLedger):
         """The ledger as a matching, once every unit on the network is a fix:
         each assignment edge carries exactly its lower bound."""
         values, lower = self.warm.flow().values, self.reserve.network.lower
-        for (k, c), e in self.reserve.assign_edge.items():
+        for k, c, e in self.reserve.assign_edges():
             assert values[e] == lower[e], f"group {k} has an unfixed unit in category {c}"
         assignment: list[Optional[int]] = [None] * self.seq.num_agents
         for a, c in self.X:
@@ -576,28 +576,25 @@ def _check_state(
     seq: SequentialReserveSystem, state: SCUState, moves: Sequence[Move]
 ) -> None:
     """Invariants after one fix, checked on what the step changed: the last
-    fix and the ``moves`` (the candidate's last), O(deg) per moved agent."""
-    mu = state.mu
+    fix and the ``moves`` (the candidate's last), O(deg) per moved agent.
+    Each moved agent's quotient rows match its category and fixed status:
+    every ``free`` row, and the ``via`` rows of its old and new category."""
+    mu, free, via = state.mu, state.free, state.via
     agent, c = state.X[-1]
     assert mu.assignment[agent] == c, f"agent {agent} not placed in category {c}"
-    for x, old, target in moves:
+    for x, old, here in moves:
         assert x == agent or x not in state.in_x, f"fixed agent {x} moved"
-        assert mu.assignment[x] == target, f"agent {x} not moved to {target}"
-        if target is not None:
-            assert mu.load[target] <= seq.capacities[target], f"category {target} over capacity"
-        _check_rows(state, x, old)
+        assert mu.assignment[x] == here, f"agent {x} not moved to {here}"
+        if here is not None:
+            assert mu.load[here] <= seq.capacities[here], f"category {here} over capacity"
+        unfixed = here is not None and x not in state.in_x
+        left = via[old] if old is not None and old != here else None
+        held = via[here] if here is not None else None
+        for e in state.graph.agent_adj[x]:
+            assert (x in free[e]) == (here is None), f"free[{e}] wrong for agent {x}"
+            if left is not None:
+                assert x not in left.get(e, ()), f"via[{old}][{e}] wrong for agent {x}"
+            if held is not None:
+                assert (x in held.get(e, ())) == unfixed, f"via[{here}][{e}] wrong for agent {x}"
     assert mu.size() == state.m, "cardinality must stay maximal"
     assert state.beneficiaries == state.b, "beneficiary count must stay maximal"
-
-
-def _check_rows(state: SCUState, agent: int, old: Optional[int]) -> None:
-    """The agent's quotient rows match its category and fixed status: every
-    ``free`` row, and the ``via`` rows of its category and of ``old``."""
-    here = state.mu.assignment[agent]
-    unfixed = here is not None and agent not in state.in_x
-    for e in state.graph.agent_adj[agent]:
-        assert (agent in state.free[e]) == (here is None), f"free[{e}] wrong for agent {agent}"
-        for d in (old, here):
-            if d is not None:
-                listed = agent in state.via[d].get(e, ())
-                assert listed == (unfixed and d == here), f"via[{d}][{e}] wrong for agent {agent}"

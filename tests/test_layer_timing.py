@@ -1,10 +1,11 @@
 """The pure parts of the layer timers' driver, ``tools/layer_timing.py``:
 the timers it puts on module attributes, the merging and summaries of the
-children's samples, and the reference-second scaling. No process is
-started."""
+children's samples, and the reference-second scaling; and the targets of
+every ``tools/bench_*.py`` timer. No process is started."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import pathlib
 import sys
@@ -12,9 +13,30 @@ import types
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import layer_timing  # noqa: E402
+
+TIMERS = sorted(path.stem for path in (ROOT / "tools").glob("bench_*.py"))
+
+
+@pytest.mark.parametrize("script", TIMERS)
+def test_every_timer_target_resolves_in_src(script):
+    """A timer looks its (module, attribute) pairs up only when it runs, so
+    a renamed function would break it unseen: each pair of each layer map
+    (one per workload where a script has several) names a function of the
+    ``reservematch`` under test."""
+    timer = importlib.import_module(script)
+    if isinstance(timer.LAYERS, dict):  # one layer map per workload
+        maps = [timer._layers(workload) for workload in timer.LAYERS]
+    else:
+        maps = [timer._layers()]
+    for layers in maps:
+        for layer, (home, name) in layers.items():
+            module = sys.modules[getattr(home, "__module__", home.__name__)]
+            assert pathlib.Path(module.__file__).is_relative_to(ROOT / "src"), (script, layer)
+            assert callable(getattr(home, name, None)), f"{script}: {layer} times {name}"
 
 
 def _module():

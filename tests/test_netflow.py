@@ -4,13 +4,20 @@ import contextlib
 import itertools
 import random
 import signal
-from collections import deque
+from collections import Counter, deque
 from operator import lt
 from typing import Optional
 
 import pytest
 
-from util import add_edge, agent_categories, agent_groups, class_node, set_upper
+from util import (
+    add_edge,
+    agent_categories,
+    agent_groups,
+    assign_edge_map,
+    class_node,
+    set_upper,
+)
 
 from reservematch.cli import GeneratorSpec
 from reservematch.model import Matching, as_sequential
@@ -27,6 +34,7 @@ from reservematch.netflow import (
     feasible_flow,
     flow_to_matching,
     matching_to_flow,
+    pinned_alternative,
 )
 from reservematch.rules_sequential import dual_maximum_matching
 
@@ -54,7 +62,7 @@ def test_reserve_network_shape(grouped_six):
     # s + 6 agents + 3 categories + 2 class nodes + t
     assert net.num_nodes == 13
     assert len(rn.group_edge) == 6
-    assert len(rn.assign_edge) == 12
+    assert len(assign_edge_map(rn)) == 12
     open_edge = rn.class_edge[OPEN_CLASS]
     pref_edge = rn.class_edge[PREF_CLASS]
     assert (net.lower[open_edge], net.upper[open_edge]) == (0, 3)
@@ -89,7 +97,7 @@ def test_reserve_network_single_pair():
 def test_feasible_with_witness(grouped_six):
     rn = build_reserve_network(grouped_six)
     net = rn.network
-    net.set_lower(rn.assign_edge[(1, 0)], 1)
+    net.set_lower(rn.assign_edge(1, 0), 1)
     net.set_lower(rn.class_edge[PREF_CLASS], 2)
     net.set_lower(rn.class_edge[OPEN_CLASS], 1)
     flow = feasible_flow(net)
@@ -99,8 +107,8 @@ def test_feasible_with_witness(grouped_six):
 def test_infeasible_conflicting_lowers(grouped_six):
     rn = build_reserve_network(grouped_six)
     net = rn.network
-    net.set_lower(rn.assign_edge[(0, 0)], 1)
-    net.set_lower(rn.assign_edge[(0, 1)], 1)  # one agent cannot carry two units
+    net.set_lower(rn.assign_edge(0, 0), 1)
+    net.set_lower(rn.assign_edge(0, 1), 1)  # one agent cannot carry two units
     assert feasible_flow(net) is None
 
 
@@ -178,7 +186,7 @@ def test_agent_groups(grouped_six):
     cn = build_compact_network(grouped_six)
     edge = cn.group_edge[0]
     assert (cn.network.lower[edge], cn.network.upper[edge]) == (0, 3)
-    assert set(cn.assign_edge) == {(0, 0), (0, 1), (1, 1), (1, 2)}
+    assert set(assign_edge_map(cn)) == {(0, 0), (0, 1), (1, 1), (1, 2)}
 
 
 def test_groups_all_distinct_and_all_same(contested_pair, precedence_chain):
@@ -207,7 +215,7 @@ def test_flow_to_matching_full(grouped_six):
     rn = build_reserve_network(grouped_six)
     net = rn.network
     for pair in [(1, 0), (3, 1), (4, 2)]:
-        net.set_lower(rn.assign_edge[pair], 1)
+        net.set_lower(rn.assign_edge(*pair), 1)
     flow = feasible_flow(net)
     matching = flow_to_matching(rn, flow)
     assert matching == Matching((None, 0, None, 1, 2, None))
@@ -216,9 +224,9 @@ def test_flow_to_matching_full(grouped_six):
 def test_flow_to_matching_single_edge(grouped_six):
     rn = build_reserve_network(grouped_six)
     net = rn.network
-    net.set_lower(rn.assign_edge[(1, 0)], 1)
+    net.set_lower(rn.assign_edge(1, 0), 1)
     # cap everything else so only the pinned unit flows
-    for (a, c), e in rn.assign_edge.items():
+    for (a, c), e in assign_edge_map(rn).items():
         if (a, c) != (1, 0):
             set_upper(net, e, 0)
     flow = feasible_flow(net)
@@ -267,7 +275,7 @@ def test_compact_decode_equals_full_on_distinct_sets():
         matching = Matching(tuple(assignment))
         for build in (build_reserve_network, build_compact_network):
             rn = build(seq)
-            for (k, c), e in rn.assign_edge.items():
+            for (k, c), e in assign_edge_map(rn).items():
                 (agent,) = rn.group_members[k]
                 if assignment[agent] == c:
                     rn.network.set_lower(e, 1)
@@ -518,7 +526,7 @@ def _random_pins(rng, seq, rn):
                 loads[c] += 1
                 pairs.append((agent, c))
         return pairs
-    edges = sorted(rn.assign_edge)
+    edges = sorted(assign_edge_map(rn))
     return rng.sample(edges, min(len(edges), rng.randint(1, 6)))
 
 
@@ -539,7 +547,7 @@ def test_feasible_flow_equals_reference_on_reserve_networks():
         rn = build_reserve_network(seq)
         net = rn.network
         for pin in _random_pins(rng, seq, rn):
-            net.set_lower(rn.assign_edge[pin], 1)
+            net.set_lower(rn.assign_edge(*pin), 1)
         net.set_lower(rn.class_edge[PREF_CLASS], b)
         net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
         expected = _dinic_reference(net)
@@ -720,7 +728,7 @@ def test_warm_flow_equals_reference_on_reserve_networks(build):
             rn.network.set_lower(rn.class_edge[PREF_CLASS], b)
             rn.network.set_lower(rn.class_edge[OPEN_CLASS], m - b)
             engines.append(engine(rn.network, matching_to_flow(rn, seq, mu.to_matching())))
-        assign = sorted(rn.assign_edge.values())
+        assign = sorted(assign_edge_map(rn).values())
         if not assign:
             continue
         edges = [
@@ -912,7 +920,11 @@ def test_reserve_networks_equal_reference():
         assert (net.src, net.dst, net.lower, net.upper) == (
             ref_net.src, ref_net.dst, ref_net.lower, ref_net.upper
         ), trial
-        assert list(rn.assign_edge.items()) == list(ref.assign_edge.items()), trial
+        assert list(assign_edge_map(rn).items()) == list(ref.assign_edge.items()), trial
+        pairs = list(itertools.product(range(seq.num_agents), range(seq.num_categories)))
+        assert [rn.assign_edge(*pair) for pair in pairs] == [
+            ref.assign_edge.get(pair) for pair in pairs
+        ], trial
         assert dict(enumerate(rn.group_edge)) == ref.group_edge, trial
         assert dict(enumerate(rn.category_edge)) == ref.category_edge, trial
         assert (rn.class_edge, class_node(rn)) == (ref.class_edge, ref.class_node), trial
@@ -924,9 +936,13 @@ def test_reserve_networks_equal_reference():
         net, ref_net = cn.network, ref.network
         assert cn.group_members == ref.group_members, trial
         assert dict(enumerate(cn.group_of)) == ref.group_of, trial
-        assert cn.assign_edge.keys() == ref.assign_edge.keys(), trial
+        assert assign_edge_map(cn).keys() == ref.assign_edge.keys(), trial
+        pairs = list(itertools.product(range(len(cn.group_members)), range(seq.num_categories)))
+        assert [cn.assign_edge(*pair) for pair in pairs] == [
+            assign_edge_map(cn).get(pair) for pair in pairs
+        ], trial
         for maps, ref_maps in (
-            (cn.assign_edge, ref.assign_edge),
+            (assign_edge_map(cn), ref.assign_edge),
             (dict(enumerate(cn.group_edge)), ref.group_edge),
             (dict(enumerate(cn.category_edge)), ref.category_edge),
             (cn.class_edge, ref.class_edge),
@@ -941,3 +957,76 @@ def test_reserve_networks_equal_reference():
         ], trial
         assert sorted(lines) == sorted(ref_lines), trial
     assert sizes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# ---------------------------------------------------------------------------
+# The precedence witness against the reference network, Dinic and decode
+
+
+def _pinned_alternative_reference(seq, pins, b, m):
+    """``pinned_alternative`` on the reference builder and Dinic, decoded
+    through the reference's (agent, category) -> edge dict."""
+    ref = _reserve_network_reference(seq)
+    net = ref.network
+    for pin in pins:
+        if pin not in ref.assign_edge:
+            return None
+        net.lower[ref.assign_edge[pin]] = 1
+    net.lower[ref.class_edge[PREF_CLASS]] = b
+    net.lower[ref.class_edge[OPEN_CLASS]] = m - b
+    flow = _dinic_reference(net)
+    if flow is None:
+        return None
+    assignment = [None] * seq.num_agents
+    for (agent, c), e in ref.assign_edge.items():
+        if flow.values[e]:
+            assert assignment[agent] is None
+            assignment[agent] = c
+    return Matching(tuple(assignment))
+
+
+def test_pinned_alternative_equals_reference():
+    """Every witness a precedence refute could decode equals the one of the
+    reference network, Dinic and decode, over strict, two-tier and equal
+    tiers, zero capacities, agents eligible nowhere, b = 0 and m = b. Pins
+    come from a random eligibility-compliant matching, as a refute's do;
+    some add an ineligible pair (no witness) or a second pin on an agent."""
+    rng = random.Random(1970_2025)
+    seen = Counter()
+    for trial in range(400):
+        seq = as_sequential(GeneratorSpec(
+            num_agents=rng.randint(1, 24),
+            num_categories=rng.randint(1, 5),
+            capacity=rng.choice(["uniform:0:3", "uniform:1:4", "const:0", "const:2"]),
+            density=rng.choice([0.1, 0.3, 0.6, 1.0]),
+            preferential_fraction=rng.choice([0.0, 0.5, 1.0]),
+            tier_scheme=rng.choice(["strict", "random:2", "equal"]),
+            seed=rng.randrange(1 << 30),
+        ).build())
+        _, b, m = dual_maximum_matching(seq)
+        pins = _random_pins(rng, seq, build_reserve_network(seq))[: rng.randint(0, 6)]
+        kind = rng.choice(["matching", "matching", "ineligible", "two on one agent"])
+        ineligible = [
+            (a, c) for a in range(seq.num_agents) for c in range(seq.num_categories)
+            if not seq.base.is_eligible(a, c)
+        ]
+        second = [
+            (a, d) for a, c in pins[:1] for d in agent_categories(seq.base, a) if d != c
+        ]
+        if kind == "ineligible" and ineligible:
+            pins.insert(rng.randint(0, len(pins)), rng.choice(ineligible))
+        elif kind == "two on one agent" and second:
+            pins.append(second[0])
+        else:
+            kind = "matching"
+        expected = _pinned_alternative_reference(seq, pins, b, m)
+        assert pinned_alternative(seq, pins, b, m) == expected, trial
+        seen[kind, expected is not None] += 1
+        seen["no category"] += any(not agent_categories(seq.base, a) for a in range(seq.num_agents))
+        seen["zero capacity"] += 0 in seq.capacities
+        seen["b = 0"] += b == 0 < m
+        seen["m = b"] += m == b > 0
+    assert seen["ineligible", True] == 0 and seen["ineligible", False] > 20
+    assert seen["two on one agent", False] > 10
+    assert seen["matching", True] > 50 and seen["matching", False] > 10
+    assert min(seen[key] for key in ("no category", "zero capacity", "b = 0", "m = b")) > 20

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter, deque
 from math import isqrt
 
 import pytest
 
 from test_bipartite import _hk_reference
+from util import assign_edge_map
 
 from reservematch import axioms
 from reservematch.bipartite import EligibilityGraph, GraphMatching, build_graph
@@ -788,6 +790,73 @@ def test_quotient_rows_follow_every_step():
     assert all((kind, True) in kinds for kind in ("zero capacity", "tied tiers", "all preferential"))
 
 
+def _step_with_a_cycle(monkeypatch):
+    """(seq, state, moves) right after the first step whose cycle moves an
+    agent other than the candidate from one category to another, with the
+    ``moves`` the step handed to ``_check_state``."""
+    from reservematch import rules_sequential
+
+    check = rules_sequential._check_state
+    seen = []
+
+    def record(seq, state, moves):
+        check(seq, state, moves)
+        seen.append(list(moves))
+
+    monkeypatch.setattr(rules_sequential, "_check_state", record)
+    rng = random.Random(2612)
+    for _ in range(500):
+        seq = as_sequential(random_sequential(rng))
+        state = scu_state_init(seq)
+        for c in seq.precedence.strict_sequence():
+            for agent in seq.base.eligible_agents(c):
+                if agent in state.in_x:
+                    continue
+                if state.fixed_count[c] == seq.capacities[c]:
+                    break
+                seen.clear()
+                state.step(agent, c)
+                if seen and any(
+                    old is not None and here is not None and old != here
+                    for _, old, here in seen[0][:-1]
+                ):
+                    monkeypatch.setattr(rules_sequential, "_check_state", check)
+                    return seq, state, seen[0]
+    raise AssertionError("no step moved an agent between two categories")
+
+
+def test_invariant_check_names_each_corrupted_row(monkeypatch):
+    """Four faults, one at a time, on the rows of a state right after a
+    step with a cycle: each makes ``_check_state`` fail on the row it
+    corrupted, and the state passes again once it is undone."""
+    from reservematch.rules_sequential import _check_state
+
+    seq, state, moves = _step_with_a_cycle(monkeypatch)
+    agent, c = state.X[-1]
+    x, old, here = next(
+        (x, old, here) for x, old, here in moves[:-1]
+        if old is not None and here is not None and old != here
+    )
+    adj = state.graph.agent_adj
+    e, f = adj[x][0], adj[x][-1]
+    faults = [  # what goes wrong, the agent, its row by name, and the change
+        ("a fixed agent back in a via row", agent, f"via[{c}]", state.via[c], adj[agent][-1], "add"),
+        ("a moved agent left in its old via row", x, f"via[{old}]", state.via[old], e, "add"),
+        ("a moved agent dropped from its new via row", x, f"via[{here}]", state.via[here], f,
+         "discard"),
+        ("a matched agent in a free row", x, "free", state.free, e, "add"),
+    ]
+    _check_state(seq, state, moves)
+    for fault, member, name, rows, at, change in faults:
+        row = rows[at]
+        assert (member in row) == (change == "discard"), fault
+        getattr(row, change)(member)
+        with pytest.raises(AssertionError, match=re.escape(f"{name}[{at}] wrong for agent {member}")):
+            _check_state(seq, state, moves)
+        getattr(row, "discard" if change == "add" else "add")(member)
+        _check_state(seq, state, moves)
+
+
 def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
     """Counts, not timings: each search of the start and of each candidate
     runs on the K + 3 nodes of the category quotient whatever the number of
@@ -997,8 +1066,9 @@ def _assert_fixes_are_lower_bounds(seq, state, compact):
     rn, net = state.reserve, state.reserve.network
     fresh = (build_compact_network if compact else build_reserve_network)(seq)
     fixes = Counter((rn.group_of[a], c) for a, c in state.X)
-    assert {pair: net.lower[e] for pair, e in rn.assign_edge.items()} == {
-        pair: fixes[pair] for pair in rn.assign_edge
+    edges = assign_edge_map(rn)
+    assert {pair: net.lower[e] for pair, e in edges.items()} == {
+        pair: fixes[pair] for pair in edges
     }
     assert net.upper == fresh.network.upper
     assert net.lower[rn.class_edge[PREF_CLASS]] == state.b

@@ -77,6 +77,12 @@ def add_edge(network: BoundedFlowNetwork, u: int, v: int, lower: int = 0, upper:
     return network.add_edges([u], [v], [lower], [upper])[0]
 
 
+def assign_edge_map(rn: ReserveNetwork) -> dict[tuple[int, int], int]:
+    """Every assignment edge's id keyed by its (group, category) pair, in id
+    order."""
+    return {(k, c): e for k, c, e in rn.assign_edges()}
+
+
 def class_node(rn: ReserveNetwork) -> dict[str, int]:
     """The open and preferential class nodes: the two nodes before the sink."""
     sink = rn.network.sink

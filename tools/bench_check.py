@@ -68,9 +68,22 @@ def _ops(cli, wl, work):
     return ops
 
 
+def _layers() -> dict:
+    """The clock's layers: the functions each one times."""
+    from reservematch import cli, rules_sequential
+
+    return {
+        "parse_instance": (cli, "parse_instance"),
+        "parse_matching": (cli, "parse_matching"),
+        "axioms": (cli, "run_checks"),
+        "dual_maxima": (cli, "dual_maximum_matching"),
+        "hk_passes": (rules_sequential, "maximum_matching"),
+    }
+
+
 def measure() -> dict:
     import run  # the benchmark's workloads
-    from reservematch import cli, rules_sequential
+    from reservematch import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         ops = {name: _ops(cli, wl, Path(tmp)) for name, wl in run.WORKLOADS.items()}
@@ -79,13 +92,7 @@ def measure() -> dict:
         system = cli.parse_instance(inst_text)
         return cli.run_checks(system, cli.parse_matching(match_text, system), names)
 
-    clock = layer_timing.LayerClock({
-        "parse_instance": (cli, "parse_instance"),
-        "parse_matching": (cli, "parse_matching"),
-        "axioms": (cli, "run_checks"),
-        "dual_maxima": (cli, "dual_maximum_matching"),
-        "hk_passes": (rules_sequential, "maximum_matching"),
-    })
+    clock = layer_timing.LayerClock(_layers())
     samples: dict = {}
     with clock.patched():
         for shape, shape_ops in ops.items():

@@ -5,12 +5,22 @@ For each size in ``SIZES`` the script builds one instance with
 preferential fraction 0.4, seed 1), solves it with ``mma`` (untimed), takes b
 and m from the seeded dual maximum as ``check`` does (untimed), and then times
 ``check_respect_precedence`` on the ``mma`` matching, which fails the axiom.
-Each call is split into ``build`` (``netflow.build_reserve_network``),
-``dinic`` (``netflow.feasible_flow`` less the ``_verify`` it runs: the
-residual arrays, the blocking flows and the decode of the edge values),
-``verify`` (``netflow._verify``) and ``decode``
-(``netflow.flow_to_matching``). The driver and its clock are
-``layer_timing.py``'s:
+Each call is split into the layers of the flow it solves:
+
+* ``build``: the full reserve network (``netflow.build_reserve_network``);
+* ``transform``: the circulation transform of ``netflow.feasible_flow``,
+  its excess and supernode arcs, and the edge values read back from the
+  residual capacities (``feasible_flow`` less the three layers it calls);
+* ``residual``: the residual arcs and their adjacency
+  (``netflow._Residual.__init__``);
+* ``dinic``: the blocking flows (``netflow._Dinic.max_flow``);
+* ``verify``: the check of every bound and of conservation
+  (``netflow._verify``);
+* ``decode``: the matching read from the flow (``netflow.flow_to_matching``);
+* ``rest``: the rest of the call: the axiom's flags, pins and witness, and
+  the pins set on the network.
+
+The driver and its clock are ``layer_timing.py``'s:
 
     python3 tools/bench_precedence.py parent=../parent/src change=src
 """
@@ -19,8 +29,8 @@ from __future__ import annotations
 
 import layer_timing
 
-LAYERS = ("build", "dinic", "verify", "decode", "total")
-SIZES = (2000, 4000, 8000)
+LAYERS = ("build", "transform", "residual", "dinic", "verify", "decode", "rest", "total")
+SIZES = (2000, 4000, 8000, 32000, 100000)
 SEED = 1
 REPEATS = 5  # timed refutes of each size per run
 
@@ -46,15 +56,31 @@ def _refute_op(n: int):
     return system, matching, b, m
 
 
-def measure() -> dict:
-    from reservematch import axioms, netflow
+def _layers() -> dict:
+    """The clock's timed functions: the layers, and ``feasible_flow`` whole."""
+    from reservematch import netflow
 
-    clock = layer_timing.LayerClock({
+    return {
         "build": (netflow, "build_reserve_network"),
-        "dinic": (netflow, "feasible_flow"),
+        "feasible_flow": (netflow, "feasible_flow"),
+        "residual": (netflow._Residual, "__init__"),
+        "dinic": (netflow._Dinic, "max_flow"),
         "verify": (netflow, "_verify"),
         "decode": (netflow, "flow_to_matching"),
-    })
+    }
+
+
+def _split(spent: dict) -> None:
+    """Turn the timers' inclusive seconds into the layers' own."""
+    inside = spent["residual"] + spent["dinic"] + spent["verify"]  # within feasible_flow
+    spent["transform"] = spent.pop("feasible_flow") - inside
+    spent["rest"] = spent["total"] - spent["build"] - spent["transform"] - inside - spent["decode"]
+
+
+def measure() -> dict:
+    from reservematch import axioms
+
+    clock = layer_timing.LayerClock(_layers())
     samples: dict = {}
     for n in SIZES:
         system, matching, b, m = _refute_op(n)
@@ -66,7 +92,7 @@ def measure() -> dict:
                 )
                 if verdict.passed:
                     raise SystemExit(f"error: the {n}-agent mma matching passed")
-                spent["dinic"] -= spent["verify"]  # _verify runs inside feasible_flow
+                _split(spent)
                 for layer in LAYERS:
                     row[layer].append(spent[layer])
     return samples
