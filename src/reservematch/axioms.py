@@ -22,6 +22,7 @@ from .model import (
     base_of,
 )
 from .netflow import pinned_alternative
+from .rules_sequential import dual_maximum_matching
 
 ELIGIBILITY = "eligibility"
 RESPECT_PRIORITIES = "respect-priorities"
@@ -339,8 +340,6 @@ def check_respect_precedence(
     place, moves i into cj, and preserves both maxima."""
     seq = as_sequential(system)
     if b is None or m is None:
-        from .rules_sequential import dual_maximum_matching
-
         _, b, m = dual_maximum_matching(seq)
     space = None
     if search == "oracle":

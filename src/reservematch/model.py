@@ -329,9 +329,6 @@ class Matching(Record):
                 loads[c] += 1
         return tuple(loads)
 
-    def agents_in(self, c: int) -> tuple[int, ...]:
-        return tuple(a for a, d in enumerate(self.assignment) if d == c)
-
     def beneficiary_count(self, preferential: frozenset[int]) -> int:
         return sum(1 for c in self.assignment if c is not None and c in preferential)
 

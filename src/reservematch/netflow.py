@@ -269,14 +269,16 @@ class WarmFlow:
     def __init__(self, network: BoundedFlowNetwork, flow: Flow):
         self.network = network
         values = list(flow.values)
-        _verify(network, values)
+        total = _verify(network, values)
+        if flow.total != total:
+            raise ValueError(f"flow total {flow.total}, but {total} units leave the source")
         self._residual = _Residual(
             network.num_nodes,
             network.src + [network.sink],
             network.dst + [network.source],
             list(map(sub, network.upper, values)) + [_UNBOUNDED],
         )
-        self._residual.cap[1::2] = list(map(sub, values, network.lower)) + [flow.total]
+        self._residual.cap[1::2] = list(map(sub, values, network.lower)) + [total]
 
     def flow(self) -> Flow:
         """Snapshot of the maintained flow, checked in full."""

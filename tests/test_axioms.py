@@ -48,7 +48,7 @@ def _respect_priorities_reference(system, matching):
         if matching.assignment[agent] is not None:
             continue
         for c in range(system.num_categories):
-            for other in matching.agents_in(c):
+            for other in [b for b, d in enumerate(matching.assignment) if d == c]:
                 if system.position(c, agent) < system.position(c, other):
                     return False, {"unmatched": agent, "matched": other, "category": c}
     return True, None
@@ -58,7 +58,10 @@ def _respect_priorities_rank_scan(system, matching):
     """The O(n·K) form of the check that reads every unmatched agent's
     position at every category against the category's lowest occupant rank,
     building each category's full rank map."""
-    occupants = [matching.agents_in(c) for c in range(system.num_categories)]
+    occupants = [
+        [b for b, d in enumerate(matching.assignment) if d == c]
+        for c in range(system.num_categories)
+    ]
     lowest = [
         max((system.position(c, b) for b in occ), default=-1)
         for c, occ in enumerate(occupants)
@@ -253,7 +256,7 @@ def _precedence_flags_reference(seq, matching):
     loads = matching.loads(base.num_categories)
     flags = []
     for cj in range(base.num_categories):
-        occupants = matching.agents_in(cj)
+        occupants = [j for j, d in enumerate(matching.assignment) if d == cj]
         for i in range(base.num_agents):
             ci = matching.assignment[i]
             if ci == cj:

@@ -39,6 +39,34 @@ def test_every_timer_target_resolves_in_src(script):
             assert callable(getattr(home, name, None)), f"{script}: {layer} times {name}"
 
 
+COUNTS = ("hk_passes", "timed_calls")  # samples that are call counts, not seconds
+
+
+@pytest.mark.parametrize("script", TIMERS)
+def test_every_timer_measures_its_layers_and_they_sum_to_the_total(monkeypatch, script):
+    """Each timer's ``measure()`` on its fewest ops, one seed or size and
+    one repeat, in this process: the samples are keyed by the script's
+    layers, and in every op the layers' own times are non-negative and sum
+    to the op's total."""
+    timer = importlib.import_module(script)
+    monkeypatch.setattr(timer, "REPEATS", 1)
+    for name in ("SEEDS", "SIZES"):
+        if hasattr(timer, name):
+            monkeypatch.setattr(timer, name, getattr(timer, name)[:1])
+    rows = list(layer_timing._rows(timer.measure()))
+    assert rows
+    for path, layers in rows:
+        if path[0] in COUNTS:  # bench_solve's per-step call counts
+            assert tuple(layers) == timer.PER_STEP
+            continue
+        expected = timer.LAYERS[path[0]] if isinstance(timer.LAYERS, dict) else timer.LAYERS
+        assert tuple(layers) == expected, path
+        own = [samples for layer, samples in layers.items() if layer not in ("total", *COUNTS)]
+        for op, total in enumerate(layers["total"]):
+            assert min(samples[op] for samples in own) >= -1e-9, (path, op)
+            assert sum(samples[op] for samples in own) == pytest.approx(total, abs=1e-9), (path, op)
+
+
 def _module():
     inner = types.SimpleNamespace(fn=lambda x: x + 1)
     outer = types.SimpleNamespace(fn=lambda x: inner.fn(x) * 2)
@@ -107,5 +135,7 @@ def test_a_kernel_slower_than_the_reference_scales_every_layer_down(monkeypatch,
     with clock.patched():
         result, spent = clock.run(outer.fn, 1)
     assert result == 4
-    # total: ticks 0..5; outer: 1..4; inner: 2..3
-    assert spent == pytest.approx({"inner": 1 / mean, "outer": 3 / mean, "total": 5 / mean})
+    # total: ticks 0..5; outer: 1..4 less inner: 2..3
+    assert spent == pytest.approx(
+        {"inner": 1 / mean, "outer": 2 / mean, "rest": 2 / mean, "total": 5 / mean}
+    )

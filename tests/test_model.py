@@ -240,7 +240,6 @@ def test_matching_helpers(grouped_six):
     matching = Matching((None, 0, None, 1, 2, None))
     assert matching.matched_count() == 3
     assert matching.loads(3) == (1, 1, 1)
-    assert matching.agents_in(1) == (3,)
     assert matching.beneficiary_count(grouped_six.preferential) == 2
 
 

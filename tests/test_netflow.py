@@ -358,6 +358,17 @@ def test_warm_pin_agrees_with_fresh_solve():
     assert 0 < successes < pins
 
 
+def test_warm_flow_refuses_a_total_its_values_do_not_carry():
+    net = BoundedFlowNetwork(3, 0, 2)  # s -> a -> t, both edges [0, 1]
+    add_edge(net, 0, 1, 0, 1)
+    add_edge(net, 1, 2, 0, 1)
+    with pytest.raises(ValueError, match="total 5"):
+        WarmFlow(net, Flow((1, 1), 5))
+    warm = WarmFlow(net, Flow((1, 1), 1))
+    assert warm.pin(0)
+    assert warm.flow().total == 1
+
+
 @contextlib.contextmanager
 def _deadline(seconds: int):
     """Fail a block that has not ended after ``seconds`` (a search whose

@@ -5,12 +5,12 @@ For each size in ``SIZES`` the script builds one instance with
 preferential fraction 0.4, seed 1), solves it with ``mma`` (untimed), takes b
 and m from the seeded dual maximum as ``check`` does (untimed), and then times
 ``check_respect_precedence`` on the ``mma`` matching, which fails the axiom.
-Each call is split into the layers of the flow it solves:
+Each call is split into the own times of the flow layers it runs:
 
 * ``build``: the full reserve network (``netflow.build_reserve_network``);
-* ``transform``: the circulation transform of ``netflow.feasible_flow``,
-  its excess and supernode arcs, and the edge values read back from the
-  residual capacities (``feasible_flow`` less the three layers it calls);
+* ``transform``: ``netflow.feasible_flow`` outside the three layers it
+  calls: the circulation transform, its excess and supernode arcs, and the
+  edge values read back from the residual capacities;
 * ``residual``: the residual arcs and their adjacency
   (``netflow._Residual.__init__``);
 * ``dinic``: the blocking flows (``netflow._Dinic.max_flow``);
@@ -57,24 +57,17 @@ def _refute_op(n: int):
 
 
 def _layers() -> dict:
-    """The clock's timed functions: the layers, and ``feasible_flow`` whole."""
+    """The clock's layers: the functions each one times."""
     from reservematch import netflow
 
     return {
         "build": (netflow, "build_reserve_network"),
-        "feasible_flow": (netflow, "feasible_flow"),
+        "transform": (netflow, "feasible_flow"),
         "residual": (netflow._Residual, "__init__"),
         "dinic": (netflow._Dinic, "max_flow"),
         "verify": (netflow, "_verify"),
         "decode": (netflow, "flow_to_matching"),
     }
-
-
-def _split(spent: dict) -> None:
-    """Turn the timers' inclusive seconds into the layers' own."""
-    inside = spent["residual"] + spent["dinic"] + spent["verify"]  # within feasible_flow
-    spent["transform"] = spent.pop("feasible_flow") - inside
-    spent["rest"] = spent["total"] - spent["build"] - spent["transform"] - inside - spent["decode"]
 
 
 def measure() -> dict:
@@ -92,7 +85,6 @@ def measure() -> dict:
                 )
                 if verdict.passed:
                     raise SystemExit(f"error: the {n}-agent mma matching passed")
-                _split(spent)
                 for layer in LAYERS:
                     row[layer].append(spent[layer])
     return samples

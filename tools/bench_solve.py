@@ -6,10 +6,11 @@ instances of each spec with the benchmark's generator on fixed seeds and
 times ``cli.main(["solve", *SOLVE_ARGS, "-o", OUT, "-i", FILE])``
 in-process, stdout captured, with the workload's own solve arguments
 (``--rule mma``; ``--rule scu --impl bipartite``), as the benchmark runs it.
-Both split each call into ``json_load`` (``model._json_data``),
-``validate`` (``model.validate_instance``), ``graph_build``
-(``build_graph``), ``writer`` (``model.matching_to_json``) and ``rest``
-(the summary, the text report and the file I/O). The rule's own part is
+Both split each call into the own times (``layer_timing.LayerClock``) of
+``json_load`` (``model._json_data``), ``validate``
+(``model.validate_instance``), ``graph_build`` (``build_graph``),
+``writer`` (``model.matching_to_json``) and ``rest`` (the summary, the
+text report and the file I/O). The rule's own part is
 
 * ``mma-large``: ``hopcroft_karp`` (``maximum_matching`` inside
   ``mma_allocate``) and ``proposals`` (the rest of ``mma_allocate``);
@@ -77,18 +78,6 @@ def _layers(workload: str) -> dict:
     }
 
 
-def _split(spent: dict) -> None:
-    """Turn the timers' inclusive seconds into the layers' own."""
-    if "proposals" in spent:  # the graph build and HK run inside mma_allocate
-        spent["proposals"] -= spent["graph_build"] + spent["hopcroft_karp"]
-    else:  # the graph build runs inside the start, and both inside scu_allocate
-        spent["scu_start"] -= spent["graph_build"]
-        spent["steps"] -= sum(
-            spent[layer]
-            for layer in ("graph_build", "scu_start", "quotient_search", "invariants")
-        )
-
-
 @contextlib.contextmanager
 def _start_searches_untimed(search):
     """Run ``scu_state_init`` with the untimed ``search``, so that the
@@ -136,8 +125,6 @@ def measure() -> dict:
                             code, spent = clock.run(cli.main, argv + [str(path)])
                         if code != 0:
                             raise SystemExit(f"error: solve of {path.name} exited {code}")
-                        _split(spent)
-                        spent["rest"] = spent["total"] - sum(spent[layer] for layer in clock.layers)
                         for layer in layers:
                             samples[workload][layer].append(spent[layer])
                         for layer, counts in samples["timed_calls"].get(workload, {}).items():

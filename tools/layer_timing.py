@@ -48,12 +48,14 @@ class LayerClock:
     """Times ops layer by layer. ``layers`` maps a layer to the (module,
     attribute name) of the function it times; inside ``patched()`` each such
     attribute is a timer around the function, so callers that look it up in
-    its module at call time are timed."""
+    its module at call time are timed. A layer's time is its own: a timed
+    call's time less that of the timed calls made inside it."""
 
     def __init__(self, layers: dict):
         self.layers = layers
         self.spent = dict.fromkeys(layers, 0.0)
         self.calls = dict.fromkeys(layers, 0)
+        self._covered = 0.0  # the op's time so far inside timed calls, nested ones once
 
     @contextlib.contextmanager
     def patched(self):
@@ -69,25 +71,33 @@ class LayerClock:
     def _timer(self, layer, fn):
         def timed(*args, **kwargs):
             self.calls[layer] += 1
+            covered = self._covered
             start = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.spent[layer] += time.process_time() - start
+                elapsed = time.process_time() - start
+                self.spent[layer] += elapsed - (self._covered - covered)
+                self._covered = covered + elapsed
 
         return timed
 
     def run(self, op, *args, **kwargs):
         """``(op(*args, **kwargs), seconds)``: the reference seconds of each
-        layer within the call, and of the whole call as ``"total"``. The
-        call counts of the layers are left in ``calls``."""
+        layer within the call, of the call outside every timed call as
+        ``"rest"``, and of the whole call as ``"total"``; the layers and
+        ``rest`` sum to ``total``. The call counts of the layers are left in
+        ``calls``."""
         self.spent = dict.fromkeys(self.layers, 0.0)
         self.calls = dict.fromkeys(self.layers, 0)
+        self._covered = 0.0
         before = calib.kernel_s()
         start = time.process_time()
         result = op(*args, **kwargs)
-        self.spent["total"] = time.process_time() - start
+        total = time.process_time() - start
         after = calib.kernel_s()
+        self.spent["rest"] = total - self._covered
+        self.spent["total"] = total
         return result, {layer: calib.scale(s, before, after) for layer, s in self.spent.items()}
 
 
