@@ -21,10 +21,14 @@ earlier fix, places the candidate and keeps both maxima:
   category quotient, K + 3 nodes (categories, the two classes and the
   source), whose arcs the state keeps as sets of agents updated in O(deg)
   per moved agent; a candidate costs O(K^2) plus its cycle, whatever the
-  number of agents. Most cycles are one swap, found as the root's direct
-  arc with no queue: 87 % of the step searches on the benchmark's
-  ``scu-small`` shape, 97 % on ``scu-large`` and 99 % at 32,000 agents,
-  but 14 % with 8000 agents in 160 sparse categories.
+  number of agents. The state's start seats agents in the candidate loop's
+  order, so most candidates are already at their category and are fixed
+  with no search: 71 % of the steps on the benchmark's ``scu-small``
+  shape, 72 % on ``scu-large`` and 66 % at 32,000 agents, but 24 % with
+  8000 agents in 160 sparse categories. Most of the other cycles are one swap, found
+  as the root's direct arc with no queue: 68 % of the step searches on
+  ``scu-small``, 79 % on ``scu-large`` and 80 % at 32,000 agents, but 10 %
+  in the sparse case.
 
 All three start from a dual maximum matching, which yields both maxima: the
 network states take ``dual_maximum_matching``'s and ``bipartite`` builds its
@@ -320,18 +324,21 @@ class SCUState(FixLedger):
     ``beneficiaries``, the number of agents in preferential categories, in
     O(1).
 
-    The state builds its own start, a dual maximum matching, in two stages.
-    Stage 1 matches each agent, in index order, to its first preferential
-    category with a free slot, builds the rows once from that matching and
-    applies augmenting paths that end in a preferential category until none
-    is left: b is its size. Stage 2 places the agents still unmatched in
-    their first category with a free slot and augments to any category: m
-    is its size. Each path is found by the candidates' search on the K + 3
-    nodes of the quotient (``_quotient_path``), rooted at the source, so the
-    start runs no search over the agents. Its class arcs add no path: a
-    category with a free slot is expanded only in stage 1 and only when it
-    is open, and in stage 1 the open class leads nowhere, as no open
-    category holds anyone.
+    The state builds its own start, a dual maximum matching, in two stages,
+    each seating agents in the order the candidate loop offers them:
+    categories in precedence order (``strict_sequence``), each taking its
+    highest-priority unmatched eligible agents up to its capacity. Stage 1
+    seats agents so in the preferential categories, builds the rows once
+    from that matching and applies augmenting paths that end in a
+    preferential category until none is left: b is its size. Stage 2 seats
+    the agents still unmatched so in every category and augments to any
+    category: m is its size. Most candidates then find themselves already
+    at their category, and their step is a fix with no search. Each path
+    is found by the candidates' search on the K + 3 nodes of the quotient
+    (``_quotient_path``), rooted at the source, so the start runs no search
+    over the agents. Its class arcs add no path: a category with a free
+    slot is expanded only in stage 1 and only when it is open, and in stage
+    1 the open class leads nowhere, as no open category holds anyone.
     """
 
     def __init__(self, seq: SequentialReserveSystem, graph: EligibilityGraph):
@@ -351,15 +358,17 @@ class SCUState(FixLedger):
         )
         caps, load, assignment = seq.capacities, mu.load, mu.assignment
         self.is_pref = is_pref = [d in seq.preferential for d in range(k)]
-        self.beneficiaries = 0
+        order = seq.precedence.strict_sequence()
         # stage 1: the preferential maximum; open categories hold nobody
         # yet, so no path passes through them
-        for agent, adj in enumerate(graph.agent_adj):
-            for c in adj:
-                if is_pref[c] and load[c] < caps[c]:
-                    mu.assign(agent, c)
-                    self.beneficiaries += 1
-                    break
+        for c in order:
+            if is_pref[c]:
+                for agent in seq.base.eligible_agents(c):
+                    if load[c] == caps[c]:
+                        break
+                    if assignment[agent] is None:
+                        mu.assign(agent, c)
+        self.beneficiaries = mu.size()
         for agent, here in enumerate(assignment):
             rows = self._rows_at(here)
             for e in graph.agent_adj[agent]:
@@ -368,12 +377,12 @@ class SCUState(FixLedger):
         self.b = mu.size()
         # stage 2: the cardinality maximum; an augmenting path raises only
         # its end's load, and no end is preferential once b is maximum
-        for agent, adj in enumerate(graph.agent_adj):
-            if assignment[agent] is None:
-                for c in adj:
-                    if load[c] < caps[c]:
-                        self.move(agent, c)
-                        break
+        for c in order:
+            for agent in seq.base.eligible_agents(c):
+                if load[c] == caps[c]:
+                    break
+                if assignment[agent] is None:
+                    self.move(agent, c)
         self._augment([True] * k)
         self.m = mu.size()
         assert self.beneficiaries == self.b, "stage 2 moved the beneficiary count"
@@ -564,12 +573,27 @@ def _movers(state: SCUState, path: Sequence[int]) -> list[Move]:
     moves: list[Move] = []
     for u, v in zip(path, path[1:]):
         if u == source:
-            moves.append((next(iter(state.free[v])), None, v))
+            moves.append((_any(state.free[v]), None, v))
         elif u < num_categories and v == source:
-            moves.append((next(iter(state.unfixed[u])), u, None))
+            moves.append((_any(state.unfixed[u]), u, None))
         elif u < num_categories and v < num_categories:
-            moves.append((next(iter(state.via[u][v])), u, v))
+            moves.append((_any(state.via[u][v]), u, v))
     return moves
+
+
+def _any(row: set[int]) -> int:
+    """Some member of a non-empty row, which stays in the row.
+
+    ``next(iter(row))`` scans the row's table from slot 0. A set does not
+    shrink its table on ``discard``, and each pick's agent leaves the row,
+    so the front of the table fills with dead slots that every later pick
+    passes again: O(n^2 / K) over a run. ``set.pop`` starts its scan where
+    the previous pop stopped (CPython keeps that position on the set), so
+    successive picks share one sweep of the table; adding the member back
+    leaves the row's contents as they were."""
+    agent = row.pop()
+    row.add(agent)
+    return agent
 
 
 def _check_state(

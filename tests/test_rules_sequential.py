@@ -651,6 +651,20 @@ def test_scu_trace_records_fixes(grouped_six, impl):
         scu_allocate(system, impl="compact", trace_sink=reference.append)
         assert all(("matching" in r) == (impl == "bipartite") for r in records)
         assert _without_matching(records) == reference
+        if impl == "bipartite":
+            _assert_dual_maximum(system, records[0])
+
+
+def _assert_dual_maximum(system, init):
+    """The working matching an ``init`` record carries is the state's start:
+    eligible, within capacity, with m matched agents and b beneficiaries."""
+    seq = as_sequential(system)
+    start = init["matching"]
+    assert all(c is None or seq.base.is_eligible(a, c) for a, c in enumerate(start))
+    load = Counter(c for c in start if c is not None)
+    assert all(load[c] <= cap for c, cap in enumerate(seq.capacities))
+    assert sum(load.values()) == init["m"]
+    assert sum(load[c] for c in seq.preferential) == init["b"]
 
 
 # ---------------------------------------------------------------------------
@@ -860,14 +874,16 @@ def test_invariant_check_names_each_corrupted_row(monkeypatch):
 def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
     """Counts, not timings: each search of the start and of each candidate
     runs on the K + 3 nodes of the category quotient whatever the number of
-    agents; a search over the agent nodes expands O(n) of them. A step whose
-    goal is a direct successor of its root returns that arc and expands no
-    node."""
+    agents; a search over the agent nodes expands O(n) of them. Every step
+    whose candidate is not yet at its category runs exactly one search, and
+    no other step runs one. A step whose goal is a direct successor of its
+    root returns that arc and expands no node."""
     from reservematch import rules_sequential
 
-    search = rules_sequential._quotient_path
+    search, step = rules_sequential._quotient_path, rules_sequential.scu_bipartite_step
     popped = [0]
     searches = []  # (root, path, nodes expanded) of each search
+    displaced = [0]  # steps whose candidate is not at its category
 
     class CountingDeque(deque):
         def popleft(self):
@@ -880,8 +896,13 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
         searches.append((root, path, popped[0] - before))
         return path
 
+    def counted_step(system, state, agent, category):
+        displaced[0] += state.mu.assignment[agent] != category
+        return step(system, state, agent, category)
+
     monkeypatch.setattr(rules_sequential, "deque", CountingDeque)
     monkeypatch.setattr(rules_sequential, "_quotient_path", counted)
+    monkeypatch.setattr(rules_sequential, "scu_bipartite_step", counted_step)
     for n in (400, 1600):
         system = GeneratorSpec(
             num_agents=n,
@@ -898,13 +919,33 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
         assert len(searches) >= 2
         assert max(expanded for _, _, expanded in searches) <= 10 + 3, n
         searches.clear()
+        displaced[0] = 0
         scu_allocate(system, impl="bipartite")
-        assert len(searches) > n // 10
         assert max(expanded for _, _, expanded in searches) <= 10 + 3, n
         steps = [(path, expanded) for root, path, expanded in searches if root < 10]
+        assert len(steps) == displaced[0], n
         direct = [expanded for path, expanded in steps if path is not None and len(path) == 2]
         assert direct and not any(direct), n
         assert any(expanded for _, expanded in steps), n
+
+
+def test_start_places_most_candidates_in_place(monkeypatch):
+    """The start seats agents in the candidate loop's order, precedence and
+    then priority, so most candidates are already at their category and
+    their step runs no search."""
+    from reservematch import rules_sequential
+
+    step = rules_sequential.scu_bipartite_step
+    in_place = Counter()
+
+    def counted_step(system, state, agent, category):
+        in_place[state.mu.assignment[agent] == category] += 1
+        return step(system, state, agent, category)
+
+    monkeypatch.setattr(rules_sequential, "scu_bipartite_step", counted_step)
+    system = GeneratorSpec(1600, 10, "const:80", 0.3, 0.4, "random:3", seed=1).build()
+    scu_allocate(system, impl="bipartite")
+    assert in_place[True] > in_place[False], in_place
 
 
 # The two quotient searches of the bipartite state as they were before the
