@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import re
@@ -226,19 +227,15 @@ def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
         matching, _ = mma_allocate(base, seed, agent_order, cat_order)
         return matching
     if args.rule == "scu":
-        sink = None
-        trace_handle = None
-        if args.trace is not None:
-            trace_handle = open(args.trace, "w", encoding="utf-8")
+        impl = args.impl or DEFAULT_IMPL
+        if args.trace is None:
+            return scu_allocate(system, impl=impl)
+        with open(args.trace, "w", encoding="utf-8") as handle:
 
             def sink(record: dict) -> None:
-                trace_handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-        try:
-            return scu_allocate(system, impl=args.impl or DEFAULT_IMPL, trace_sink=sink)
-        finally:
-            if trace_handle is not None:
-                trace_handle.close()
+            return scu_allocate(system, impl=impl, trace_sink=sink)
     raise InstanceError(f"unknown rule {args.rule!r}")
 
 
@@ -353,9 +350,16 @@ def run_checks(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    named = args.axiom or ["all"]  # checked before any file is read
+    known = (*axioms.FUNDAMENTAL, *axioms.SEQUENTIAL, axioms.ORDER_PRESERVATION_HYBRID, "all")
+    for name in named:
+        if name not in known:
+            raise InstanceError(f"unknown axiom {name!r}")
+    if "all" in named and len(named) > 1:
+        raise InstanceError("--axiom all names every applicable axiom; give it alone")
     system = parse_instance(_read_text(args.instance))
     matching = parse_matching(_read_text(args.matching), system)
-    names = _applicable_axioms(system) if args.axiom == ["all"] else args.axiom
+    names = _applicable_axioms(system) if named == ["all"] else named
     verdicts = run_checks(system, matching, names, search=args.search)
     if args.format == "json":
         print(canonical_json([v.to_raw() for v in verdicts]), end="")
@@ -679,11 +683,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list) and (not value or [] in value):
             _shared_parser().error(f"argument --{name.replace('_', '-')}: expected one argument")
-    if getattr(args, "axiom", None) is None and args.command == "check":
-        args.axiom = ["all"]
     # looked up per call, not stored in the cached parser, so a command
     # wrapped after the first call (a profiler's span) is the one that runs
     command = globals()[f"cmd_{args.command}"]
+    # a command leaves no cyclic garbage that grows with its input, so the
+    # collector pauses for it; the caller's setting comes back on every exit
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return command(args)
     except _INPUT_ERRORS as exc:
@@ -697,6 +703,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ deterministic."""
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, le, lt, sub
@@ -502,25 +501,14 @@ def pinned_alternative(
     the class totals b and m - b, decoded from a feasible flow on a fresh
     full reserve network; None when none exists. A pin with no edge is an
     ineligible pair, which no eligibility-compliant matching holds."""
-    # The residual graph's one list per node makes the collector run about
-    # once per 700 nodes, and its first passes traverse every list of the
-    # network: about a tenth of a 100,000-agent refute. Nothing here makes a
-    # cycle, and the network is garbage on return, so the collector pauses
-    # for the call.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        rn = build_reserve_network(system)
-        net = rn.network
-        for agent, category in pins:
-            edge = rn.assign_edge(agent, category)
-            if edge is None:
-                return None
-            net.set_lower(edge, 1)
-        net.set_lower(rn.class_edge[PREF_CLASS], b)
-        net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
-        flow = feasible_flow(net)
-        return None if flow is None else flow_to_matching(rn, flow)
-    finally:
-        if collecting:
-            gc.enable()
+    rn = build_reserve_network(system)
+    net = rn.network
+    for agent, category in pins:
+        edge = rn.assign_edge(agent, category)
+        if edge is None:
+            return None
+        net.set_lower(edge, 1)
+    net.set_lower(rn.class_edge[PREF_CLASS], b)
+    net.set_lower(rn.class_edge[OPEN_CLASS], m - b)
+    flow = feasible_flow(net)
+    return None if flow is None else flow_to_matching(rn, flow)

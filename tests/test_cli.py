@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 import reservematch
 from reservematch import cli
 from reservematch.cli import main
-from reservematch.model import matching_to_json, Matching
+from reservematch.model import instance_to_json, matching_to_json, Matching
 from util import MALFORMED_NUMBERS
 
 
@@ -257,6 +258,37 @@ def test_check_precedence_golden(capsys, corpus_dir):
         "respect-precedence",
     )
     assert code == 0
+
+
+_ALONE = "error: --axiom all names every applicable axiom; give it alone\n"
+
+
+@pytest.mark.parametrize(
+    "names, err",
+    [
+        (["bogus"], "error: unknown axiom 'bogus'\n"),
+        (["eligibility", "bogus", "all"], "error: unknown axiom 'bogus'\n"),
+        (["eligibility", "all"], _ALONE),
+        (["all", "respect-precedence"], _ALONE),
+        (["all", "all"], _ALONE),
+    ],
+    ids=["unknown", "unknown-beside-all", "all-after-a-name", "all-before-a-name", "all-twice"],
+)
+def test_check_refuses_axiom_names_before_reading_a_file(capsys, tmp_path, names, err):
+    """An unknown name, or ``all`` beside another name, exits 2 with its own
+    message before the instance is read: here neither file exists."""
+    missing = str(tmp_path / "missing.json")
+    argv = ["check", "-i", missing, "-m", missing]
+    for name in names:
+        argv += ["--axiom", name]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_check_axiom_all_alone_is_the_default(capsys, corpus_dir):
+    check = ["--format", "json", "check", "-i", str(corpus_dir / "precedence_chain.json"),
+             "-m", str(corpus_dir / "precedence_chain_parked.json")]
+    assert run_cli(capsys, *check, "--axiom", "all") == run_cli(capsys, *check)
 
 
 def test_check_empty_matching_eligibility(capsys, corpus_dir, tmp_path):
@@ -1065,3 +1097,115 @@ def test_rule_options_are_options_of_solve():
     """A renamed option would pass its cross-rule cases through argparse's
     unrecognized-argument error, so the table must name real options."""
     assert set(_RULE_OPTIONS) <= set(_value_options("solve"))
+
+
+# ---------------------------------------------------------------------------
+# The garbage collector: paused per command, the caller's setting restored
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collecting(request):
+    """The collector's setting before the test's call, restored after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+# per exit code: the command, and argv on the corpus
+_EXIT_CASES = {
+    0: ("solve", ["solve", "-i", "precedence_chain.json", "--rule", "scu"]),
+    1: ("check", ["check", "-i", "precedence_chain.json", "-m", "precedence_chain_parked.json",
+                  "--axiom", "respect-precedence"]),
+    2: ("solve", ["solve", "-i", "missing.json", "--rule", "da"]),
+    3: ("solve", ["solve", "-i", "precedence_chain.json", "--rule", "da"]),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_EXIT_CASES))
+def test_main_pauses_the_collector_for_the_command(
+    capsys, corpus_dir, monkeypatch, collecting, code
+):
+    """The command runs with the collector off, and main leaves it as it
+    found it, on every exit code (3: the command raises)."""
+    command, argv = _EXIT_CASES[code]
+    original = getattr(cli, f"cmd_{command}")
+    seen = []
+
+    def recorder(args):
+        seen.append(gc.isenabled())
+        if code == 3:
+            raise RuntimeError("boom")
+        return original(args)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", recorder)
+    argv = [str(corpus_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert seen == [False]
+    assert gc.isenabled() is collecting
+
+
+def _premise_instance(tmp_path, n):
+    """An ``n``-agent instance with strict tiers, on which ``mma`` fails
+    respect-precedence."""
+    system = cli.GeneratorSpec(
+        n, 10, capacity=f"const:{n // 20}", density=0.3, preferential_fraction=0.4,
+        tier_scheme="strict", seed=1,
+    ).build()
+    path = tmp_path / f"instance-{n}.json"
+    path.write_text(instance_to_json(system))
+    return path
+
+
+def _cyclic_garbage(capsys, n, tmp_path):
+    """Per command on the ``n``-agent instance: its exit code, and the
+    objects ``gc.collect()`` frees after it ran with the collector off."""
+    inst, out = str(_premise_instance(tmp_path, n)), tmp_path / f"out-{n}"
+    out.mkdir()
+    scu_files = ["--trace", str(out / "trace"), "--dot", str(out / "dot"),
+                 "--dot-compact", str(out / "dot-compact")]
+    commands = {
+        "da": ["solve", "-i", inst, "--rule", "da"],
+        "rev": ["solve", "-i", inst, "--rule", "rev", "--baseline", ",".join(map(str, range(n)))],
+        "mma": ["solve", "-i", inst, "--rule", "mma", "-o", str(out / "mma.json")],
+        **{
+            impl: ["solve", "-i", inst, "--rule", "scu", "--impl", impl, *scu_files,
+                   "-o", str(out / "scu.json")]
+            for impl in cli.IMPLEMENTATIONS
+        },
+        "check": ["--format", "json", "check", "-i", inst, "-m", str(out / "scu.json")],
+        "refute": ["--format", "json", "check", "-i", inst, "-m", str(out / "mma.json")],
+        "gen": ["gen", "--agents", str(n), "--categories", "10", "--tiers", "strict"],
+    }
+    found = {}
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        for name, argv in commands.items():
+            gc.collect()
+            code = main(argv)
+            found[name] = (code, gc.collect())
+            printed = capsys.readouterr().out
+            if name == "refute":
+                failed = {v["axiom"]: v for v in json.loads(printed) if not v["pass"]}
+                assert "witness" in failed["respect-precedence"]
+    finally:
+        if before:
+            gc.enable()
+    return found
+
+
+def test_commands_leave_no_cyclic_garbage_that_grows_with_the_input(capsys, tmp_path):
+    """The premise of the per-command pause: what the collector would free
+    after a command does not grow from 40 to 400 agents, so a pause leaves
+    no garbage in proportion to the input."""
+    main(["gen", "--agents", "1", "--categories", "1"])  # builds the cached parser
+    capsys.readouterr()
+    small, large = (_cyclic_garbage(capsys, n, tmp_path) for n in (40, 400))
+    assert {name: code for name, (code, _) in small.items()} == {
+        **dict.fromkeys(small, 0), "refute": 1
+    }
+    assert large == small

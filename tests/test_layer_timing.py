@@ -5,6 +5,7 @@ every ``tools/bench_*.py`` timer. No process is started."""
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import pathlib
@@ -83,6 +84,22 @@ def test_patched_functions_are_restored_after_a_timed_call_raises():
             clock.run(outer.fn, "x")
     assert (inner.fn, outer.fn) == originals
     assert clock.calls == {"inner": 1, "outer": 1}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_paused_op_runs_with_the_collector_off_and_restores_it(collecting):
+    """``collector_paused`` pauses the collector as ``cli.main`` does: off
+    inside the op, the caller's setting back after a return or a raise."""
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert layer_timing.collector_paused(gc.isenabled)() is False
+        assert gc.isenabled() is collecting
+        with pytest.raises(ZeroDivisionError):
+            layer_timing.collector_paused(lambda: 1 / 0)()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def _nest(path, layers):

@@ -12,7 +12,9 @@ Each call is split into the own times of ``parse_instance``,
 start=matching)``, the b and m that ``check`` certifies), ``hopcroft_karp``
 (its ``maximum_matching`` calls, where it recomputes them), ``axioms`` (the
 rest of ``cli.run_checks``) and ``rest``; ``hk_passes`` counts the
-Hopcroft-Karp passes. The driver and its clock are ``layer_timing.py``'s:
+Hopcroft-Karp passes. Each call runs with the garbage collector paused, as
+``cli.main`` runs a command (``layer_timing.collector_paused``). The driver
+and its clock are ``layer_timing.py``'s:
 
     python3 tools/bench_check.py parent=../parent/src change=src
 """
@@ -89,6 +91,7 @@ def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         ops = {name: _ops(cli, wl, Path(tmp)) for name, wl in run.WORKLOADS.items()}
 
+    @layer_timing.collector_paused
     def check(inst_text, match_text, names):
         system = cli.parse_instance(inst_text)
         return cli.run_checks(system, cli.parse_matching(match_text, system), names)

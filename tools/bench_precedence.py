@@ -20,7 +20,9 @@ Each call is split into the own times of the flow layers it runs:
 * ``rest``: the rest of the call: the axiom's flags, pins and witness, and
   the pins set on the network.
 
-The driver and its clock are ``layer_timing.py``'s:
+Each call runs with the garbage collector paused, as ``cli.main`` runs a
+command (``layer_timing.collector_paused``). The driver and its clock are
+``layer_timing.py``'s:
 
     python3 tools/bench_precedence.py parent=../parent/src change=src
 """
@@ -73,6 +75,7 @@ def _layers() -> dict:
 def measure() -> dict:
     from reservematch import axioms
 
+    refute = layer_timing.collector_paused(axioms.check_respect_precedence)
     clock = layer_timing.LayerClock(_layers())
     samples: dict = {}
     for n in SIZES:
@@ -80,9 +83,7 @@ def measure() -> dict:
         row = samples[str(n)] = {layer: [] for layer in LAYERS}
         with clock.patched():
             for _ in range(REPEATS):
-                verdict, spent = clock.run(
-                    axioms.check_respect_precedence, system, matching, b=b, m=m
-                )
+                verdict, spent = clock.run(refute, system, matching, b=b, m=m)
                 if verdict.passed:
                     raise SystemExit(f"error: the {n}-agent mma matching passed")
                 for layer in LAYERS:

@@ -19,9 +19,10 @@ text report and the file I/O). The rule's own part is
   ``rules_sequential._quotient_path`` calls), ``invariants``
   (``_check_state``) and ``steps`` (the rest of ``scu_allocate``).
 
-Every timed call adds its timer's own cost, ``settings.timer_overhead``, to
-the op; ``timed_calls`` counts the calls of the per-step layers. The driver
-and its clock are ``layer_timing.py``'s:
+``cli.main`` pauses the garbage collector for the command itself, so this
+timer adds no pause. Every timed call adds its timer's own cost,
+``settings.timer_overhead``, to the op; ``timed_calls`` counts the calls of
+the per-step layers. The driver and its clock are ``layer_timing.py``'s:
 
     python3 tools/bench_solve.py parent=../parent/src change=src
 """

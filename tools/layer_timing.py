@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import statistics
 import subprocess
@@ -42,6 +43,24 @@ CLOCK = (
     "reference seconds: CPU seconds scaled by perfbench/calib.py's kernel, "
     "run just before and just after each op"
 )
+
+
+def collector_paused(op):
+    """``op`` with the garbage collector paused for each call and the
+    caller's setting restored after, as ``reservematch.cli.main`` runs each
+    command: a timer of library calls runs its ops this way, so that it
+    times them as the command line runs them."""
+
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return op(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
 
 
 class LayerClock:
