@@ -4,12 +4,14 @@ Each check returns an AxiomVerdict carrying a pass flag and, on failure, a
 structured witness that mechanically re-derives the violation. The
 existential precedence check is decided exactly, either by enumerating all
 eligibility-compliant matchings (oracle mode) or by a lower-bounded flow
-feasibility pass (flow mode).
+feasibility pass (flow mode). ``run_checks`` is the one table from an
+axiom's name to its checker; ``applicable`` names the axioms an instance
+carries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .model import (
     AnySystem,
@@ -37,6 +39,9 @@ Assignment = tuple[Optional[int], ...]
 
 FUNDAMENTAL = (ELIGIBILITY, RESPECT_PRIORITIES, NON_WASTEFULNESS, MAX_CARDINALITY)
 SEQUENTIAL = (MAX_BENEFICIARY, ORDER_PRESERVATION_SWAP, RESPECT_PRECEDENCE)
+NAMES = (*FUNDAMENTAL, *SEQUENTIAL, ORDER_PRESERVATION_HYBRID)
+# the axioms judged against the certified maxima b and m
+_NEED_MAXIMA = frozenset((MAX_CARDINALITY, MAX_BENEFICIARY, RESPECT_PRECEDENCE))
 
 
 class NotHybridInstance(InstanceError):
@@ -436,3 +441,50 @@ def check_order_preservation_hybrid(
     return AxiomVerdict(
         ORDER_PRESERVATION_HYBRID, False, _hybrid_witness(seq, matching, i)
     )
+
+
+def applicable(system: AnySystem) -> list[str]:
+    """The axioms defined on ``system``: the fundamental four, the sequential
+    ones on a sequential instance, and the hybrid form on one that carries
+    a hybrid marker."""
+    names = list(FUNDAMENTAL)
+    if isinstance(system, SequentialReserveSystem):
+        names += SEQUENTIAL
+        if system.hybrid is not None:
+            names.append(ORDER_PRESERVATION_HYBRID)
+    return names
+
+
+def run_checks(
+    system: AnySystem,
+    matching: Matching,
+    names: Sequence[str],
+    search: str = "flow",
+) -> list[AxiomVerdict]:
+    """The verdict of each named axiom on ``matching``, in ``names`` order.
+    An unknown name is refused before any work. b and m are computed once,
+    and only when a named axiom needs them. The table is built on each call,
+    so a checker wrapped on this module after import is the one that runs."""
+    for name in names:
+        if name not in NAMES:
+            raise InstanceError(f"unknown axiom {name!r}")
+    b = m = None
+    if not _NEED_MAXIMA.isdisjoint(names):
+        # seeded from the matching under check: backward searches apply
+        # paths until one finds none, which certifies the stage; only a
+        # stage whose isqrt(n) + 1 searches all found a path runs
+        # Hopcroft-Karp
+        _, b, m = dual_maximum_matching(as_sequential(system), start=matching)
+    checks = {
+        ELIGIBILITY: lambda: check_eligibility(system, matching),
+        RESPECT_PRIORITIES: lambda: check_respect_priorities(system, matching),
+        NON_WASTEFULNESS: lambda: check_nonwasteful(system, matching),
+        MAX_CARDINALITY: lambda: check_max_cardinality(system, matching, m),
+        MAX_BENEFICIARY: lambda: check_max_beneficiary(system, matching, b),
+        ORDER_PRESERVATION_SWAP: lambda: check_order_preservation_swap(system, matching),
+        RESPECT_PRECEDENCE: lambda: check_respect_precedence(
+            system, matching, search=search, b=b, m=m
+        ),
+        ORDER_PRESERVATION_HYBRID: lambda: check_order_preservation_hybrid(system, matching),
+    }
+    return [checks[name]() for name in names]

@@ -39,12 +39,7 @@ from .model import (
 )
 from .netflow import build_compact_network, build_reserve_network
 from .rules_basic import da_allocate, mma_allocate, rev_allocate
-from .rules_sequential import (
-    DEFAULT_IMPL,
-    IMPLEMENTATIONS,
-    dual_maximum_matching,
-    scu_allocate,
-)
+from .rules_sequential import DEFAULT_IMPL, IMPLEMENTATIONS, scu_allocate
 
 RULES = ("da", "rev", "mma", "scu")
 
@@ -299,68 +294,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # check
 
 
-def _applicable_axioms(system: AnySystem) -> list[str]:
-    names = list(axioms.FUNDAMENTAL)
-    if isinstance(system, SequentialReserveSystem):
-        names += list(axioms.SEQUENTIAL)
-        if system.hybrid is not None:
-            names.append(axioms.ORDER_PRESERVATION_HYBRID)
-    return names
-
-
-def run_checks(
-    system: AnySystem,
-    matching: Matching,
-    names: Sequence[str],
-    search: str = "flow",
-) -> list[axioms.AxiomVerdict]:
-    seq = as_sequential(system)
-    need_m = axioms.MAX_CARDINALITY in names
-    need_b = axioms.MAX_BENEFICIARY in names or axioms.RESPECT_PRECEDENCE in names
-    m = b = None
-    if need_m or need_b:
-        # seeded from the matching under check: backward searches apply
-        # paths until one finds none, which certifies the stage; only a
-        # stage whose isqrt(n) + 1 searches all found a path runs
-        # Hopcroft-Karp
-        _, b, m = dual_maximum_matching(seq, start=matching)
-    verdicts = []
-    for name in names:
-        if name == axioms.ELIGIBILITY:
-            verdicts.append(axioms.check_eligibility(system, matching))
-        elif name == axioms.RESPECT_PRIORITIES:
-            verdicts.append(axioms.check_respect_priorities(system, matching))
-        elif name == axioms.NON_WASTEFULNESS:
-            verdicts.append(axioms.check_nonwasteful(system, matching))
-        elif name == axioms.MAX_CARDINALITY:
-            verdicts.append(axioms.check_max_cardinality(system, matching, m))
-        elif name == axioms.MAX_BENEFICIARY:
-            verdicts.append(axioms.check_max_beneficiary(system, matching, b))
-        elif name == axioms.ORDER_PRESERVATION_SWAP:
-            verdicts.append(axioms.check_order_preservation_swap(system, matching))
-        elif name == axioms.RESPECT_PRECEDENCE:
-            verdicts.append(
-                axioms.check_respect_precedence(system, matching, search=search, b=b, m=m)
-            )
-        elif name == axioms.ORDER_PRESERVATION_HYBRID:
-            verdicts.append(axioms.check_order_preservation_hybrid(system, matching))
-        else:
-            raise InstanceError(f"unknown axiom {name!r}")
-    return verdicts
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     named = args.axiom or ["all"]  # checked before any file is read
-    known = (*axioms.FUNDAMENTAL, *axioms.SEQUENTIAL, axioms.ORDER_PRESERVATION_HYBRID, "all")
     for name in named:
-        if name not in known:
+        if name not in axioms.NAMES and name != "all":
             raise InstanceError(f"unknown axiom {name!r}")
     if "all" in named and len(named) > 1:
         raise InstanceError("--axiom all names every applicable axiom; give it alone")
     system = parse_instance(_read_text(args.instance))
     matching = parse_matching(_read_text(args.matching), system)
-    names = _applicable_axioms(system) if named == ["all"] else named
-    verdicts = run_checks(system, matching, names, search=args.search)
+    names = axioms.applicable(system) if named == ["all"] else named
+    verdicts = axioms.run_checks(system, matching, names, search=args.search)
     if args.format == "json":
         print(canonical_json([v.to_raw() for v in verdicts]), end="")
     else:
@@ -478,7 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
             )
         matching = rule_fn(system)
-        four = run_checks(system, matching, list(axioms.FUNDAMENTAL))
+        four = axioms.run_checks(system, matching, axioms.FUNDAMENTAL)
         failing = [v.to_raw() for v in four if not v.passed]
         reports.append(harness.PerturbationReport("four-axioms", 1, failing))
         entry["reports"] = [r.to_raw() for r in reports]

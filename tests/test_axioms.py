@@ -12,6 +12,7 @@ from reservematch.cli import GeneratorSpec, main
 from reservematch.harness import MatchingSpace, oracle_maxima
 from reservematch.model import (
     HybridMarker,
+    InstanceError,
     Matching,
     PrecedenceOrder,
     PriorityRanking,
@@ -681,3 +682,68 @@ def test_hybrid_agrees_with_swap_form():
             swap = axioms.check_order_preservation_swap(system, matching).passed
             hybrid = axioms.check_order_preservation_hybrid(system, matching).passed
             assert swap == hybrid, (system, matching)
+
+
+# ---------------------------------------------------------------------------
+# run_checks: the name-to-checker table
+
+
+@pytest.fixture
+def maxima_starts(monkeypatch):
+    """The ``start`` of each ``dual_maximum_matching`` call ``run_checks``
+    makes."""
+    starts = []
+    original = axioms.dual_maximum_matching
+
+    def counted(seq, start=None):
+        starts.append(start)
+        return original(seq, start=start)
+
+    monkeypatch.setattr(axioms, "dual_maximum_matching", counted)
+    return starts
+
+
+def test_applicable_names_the_axioms_each_instance_carries(contested_pair, grouped_six):
+    hybrid = _hybrid_instance(random.Random(3), 4)
+    assert axioms.applicable(contested_pair) == list(axioms.FUNDAMENTAL)
+    assert axioms.applicable(grouped_six) == [*axioms.FUNDAMENTAL, *axioms.SEQUENTIAL]
+    assert axioms.applicable(hybrid) == list(axioms.NAMES)
+
+
+def test_run_checks_refuses_an_unknown_name_before_any_work(grouped_six, maxima_starts):
+    matching = Matching((None,) * 6)
+    with pytest.raises(InstanceError, match="unknown axiom 'bogus'"):
+        axioms.run_checks(grouped_six, matching, [axioms.MAX_CARDINALITY, "bogus"])
+    assert maxima_starts == []
+
+
+def test_run_checks_computes_no_maxima_for_axioms_that_need_none(grouped_six, maxima_starts):
+    names = [axioms.ELIGIBILITY, axioms.RESPECT_PRIORITIES, axioms.NON_WASTEFULNESS]
+    verdicts = axioms.run_checks(grouped_six, Matching((None, 0, None, 1, 2, None)), names)
+    assert [(v.axiom, v.passed) for v in verdicts] == [(name, True) for name in names]
+    assert maxima_starts == []
+
+
+def test_run_checks_computes_the_maxima_once_from_the_matching(grouped_six, maxima_starts):
+    matching = Matching((None, 0, None, 1, 2, None))  # the scu outcome
+    names = [axioms.MAX_CARDINALITY, axioms.RESPECT_PRECEDENCE]
+    verdicts = axioms.run_checks(grouped_six, matching, names)
+    assert [(v.axiom, v.passed) for v in verdicts] == [(name, True) for name in names]
+    assert maxima_starts == [matching]
+
+
+def test_run_checks_runs_a_checker_wrapped_after_import(contested_pair, monkeypatch):
+    """The table reads the module's checkers on each call, so a span or a
+    timer set on ``axioms.check_*`` is the one that runs."""
+    seen = []
+    original = axioms.check_eligibility
+
+    def wrapped(system, matching):
+        seen.append(matching)
+        return original(system, matching)
+
+    monkeypatch.setattr(axioms, "check_eligibility", wrapped)
+    matching = Matching((None, 0, 1))
+    verdicts = axioms.run_checks(contested_pair, matching, [axioms.ELIGIBILITY] * 2)
+    assert [v.passed for v in verdicts] == [True, True]
+    assert seen == [matching, matching]

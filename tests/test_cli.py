@@ -291,6 +291,35 @@ def test_check_axiom_all_alone_is_the_default(capsys, corpus_dir):
     assert run_cli(capsys, *check, "--axiom", "all") == run_cli(capsys, *check)
 
 
+def test_check_defaults_to_every_axiom_of_a_hybrid_instance(capsys, tmp_path):
+    """On an instance with a hybrid marker, the default ``--axiom all``
+    adds the hybrid form: here agent 0 outranks agent 1 at the early-open
+    category 0 but sits in the preferential category 1 while 1 holds 0."""
+    category = {"capacity": 1, "ranking": [0, 1, 2], "eligible_cutoff": 3}
+    raw = {
+        "agents": 3,
+        "categories": [{"id": c, **category} for c in range(3)],
+        "preferential": [1],
+        "tiers": [0, 1, 2],
+        "hybrid": {"open_early": [0], "open_late": [2]},
+    }
+    instance, matching = tmp_path / "hybrid.json", tmp_path / "m.json"
+    instance.write_text(json.dumps(raw))
+    matching.write_text(matching_to_json(Matching((1, 0, None))))
+    code, out = run_cli(capsys, "check", "-i", str(instance), "-m", str(matching))
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "eligibility", "respect-priorities", "non-wastefulness", "max-cardinality",
+        "max-beneficiary", "order-preservation-swap", "respect-precedence",
+        "order-preservation-hybrid",
+    ]
+    assert lines[-1] == (
+        'order-preservation-hybrid: FAIL  witness={"category_i": 1, "category_j": 0, '
+        '"clause": 1, "i": 0, "j": 1}'
+    )
+
+
 def test_check_empty_matching_eligibility(capsys, corpus_dir, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(matching_to_json(Matching((None, None, None))))
@@ -426,6 +455,71 @@ def test_verify_rev_corpus_reports_baseline_dependence(capsys):
     assert any(report["counterexamples"] for report in dependence)
 
 
+def test_verify_da_gates_its_three_properties_only(capsys):
+    """``da`` is not maximal: the small sweep reports an instance where it
+    fails the four axioms, which its gate leaves out."""
+    code, out = run_cli(capsys, "verify", "--rule", "da")
+    assert code == 0
+    reports = [report for entry in json.loads(out)["results"] for report in entry["reports"]]
+    assert {r["property"] for r in reports if r["counterexamples"]} == {"four-axioms"}
+    assert not any("unexpected" in report for report in reports)
+
+
+def test_verify_random_sweep(capsys):
+    code, out = run_cli(capsys, "verify", "--rule", "mma", "--sweep", "random", "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["sweep"], payload["seed"], len(payload["results"])) == ("random", 1, 25)
+    for entry in payload["results"]:
+        for report in entry["reports"]:
+            assert report["property"] != "four-axioms" or report["counterexamples"] == []
+
+
+def test_verify_exits_1_and_marks_a_failed_gated_property(capsys, monkeypatch):
+    """An ``mma`` that matches no one fails the four axioms, which ``mma``
+    is gated on; only those reports are marked unexpected."""
+
+    def match_no_one(rule):
+        return lambda system: Matching((None,) * system.num_agents)
+
+    monkeypatch.setattr(cli, "_rule_callable", match_no_one)
+    code, out = run_cli(capsys, "verify", "--rule", "mma", "--sweep", "corpus")
+    assert code == 1
+    reports = [report for entry in json.loads(out)["results"] for report in entry["reports"]]
+    failed = [report for report in reports if report["counterexamples"]]
+    marked = [report for report in reports if report.get("unexpected")]
+    assert marked and marked == [r for r in failed if r["property"] == "four-axioms"]
+
+
+def test_bench_text_table(capsys):
+    code, out = run_cli(
+        capsys, "bench", "--sizes", "10,20", "--rules", "da,mma", "--repetitions", "1",
+        "--categories", "2",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "rule\tsize\tmedian_seconds"
+    assert [line.split("\t")[:2] for line in lines[1:]] == [
+        ["da", "10"], ["da", "20"], ["mma", "10"], ["mma", "20"]
+    ]
+
+
+def test_bench_exits_1_when_the_rev_over_mma_ratio_does_not_grow(capsys, monkeypatch):
+    times = iter([1.0, 4.0, 1.0, 2.0])  # mma then rev, per size: ratios 4, then 2
+
+    def timed(fn):
+        fn()
+        return next(times)
+
+    monkeypatch.setattr(cli, "_timed", timed)
+    code = main(["bench", "--sizes", "6,9", "--rules", "mma,rev", "--repetitions", "1",
+                 "--categories", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[-2:] == ["ratio\t6\t4.000", "ratio\t9\t2.000"]
+    assert captured.err == "rev/mma ratio is not increasing across sizes\n"
+
+
 def test_bench_single_rule(capsys):
     code, out = run_cli(
         capsys,
@@ -546,6 +640,8 @@ def _bad_input_exit(capsys, *argv) -> None:
         # the category's own values as strings that hold them
         ("capacity", " 1 "),
         ("eligible_cutoff", "2"),
+        # an integer, but not the category's index
+        ("id", 5),
     ],
 )
 def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
@@ -577,6 +673,9 @@ def test_malformed_category_exits_2(capsys, corpus_dir, tmp_path, field, value):
         ("agents", "3"),
         ("tiers", [0, "1"]),
         ("preferential", [" 1 "]),
+        # integers, but negative
+        ("agents", -1),
+        ("tiers", [0, -1]),
     ],
 )
 def test_non_integer_scalars_exit_2(capsys, corpus_dir, tmp_path, field, value):
@@ -629,14 +728,16 @@ def test_empty_list_element_exits_2(capsys, corpus_dir, option, value):
 
 
 @pytest.mark.parametrize(
-    "content", [b"[" * 200000, b'{"agents": "\xff"}'], ids=["deep", "not-utf8"]
+    "content",
+    [b"[" * 200000, b'{"agents": "\xff"}', b"[]"],
+    ids=["deep", "not-utf8", "top-level-list"],
 )
 @pytest.mark.parametrize(
     "role", ["solve-instance", "check-instance", "check-matching", "seed-matching"]
 )
 def test_unreadable_json_exits_2(capsys, corpus_dir, tmp_path, role, content):
-    """A file nested too deeply for the JSON parser, or not UTF-8 at all,
-    is bad input wherever it is read."""
+    """A file nested too deeply for the JSON parser, not UTF-8 at all, or
+    valid JSON that is not an object, is bad input wherever it is read."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     instance = str(corpus_dir / "contested_pair.json")

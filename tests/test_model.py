@@ -11,7 +11,7 @@ import pytest
 from util import compare_priority, is_strict
 
 from reservematch import axioms
-from reservematch.cli import run_checks
+from reservematch.axioms import run_checks
 
 from reservematch.model import (
     DuplicateAgentInRanking,

@@ -11,10 +11,11 @@ Each call is split into the own times of ``parse_instance``,
 ``parse_matching``, ``dual_maxima`` (``dual_maximum_matching(seq,
 start=matching)``, the b and m that ``check`` certifies), ``hopcroft_karp``
 (its ``maximum_matching`` calls, where it recomputes them), ``axioms`` (the
-rest of ``cli.run_checks``) and ``rest``; ``hk_passes`` counts the
-Hopcroft-Karp passes. Each call runs with the garbage collector paused, as
-``cli.main`` runs a command (``layer_timing.collector_paused``). The driver
-and its clock are ``layer_timing.py``'s:
+rest of ``axioms.run_checks``, the name-to-checker table ``check`` runs)
+and ``rest``; ``hk_passes`` counts the Hopcroft-Karp passes. Each call runs
+with the garbage collector paused, as ``cli.main`` runs a command
+(``layer_timing.collector_paused``). The driver and its clock are
+``layer_timing.py``'s:
 
     python3 tools/bench_check.py parent=../parent/src change=src
 """
@@ -47,6 +48,7 @@ def _ops(cli, wl, work):
     verdict passes) per op of the benchmark workload ``wl``."""
     import instances
     import outcheck  # the benchmark's tamper, on plain JSON data
+    from reservematch import axioms
 
     ops = []
     for seed in SEEDS:
@@ -65,28 +67,28 @@ def _ops(cli, wl, work):
             assignment = outcheck.read_assignment(solved.read_text(), raw["agents"])
             refute.write_text(outcheck.to_json(outcheck.tamper(raw, assignment)))
         text = inst.read_text()
-        axioms = list(wl.axioms) or cli._applicable_axioms(cli.parse_instance(text))
-        ops.append(("check", text, solved.read_text(), axioms, True))
-        ops.append(("refute", text, refute.read_text(), axioms, False))
+        names = list(wl.axioms) or axioms.applicable(cli.parse_instance(text))
+        ops.append(("check", text, solved.read_text(), names, True))
+        ops.append(("refute", text, refute.read_text(), names, False))
     return ops
 
 
 def _layers() -> dict:
     """The clock's layers: the functions each one times."""
-    from reservematch import cli, rules_sequential
+    from reservematch import axioms, cli, rules_sequential
 
     return {
         "parse_instance": (cli, "parse_instance"),
         "parse_matching": (cli, "parse_matching"),
-        "axioms": (cli, "run_checks"),
-        "dual_maxima": (cli, "dual_maximum_matching"),
+        "axioms": (axioms, "run_checks"),
+        "dual_maxima": (axioms, "dual_maximum_matching"),
         "hopcroft_karp": (rules_sequential, "maximum_matching"),
     }
 
 
 def measure() -> dict:
     import run  # the benchmark's workloads
-    from reservematch import cli
+    from reservematch import axioms, cli
 
     with tempfile.TemporaryDirectory() as tmp:
         ops = {name: _ops(cli, wl, Path(tmp)) for name, wl in run.WORKLOADS.items()}
@@ -94,7 +96,7 @@ def measure() -> dict:
     @layer_timing.collector_paused
     def check(inst_text, match_text, names):
         system = cli.parse_instance(inst_text)
-        return cli.run_checks(system, cli.parse_matching(match_text, system), names)
+        return axioms.run_checks(system, cli.parse_matching(match_text, system), names)
 
     clock = layer_timing.LayerClock(_layers())
     samples: dict = {}
