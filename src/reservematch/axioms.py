@@ -71,9 +71,9 @@ class AxiomVerdict(Record):
 
 
 def check_eligibility(system: AnySystem, matching: Matching) -> AxiomVerdict:
-    base = base_of(system)
+    is_eligible = [ranking.is_eligible for ranking in base_of(system).priorities]
     for agent, c in enumerate(matching.assignment):
-        if c is not None and not base.is_eligible(agent, c):
+        if c is not None and not is_eligible[c](agent):
             return AxiomVerdict(
                 ELIGIBILITY, False, {"agent": agent, "category": c}
             )

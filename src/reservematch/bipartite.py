@@ -83,8 +83,9 @@ def build_graph(system: ReserveSystem) -> EligibilityGraph:
 class GraphMatching:
     """Mutable working matching over an eligibility graph.
 
-    Mutate only through ``assign`` and ``unassign``: they keep the loads,
-    the member sets and the running count of matched agents in step.
+    Mutate only through ``assign``, ``seat`` and ``unassign``: they keep
+    the loads, the member sets and the running count of matched agents in
+    step.
     """
 
     __slots__ = ("assignment", "load", "members", "_size")
@@ -114,6 +115,17 @@ class GraphMatching:
         self.load[c] += 1
         self.members[c].add(agent)
 
+    def seat(self, c: int, agents: Sequence[int]) -> None:
+        """Match each of ``agents`` to category c at once: the agents are
+        distinct and all unmatched. Like ``assign``, it leaves capacities
+        to the caller."""
+        assignment = self.assignment
+        for agent in agents:
+            assignment[agent] = c
+        self.load[c] += len(agents)
+        self.members[c].update(agents)
+        self._size += len(agents)
+
     def unassign(self, agent: int) -> None:
         old = self.assignment[agent]
         if old is not None:
@@ -141,9 +153,12 @@ class GraphMatching:
     @classmethod
     def from_matching(cls, matching: Matching, num_categories: int) -> "GraphMatching":
         gm = cls(len(matching.assignment), num_categories)
+        held: list[list[int]] = [[] for _ in range(num_categories)]
         for agent, c in enumerate(matching.assignment):
             if c is not None:
-                gm.assign(agent, c)
+                held[c].append(agent)
+        for c, agents in enumerate(held):
+            gm.seat(c, agents)
         return gm
 
     def __eq__(self, other: object) -> bool:

@@ -167,7 +167,7 @@ class ReserveSystem(Record):
         for c, ranking in enumerate(self.priorities):
             r = ranking.ordered_agents
             # n entries naming every agent: each agent exactly once
-            if len(r) == n and set(r) == everyone and 0 <= ranking.eligible_cutoff <= n:
+            if len(r) == n and not everyone.difference(r) and 0 <= ranking.eligible_cutoff <= n:
                 continue
             # a bad ranking: rescan it to raise the first error in order
             seen: set[int] = set()
@@ -348,8 +348,44 @@ def check_capacities(matching: Matching, system: AnySystem) -> None:
 
 
 def canonical_json(obj: Any) -> str:
-    """Fixed serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Fixed serialization: sorted keys, two-space indent, trailing newline.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+    An ``indent`` sends the stdlib to its pure-Python encoder, so the
+    nesting is walked here and each container that holds only scalars is
+    written by the C encoder, its item separator carrying the line break
+    and indent."""
+    return _canonical(obj, "\n") + "\n"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _canonical(obj: Any, newline: str) -> str:
+    """``obj`` as the indented encoder writes it at the depth whose line
+    break and indent are ``newline``."""
+    if isinstance(obj, dict):
+        values: Any = obj.values()
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = newline + "  "
+    if _SCALARS.issuperset(map(type, values)):
+        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+    elif brackets == "[]":
+        body = ("," + inner).join(_canonical(v, inner) for v in obj)
+    elif all(type(k) is str for k in obj):
+        body = ("," + inner).join(
+            f"{json.dumps(k)}: {_canonical(obj[k], inner)}" for k in sorted(obj)
+        )
+    else:  # keys the encoder converts to strings: rare, left to the stdlib
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
+    return brackets[0] + inner + body + newline + brackets[1]
 
 
 def _integer(value: Any, what: str, category: Optional[int] = None) -> int:
@@ -510,6 +546,9 @@ def matching_to_json(matching: Matching) -> str:
     return '{\n  "assignment": {\n' + ",\n".join(rows) + "\n  }\n}\n"
 
 
+_CATEGORY_TYPES = frozenset((int, type(None)))
+
+
 def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     """Validate parsed matching data against an instance.
 
@@ -518,13 +557,35 @@ def validate_matching(raw: Mapping[str, Any], system: AnySystem) -> Matching:
     unmatched. The key of agent i is ``str(i)`` exactly: any other text
     ``int()`` reads ("01", " 1", "+1") is an error, so no two keys name one
     agent.
+
+    Data with a key for every agent, as ``matching_to_json`` writes it, is
+    read in one pass of key lookups and accepted when every value is an
+    ``int`` or ``None`` and every category is in range. Any other data goes
+    through the loop over the entries in file order, which names the first
+    error.
     """
     base = base_of(system)
     try:
         entries = _typed(raw["assignment"], dict, "assignment")
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed matching data: {exc}") from exc
-    assignment: list[Optional[int]] = [None] * base.num_agents
+    n = base.num_agents
+    if len(entries) == n:
+        try:
+            values = list(map(entries.__getitem__, map(str, range(n))))
+        except KeyError:
+            values = None
+        # exact types first: a set of the values merges True and 1.0 with 1
+        if values is not None and _CATEGORY_TYPES.issuperset(map(type, values)):
+            categories = set(values)
+            categories.discard(None)
+            if not categories or (
+                min(categories) >= 0 and max(categories) < base.num_categories
+            ):
+                matching = Matching(tuple(values))
+                check_capacities(matching, system)
+                return matching
+    assignment: list[Optional[int]] = [None] * n
     for key, value in entries.items():
         try:
             agent = int(key)

@@ -147,13 +147,15 @@ def _seed_from(
     caps: Sequence[int],
 ) -> None:
     """Add the pairs (agent, c) of ``start`` with agent in the stage's
-    ``members[c]`` whose agent is still unmatched in ``match`` and whose
-    category has a free slot."""
+    ``members[c]`` whose agent is still unmatched in ``match``, category by
+    category: the first of them in ``members[c]``'s order, as many as c has
+    free slots, seated in one ``GraphMatching.seat``."""
     held, assignment, load = start.assignment, match.assignment, match.load
     for c, agents in enumerate(members):
-        for agent in agents:
-            if held[agent] == c and assignment[agent] is None and load[c] < caps[c]:
-                match.assign(agent, c)
+        free = caps[c] - load[c]
+        if free > 0 and agents:
+            pairs = [a for a in agents if held[a] == c and assignment[a] is None]
+            match.seat(c, pairs[:free])
 
 
 def _beneficiary_load(match: GraphMatching, seq: SequentialReserveSystem) -> int:

@@ -811,9 +811,29 @@ def test_malformed_matching_exits_2(capsys, corpus_dir, tmp_path, assignment):
     )
 
 
-@pytest.mark.parametrize("element", [1.7, True, "1"])
+@pytest.mark.parametrize("value", [1.0, True, "0", [1]])
+def test_malformed_full_key_matching_exits_2_as_the_sparse_form(
+    capsys, corpus_dir, tmp_path, value
+):
+    # with a key for every agent the matching is read by key lookup; a bad
+    # value there still gets the error line the per-entry loop writes
+    errors = []
+    for assignment in ({"1": value}, {"0": None, "1": value, "2": None}):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"assignment": assignment}))
+        code = main(
+            ["check", "-i", str(corpus_dir / "contested_pair.json"), "-m", str(matching)]
+        )
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("element", [1.7, True, "1", 1.0])
 def test_non_integer_ranking_element_exits_2(capsys, corpus_dir, tmp_path, element):
-    # a bare int() would truncate 1.7 to 1 and read True as 1
+    # a bare int() would truncate 1.7 to 1 and read True as 1; 1.0 hashes
+    # and compares as 1, so only the element type check refuses it
     raw = json.loads((corpus_dir / "contested_pair.json").read_text())
     raw["categories"][0]["ranking"] = [0, element, 2]
     bad = tmp_path / "bad.json"

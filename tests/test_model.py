@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pickle
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from util import compare_priority, is_strict
 
-from reservematch import axioms
+from reservematch import axioms, model
 from reservematch.axioms import run_checks
 
 from reservematch.model import (
@@ -30,11 +33,13 @@ from reservematch.model import (
     _typed,
     as_sequential,
     canonical_json,
+    check_capacities,
     instance_to_json,
     matching_to_json,
     parse_instance,
     parse_matching,
     validate_instance,
+    validate_matching,
 )
 from reservematch.rules_basic import mma_allocate
 
@@ -228,6 +233,150 @@ def test_matching_writer_is_the_canonical_form(n):
     matching = Matching(tuple(rng.choice((None, 0, 3, 12)) for _ in range(n)))
     raw = {"assignment": {str(a): c for a, c in enumerate(matching.assignment)}}
     assert matching_to_json(matching) == canonical_json(raw)
+
+
+_JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        # keys the encoder converts to strings
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(obj=_JSON_DATA)
+def test_canonical_json_is_the_indented_stdlib_form(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_leaves_no_cyclic_garbage(grouped_six):
+    raw = {"instance": model.instance_to_raw(grouped_six), "pairs": [(0, [1, {}]), ()]}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_json(raw)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _validate_matching_reference(raw, system):
+    """``validate_matching`` as a loop over the entries in file order only."""
+    base = model.base_of(system)
+    try:
+        entries = _typed(raw["assignment"], dict, "assignment")
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed matching data: {exc}") from exc
+    assignment = [None] * base.num_agents
+    for key, value in entries.items():
+        try:
+            agent = int(key)
+        except ValueError:
+            agent = None
+        if agent is None or key != str(agent):
+            raise InstanceError(f"matching key {key!r} is not an agent index")
+        if not 0 <= agent < base.num_agents:
+            raise InstanceError(f"matching names unknown agent {agent}")
+        if value is None:
+            continue
+        c = _integer(value, f"category of agent {agent}")
+        if not 0 <= c < base.num_categories:
+            raise InstanceError(f"matching assigns agent {agent} to unknown category {c}")
+        assignment[agent] = c
+    matching = Matching(tuple(assignment))
+    check_capacities(matching, system)
+    return matching
+
+
+_MATCHING_CORRUPTIONS = (
+    "float", "true", "string", "list", "negative", "unknown category",
+    "missing key", "foreign key", "padded key", "overfull",
+)
+
+
+def _corrupt_matching(rng, entries, n, k, how):
+    """Spoil a full-key assignment of ``n`` agents in place, one way; the
+    spoiled data keeps ``n`` keys unless the way is a missing key."""
+    key = str(rng.randrange(n))
+    if how in ("float", "true", "string", "list"):
+        entries[key] = {"float": 1.0, "true": True, "string": "0", "list": [1]}[how]
+    elif how == "negative":
+        entries[key] = -1
+    elif how == "unknown category":
+        entries[key] = k + rng.randint(0, 2)
+    elif how == "missing key":
+        del entries[key]
+    elif how in ("foreign key", "padded key"):
+        value = entries.pop(key)
+        entries[str(n + rng.randint(0, 2)) if how == "foreign key" else "0" + key] = value
+    else:
+        for agent in range(n):
+            entries[str(agent)] = 0
+
+
+def _matching_outcome(validate, raw, system):
+    """The class and message of the error ``validate`` raises, or the
+    matching it returns."""
+    try:
+        return validate(raw, system)
+    except Exception as exc:  # every class counts; the reference is the judge
+        return type(exc), str(exc)
+
+
+def test_matching_validation_equals_reference():
+    """On full-key assignments, each spoiled one way or not at all, reading
+    by key lookup gives the matching or the error, with its message, that
+    the loop over the entries gives."""
+    rng = random.Random(3434)
+    raised = dict.fromkeys(_MATCHING_CORRUPTIONS, 0)
+    for trial in range(1500):
+        n, k = rng.randint(1, 12), rng.randint(1, 4)
+        system = ReserveSystem(
+            n, k, tuple(rng.randint(n // 2, n) for _ in range(k)),
+            tuple(PriorityRanking(tuple(rng.sample(range(n), n)), n) for _ in range(k)),
+        )
+        entries = {str(a): rng.choice([None, *range(k)]) for a in range(n)}
+        if rng.random() < 0.5:  # file order is not index order
+            entries = dict(rng.sample(sorted(entries.items()), n))
+        how = None if trial % 10 == 0 else rng.choice(_MATCHING_CORRUPTIONS)
+        if how is not None:
+            _corrupt_matching(rng, entries, n, k, how)
+        got, want = (
+            _matching_outcome(validate, {"assignment": entries}, system)
+            for validate in (validate_matching, _validate_matching_reference)
+        )
+        assert got == want, (trial, how)
+        if how is not None:
+            raised[how] += isinstance(got, tuple)
+    del raised["missing key"]  # it leaves its agent unmatched, which is no error
+    assert all(raised.values()), raised
+
+
+def test_canonical_matching_file_is_read_by_key_lookup(monkeypatch):
+    # int() reads each key only on the per-entry loop, so a full-key file
+    # that matching_to_json wrote must never reach it
+    n = 4000
+    rng = random.Random(n)
+    system = ReserveSystem(
+        n, 3, (n, n, n), tuple(PriorityRanking(tuple(range(n)), n) for _ in range(3))
+    )
+    matching = Matching(tuple(rng.choice((None, 0, 1, 2)) for _ in range(n)))
+    raw = json.loads(matching_to_json(matching))
+
+    def no_int(*args):
+        raise AssertionError("the matching was read by the per-entry loop")
+
+    monkeypatch.setattr(model, "int", no_int, raising=False)
+    assert validate_matching(raw, system) == matching
+    with pytest.raises(AssertionError, match="per-entry loop"):
+        validate_matching({"assignment": {"0": 0}}, system)
 
 
 def test_matching_capacity_enforced(contested_pair):
