@@ -3,7 +3,7 @@ file, ``tests/digests.json``.
 
 Each case is one ``reservematch`` command run in-process; its digest is one
 sha256 over its exit code, its standard output and every file it writes.
-The inputs are the corpus instances, one hybrid instance and small generated
+The inputs are the corpus instances, three hybrid instances and small generated
 instances of equal, strict and ``random:2`` tiers with preferential fractions
 0 and 0.4. Each instance is solved by ``da``, ``rev`` (reversed-identity
 baseline), ``mma`` and ``scu`` under each implementation (with its trace and
@@ -36,6 +36,9 @@ HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "digests.json"
 CORPUS = HERE / "corpus"
 IMPLS = ("flow", "compact", "bipartite")
+# (case name, seed, agents) of the hybrid instances: the last two have rev
+# outputs that fail the hybrid order-preservation form by clause 2
+HYBRIDS = (("hybrid", 4, 5), ("hybrid-27", 27, 6), ("hybrid-38", 38, 5))
 
 
 def _generated() -> dict[str, list[str]]:
@@ -137,9 +140,10 @@ def compute() -> dict[str, str]:
             for path in sorted(CORPUS.glob("*.json"))
             if "categories" in json.loads(path.read_text())
         }
-        hybrid = work / "hybrid.json"
-        hybrid.write_text(instance_to_json(hybrid_instance(random.Random(4), 5)))
-        instances["hybrid"] = hybrid
+        for name, seed, agents in HYBRIDS:
+            instances[name] = work / f"{name}.json"
+            system = hybrid_instance(random.Random(seed), agents)
+            instances[name].write_text(instance_to_json(system))
         for name, options in _generated().items():
             instances[name] = work / f"{name}.json"
             argv = ["gen", *options, "-o", str(instances[name])]
