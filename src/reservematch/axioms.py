@@ -11,7 +11,7 @@ carries.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .model import (
     AnySystem,
@@ -89,10 +89,7 @@ def check_respect_priorities(system: AnySystem, matching: Matching) -> AxiomVerd
     eligible prefixes; O(n·K) at worst."""
     base = base_of(system)
     assignment = matching.assignment
-    occupants: list[list[int]] = [[] for _ in range(base.num_categories)]
-    for agent, c in enumerate(assignment):
-        if c is not None:
-            occupants[c].append(agent)
+    occupants = matching.occupants(base.num_categories)
     lowest = [
         max((base.position(c, b) for b in occ), default=-1)
         for c, occ in enumerate(occupants)
@@ -223,22 +220,29 @@ def _first_outranking(
     return first
 
 
-def _swap_partner(
-    seq: SequentialReserveSystem, matching: Matching, i: int
+def _first_partner(
+    seq: SequentialReserveSystem,
+    matching: Matching,
+    i: int,
+    clause: Callable[[int, int, int], Optional[dict[str, Any]]],
 ) -> Optional[dict[str, Any]]:
-    """The witness for agent i: its first swap partner j in index order."""
+    """The witness for the matched agent i, held at ci: its first partner j
+    in index order. A partner is held at a category cj that admits i, ranks
+    i above j there, and passes ``clause(ci, cj, j)``, which returns the
+    witness's extra fields, or None for no partner. Both order-preservation
+    forms read their witness here; their clauses are pure tests, so the
+    order they run in cannot change which j is found. O(n)."""
     base = seq.base
-    ci = matching.assignment[i]
-    for j in range(base.num_agents):
-        if i == j:
+    assignment = matching.assignment
+    ci = assignment[i]
+    for j, cj in enumerate(assignment):
+        if j == i or cj is None or not base.is_eligible(i, cj):
             continue
-        cj = matching.assignment[j]
-        if cj is None or not seq.precedence.before(cj, ci):
+        if base.position(cj, i) >= base.position(cj, j):
             continue
-        if not base.is_eligible(i, cj) or not base.is_eligible(j, ci):
-            continue
-        if base.position(cj, i) < base.position(cj, j):
-            return {"i": i, "j": j, "category_i": ci, "category_j": cj}
+        extra = clause(ci, cj, j)
+        if extra is not None:
+            return {**extra, "i": i, "j": j, "category_i": ci, "category_j": cj}
     return None
 
 
@@ -258,8 +262,12 @@ def check_order_preservation_swap(
     i = _first_outranking(base, assignment, bound)
     if i is None:
         return AxiomVerdict(ORDER_PRESERVATION_SWAP, True)
+
+    def swap(ci: int, cj: int, j: int) -> Optional[dict[str, Any]]:
+        return {} if seq.precedence.before(cj, ci) and base.is_eligible(j, ci) else None
+
     return AxiomVerdict(
-        ORDER_PRESERVATION_SWAP, False, _swap_partner(seq, matching, i)
+        ORDER_PRESERVATION_SWAP, False, _first_partner(seq, matching, i, swap)
     )
 
 
@@ -278,11 +286,7 @@ def _precedence_flags(seq: SequentialReserveSystem, matching: Matching):
     assignment = matching.assignment
     tier = seq.precedence.tier_of
     own = _own_ranks(base, assignment)
-    occupants: list[list[int]] = [[] for _ in range(base.num_categories)]
-    for agent, c in enumerate(assignment):
-        if c is not None:
-            occupants[c].append(agent)
-    for cj, occ in enumerate(occupants):
+    for cj, occ in enumerate(matching.occupants(base.num_categories)):
         cutoff = base.priorities[cj].eligible_cutoff
         lowest = max((own[j] for j in occ if own[j] < cutoff), default=-1)
         eligible = base.eligible_agents(cj)
@@ -372,39 +376,6 @@ def check_respect_precedence(
     return AxiomVerdict(RESPECT_PRECEDENCE, True)
 
 
-def _hybrid_witness(
-    seq: SequentialReserveSystem, matching: Matching, i: int
-) -> Optional[dict[str, Any]]:
-    """The witness for agent i: its first partner j in index order that
-    meets either clause, clause 1 tested first."""
-    base = seq.base
-    early, late = seq.hybrid.open_early, seq.hybrid.open_late
-    pref = seq.preferential
-    ci = matching.assignment[i]
-    for j in range(base.num_agents):
-        if i == j:
-            continue
-        cj = matching.assignment[j]
-        if cj is None:
-            continue
-        if not base.is_eligible(i, cj):
-            continue
-        if base.position(cj, i) >= base.position(cj, j):
-            continue
-        # clause 1: i held by preferential or late-open, j eligible there
-        if (
-            ci is not None
-            and (ci in pref or ci in late)
-            and base.is_eligible(j, ci)
-            and cj in early
-        ):
-            return {"clause": 1, "i": i, "j": j, "category_i": ci, "category_j": cj}
-        # clause 2: j held by preferential or early-open, i parked late-open
-        if (cj in pref or cj in early) and ci is not None and ci in late:
-            return {"clause": 2, "i": i, "j": j, "category_i": ci, "category_j": cj}
-    return None
-
-
 def check_order_preservation_hybrid(
     system: AnySystem, matching: Matching
 ) -> AxiomVerdict:
@@ -438,8 +409,18 @@ def check_order_preservation_hybrid(
     i = _first_outranking(base, assignment, bound)
     if i is None:
         return AxiomVerdict(ORDER_PRESERVATION_HYBRID, True)
+
+    def hybrid(ci: int, cj: int, j: int) -> Optional[dict[str, Any]]:
+        # clause 1: i held by preferential or late-open, j eligible there
+        if (ci in seq.preferential or ci in late) and cj in early and base.is_eligible(j, ci):
+            return {"clause": 1}
+        # clause 2: j held by preferential or early-open, i parked late-open
+        if cj in held_before and ci in late:
+            return {"clause": 2}
+        return None
+
     return AxiomVerdict(
-        ORDER_PRESERVATION_HYBRID, False, _hybrid_witness(seq, matching, i)
+        ORDER_PRESERVATION_HYBRID, False, _first_partner(seq, matching, i, hybrid)
     )
 
 

@@ -153,11 +153,7 @@ class GraphMatching:
     @classmethod
     def from_matching(cls, matching: Matching, num_categories: int) -> "GraphMatching":
         gm = cls(len(matching.assignment), num_categories)
-        held: list[list[int]] = [[] for _ in range(num_categories)]
-        for agent, c in enumerate(matching.assignment):
-            if c is not None:
-                held[c].append(agent)
-        for c, agents in enumerate(held):
+        for c, agents in enumerate(matching.occupants(num_categories)):
             gm.seat(c, agents)
         return gm
 

@@ -202,6 +202,12 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file as UTF-8 text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _solve_matching(system: AnySystem, args: argparse.Namespace) -> Matching:
     if args.rule == "da":
         return da_allocate(base_of(system))
@@ -252,14 +258,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             option = "--" + dest.replace("_", "-")
             raise InstanceError(f"{option} is read by --rule {rule} only, not {args.rule}")
     system = parse_instance(_read_text(args.instance))
-    if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(build_reserve_network(as_sequential(system)).to_dot())
-    if args.dot_compact is not None:
-        with open(args.dot_compact, "w", encoding="utf-8") as handle:
-            handle.write(build_compact_network(as_sequential(system)).to_dot())
     matching = _solve_matching(system, args)
     seq = as_sequential(system)
+    # exported only once the rule has run: a failed solve writes neither
+    if args.dot is not None:
+        _write_text(args.dot, build_reserve_network(seq).to_dot())
+    if args.dot_compact is not None:
+        _write_text(args.dot_compact, build_compact_network(seq).to_dot())
     loads = matching.loads(seq.num_categories)
     summary = {
         "rule": args.rule,
@@ -269,8 +274,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     text = matching_to_json(matching)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
     if args.format == "json":
         # canonical_json({"matching": ..., "summary": summary}), built from the
         # matching text already written: each part nested two spaces deeper
@@ -332,8 +336,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     text = instance_to_json(spec.build())
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
     else:
         print(text, end="")
     return 0

@@ -329,6 +329,15 @@ class Matching(Record):
                 loads[c] += 1
         return tuple(loads)
 
+    def occupants(self, num_categories: int) -> list[list[int]]:
+        """Each category's matched agents, in ascending index; ``[]`` for a
+        category that holds nobody."""
+        held: list[list[int]] = [[] for _ in range(num_categories)]
+        for agent, c in enumerate(self.assignment):
+            if c is not None:
+                held[c].append(agent)
+        return held
+
     def beneficiary_count(self, preferential: frozenset[int]) -> int:
         return sum(1 for c in self.assignment if c is not None and c in preferential)
 

@@ -193,20 +193,29 @@ class _Dinic(_Residual):
                     it[u] += 1
 
 
+def _balance(network: BoundedFlowNetwork, values: Sequence[int]) -> list[int]:
+    """Each node's inflow minus its outflow when edge e carries values[e],
+    visiting only the edges with a nonzero value: a flow's balances are its
+    conservation check, the lower bounds' are the excesses ``feasible_flow``
+    routes between supernodes."""
+    balance = [0] * network.num_nodes
+    for u, v, f in compress(zip(network.src, network.dst, values), values):
+        balance[u] -= f
+        balance[v] += f
+    return balance
+
+
 def _verify(network: BoundedFlowNetwork, values: Sequence[int]) -> int:
     """Check every bound and conservation at every node but the source and
     sink, both read from the edge lists; return the net flow out of the
-    source. Only edges that carry flow move a node's balance."""
+    source."""
     if len(values) != network.num_edges():
         raise AssertionError(f"{len(values)} flow values for {network.num_edges()} edges")
     lower, upper = network.lower, network.upper
     if not (all(map(le, lower, values)) and all(map(le, values, upper))):
         e = next(e for e, (lo, up, f) in enumerate(zip(lower, upper, values)) if not lo <= f <= up)
         raise AssertionError(f"edge {e} flow {values[e]} outside [{lower[e]}, {upper[e]}]")
-    balance = [0] * network.num_nodes
-    for u, v, f in compress(zip(network.src, network.dst, values), values):
-        balance[u] -= f
-        balance[v] += f
+    balance = _balance(network, values)
     total = -balance[network.source]
     balance[network.source] = balance[network.sink] = 0
     if any(balance):
@@ -222,10 +231,7 @@ def feasible_flow(network: BoundedFlowNetwork) -> Optional[Flow]:
         return None
     n = network.num_nodes
     super_s, super_t = n, n + 1
-    excess = [0] * n
-    for u, v, lo in compress(zip(network.src, network.dst, lower), lower):
-        excess[v] += lo
-        excess[u] -= lo
+    excess = _balance(network, lower)
     # every edge, then the sink -> source arc, then the supernode arcs
     tails, heads = network.src + [network.sink], network.dst + [network.source]
     caps.append(_UNBOUNDED)

@@ -136,7 +136,9 @@ def rev_allocate(system: ReserveSystem, baseline: Sequence[int]) -> Matching:
     m = match.size()
     capacities, members = graph.capacities, match.members
     elig = [system.eligible_agents(c) for c in range(system.num_categories)]
-    rank = [dict(zip(agents, range(len(agents)))) for agents in elig]
+    # every agent looked up is eligible: the agent's own categories, and the
+    # occupants of a matching on the eligibility graph
+    rank = [ranking.eligible_ranks() for ranking in system.priorities]
     thresh = [len(agents) for agents in elig]
 
     for agent in reversed(order):

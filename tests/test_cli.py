@@ -1119,6 +1119,26 @@ def test_solve_option_given_the_empty_string_exits_2(
     _exits_2_before_writing(capsys, _options_argv(argv, option, value), output)
 
 
+_FAILED_SOLVES = {
+    "rev-without-baseline": ["--rule", "rev"],
+    "rev-baseline-not-a-permutation": ["--rule", "rev", "--baseline", "0,0,1"],
+    "mma-seed-not-maximum": ["--rule", "mma", "--seed-matching", "{seed}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILED_SOLVES))
+def test_failed_solve_writes_no_dot_export(capsys, corpus_dir, tmp_path, case):
+    """The DOT exports are written only once the rule has run, so a rule
+    that refuses its input leaves neither of them, nor the output, behind."""
+    seed = tmp_path / "seed.json"
+    seed.write_text(matching_to_json(Matching((0, None, None))))  # size 1 of 2
+    paths = [tmp_path / name for name in ("full.dot", "compact.dot", "out.json")]
+    rule = [arg.format(seed=seed) for arg in _FAILED_SOLVES[case]]
+    argv = ["solve", "-i", str(corpus_dir / "contested_pair.json"), *rule,
+            "--dot", str(paths[0]), "--dot-compact", str(paths[1]), "-o", str(paths[2])]
+    _exits_2_before_writing(capsys, argv, *paths)
+
+
 _GEN_CASES = [(option, value) for value in _NO_VALUE for option in _value_options("gen")]
 
 

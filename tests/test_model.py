@@ -392,6 +392,21 @@ def test_matching_helpers(grouped_six):
     assert matching.beneficiary_count(grouped_six.preferential) == 2
 
 
+def test_matching_occupants_group_the_matched_agents_by_category():
+    rng = random.Random(35)
+    for _ in range(500):
+        k = rng.randint(0, 5)
+        choices = [None, *range(k)]
+        matching = Matching(tuple(rng.choice(choices) for _ in range(rng.randint(0, 12))))
+        occupants = matching.occupants(k)
+        assert len(occupants) == k
+        assert all(held == sorted(held) for held in occupants)
+        assert sorted(a for held in occupants for a in held) == list(matching.matched_agents())
+        assert all(matching.assignment[a] == c for c, held in enumerate(occupants) for a in held)
+        assert tuple(map(len, occupants)) == matching.loads(k)
+    assert Matching((None, 2, None)).occupants(4) == [[], [], [1], []]
+
+
 def test_as_sequential_coercion(contested_pair):
     seq = as_sequential(contested_pair)
     assert seq.preferential == frozenset()
