@@ -48,10 +48,6 @@ class NotHybridInstance(InstanceError):
     """The instance carries no hybrid open-category split."""
 
 
-class OracleBoundExceeded(InstanceError):
-    """Oracle-mode precedence check refused on an oversized instance."""
-
-
 class AxiomVerdict(Record):
     __slots__ = _fields = ("axiom", "passed", "witness")
     axiom: str
@@ -149,14 +145,12 @@ def check_nonwasteful(system: AnySystem, matching: Matching) -> AxiomVerdict:
 
 
 def check_max_cardinality(
-    system: AnySystem, matching: Matching, max_size: int
+    system: AnySystem, matching: Matching, m: int
 ) -> AxiomVerdict:
     size = matching.matched_count()
-    if size == max_size:
+    if size == m:
         return AxiomVerdict(MAX_CARDINALITY, True)
-    return AxiomVerdict(
-        MAX_CARDINALITY, False, {"matched": size, "maximum": max_size}
-    )
+    return AxiomVerdict(MAX_CARDINALITY, False, {"matched": size, "maximum": m})
 
 
 def check_max_beneficiary(
@@ -342,7 +336,6 @@ def check_respect_precedence(
     search: str = "flow",
     b: Optional[int] = None,
     m: Optional[int] = None,
-    oracle_bound: int = 10_000_000,
 ) -> AxiomVerdict:
     """Fails when some pair admits an alternative matching that keeps every
     earlier category's occupants and cj's higher-priority occupants in
@@ -352,12 +345,9 @@ def check_respect_precedence(
         _, b, m = dual_maximum_matching(seq)
     space = None
     if search == "oracle":
-        from .harness import MatchingSpace, SpaceTooLarge
+        from .harness import MatchingSpace
 
-        try:
-            space = list(MatchingSpace(seq, max_size=oracle_bound))
-        except SpaceTooLarge as exc:
-            raise OracleBoundExceeded(str(exc)) from exc
+        space = list(MatchingSpace(seq))
     elif search != "flow":
         raise ValueError(f"unknown search mode {search!r}")
     for i, j, cj in _precedence_flags(seq, matching):

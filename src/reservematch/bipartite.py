@@ -20,11 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .model import InstanceError, Matching, Record, ReserveSystem
-
-
-class InvalidSeed(InstanceError):
-    """Seed matching violates capacities or eligibility."""
+from .model import Matching, Record, ReserveSystem
 
 
 class EligibilityGraph(Record):
@@ -165,28 +161,16 @@ class GraphMatching:
         return f"GraphMatching({pairs})"
 
 
-def _validate_seed(graph: EligibilityGraph, seed: GraphMatching) -> None:
-    for agent, c in enumerate(seed.assignment):
-        if c is None:
-            continue
-        if not graph.has_edge(agent, c):
-            raise InvalidSeed(f"seed matches agent {agent} to ineligible category {c}")
-    for c, load in enumerate(seed.load):
-        if load > graph.capacities[c]:
-            raise InvalidSeed(
-                f"seed overfills category {c}: {load} > {graph.capacities[c]}"
-            )
-
-
 def maximum_matching(
     graph: EligibilityGraph,
     seed: Optional[GraphMatching] = None,
 ) -> GraphMatching:
     """Maximum-cardinality matching via Hopcroft-Karp with category loads.
 
-    Augments the seed when one is given: matched agents never become
-    unmatched, only reassigned along augmenting paths. To match a subset of
-    the categories, pass the graph restricted to them
+    Augments a copy of the seed when one is given: matched agents never
+    become unmatched, only reassigned along augmenting paths. The seed must
+    be a matching on ``graph``; its callers check it where it enters. To
+    match a subset of the categories, pass the graph restricted to them
     (``EligibilityGraph.from_members``).
 
     From an empty start the first phase is a greedy pass: each agent, in
@@ -199,7 +183,6 @@ def maximum_matching(
     phase must not change.
     """
     if seed is not None:
-        _validate_seed(graph, seed)
         match = seed.copy()
     else:
         match = GraphMatching(graph.num_agents, graph.num_categories)

@@ -510,9 +510,9 @@ def run_bench(
             per_rep = [rev / mma if mma > 0 else float("inf") for mma, rev in pairs]
             ratios.append({"size": size, "ratio": statistics.median(per_rep)})
         report["rev_over_mma"] = ratios
-        report["ratio_monotone"] = all(
-            ratios[k]["ratio"] > ratios[k - 1]["ratio"] for k in range(1, len(ratios))
-        )
+        # the trend is judged by size, whatever order --sizes lists them in
+        by_size = [row["ratio"] for row in sorted(ratios, key=lambda row: row["size"])]
+        report["ratio_monotone"] = all(low < high for low, high in zip(by_size, by_size[1:]))
     return report
 
 

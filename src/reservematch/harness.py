@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .bipartite import build_graph
 from .model import (
     AnySystem,
+    InstanceError,
     Matching,
     PrecedenceOrder,
     PriorityRanking,
@@ -28,23 +29,25 @@ from .model import (
 )
 
 
-class SpaceTooLarge(ValueError):
-    """The enumeration estimate exceeds the configured bound."""
+# the largest space the oracle enumerates, as ``MatchingSpace`` estimates it
+ORACLE_BOUND = 10_000_000
+
+
+class SpaceTooLarge(InstanceError):
+    """The enumeration estimate exceeds ``ORACLE_BOUND``."""
 
 
 class MatchingSpace:
     """Iterator over every capacity- and eligibility-respecting matching."""
 
-    def __init__(self, system: AnySystem, max_size: int = 10_000_000):
+    def __init__(self, system: AnySystem):
         self.base = base_of(system)
         agent_adj = build_graph(self.base).agent_adj
         estimate = 1
         for eligible in agent_adj:
             estimate *= 1 + len(eligible)
-            if estimate > max_size:
-                raise SpaceTooLarge(
-                    f"estimated space exceeds bound {max_size}"
-                )
+            if estimate > ORACLE_BOUND:
+                raise SpaceTooLarge(f"estimated space exceeds bound {ORACLE_BOUND}")
         self._options = [(None,) + eligible for eligible in agent_adj]
 
     def __iter__(self) -> Iterator[Matching]:
@@ -75,22 +78,19 @@ class OracleMaxima:
     m: int
     b: int
     max_cardinality_matchings: tuple[Matching, ...]
-    max_beneficiary_matchings: tuple[Matching, ...]
     four_axiom_matchings: tuple[Matching, ...]
 
 
-def oracle_maxima(system: AnySystem, max_size: int = 10_000_000) -> OracleMaxima:
-    """Exact maxima by exhaustive enumeration, together with the argmax sets
-    and the matchings satisfying all four fundamental axioms."""
+def oracle_maxima(system: AnySystem) -> OracleMaxima:
+    """Exact maxima by exhaustive enumeration, together with the maximum
+    cardinality matchings and those among them satisfying all four
+    fundamental axioms."""
     seq = as_sequential(system)
     base = seq.base
-    space = list(MatchingSpace(seq, max_size=max_size))
+    space = list(MatchingSpace(seq))
     m = max((mu.matched_count() for mu in space), default=0)
     b = max((mu.beneficiary_count(seq.preferential) for mu in space), default=0)
     max_card = tuple(mu for mu in space if mu.matched_count() == m)
-    max_benef = tuple(
-        mu for mu in space if mu.beneficiary_count(seq.preferential) == b
-    )
     from .axioms import check_nonwasteful, check_respect_priorities
 
     four = tuple(
@@ -99,7 +99,7 @@ def oracle_maxima(system: AnySystem, max_size: int = 10_000_000) -> OracleMaxima
         if check_respect_priorities(base, mu).passed
         and check_nonwasteful(base, mu).passed
     )
-    return OracleMaxima(m, b, max_card, max_benef, four)
+    return OracleMaxima(m, b, max_card, four)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +248,15 @@ class PerturbationReport:
         }
 
 
+# a report tries every case up to this many agents, and beyond it samples
 _EXHAUSTIVE_AGENTS = 5
+_SAMPLES = 200  # cases of the hiding and the improvement reports
+_BASELINE_SAMPLES = 20  # baseline orders
 
 
 def report_no_incentive_to_hide(
     rule: Rule,
     system: AnySystem,
-    trials: int = 200,
     seed: int = 0,
 ) -> PerturbationReport:
     """An unmatched agent must stay unmatched after hiding any subset of
@@ -272,7 +274,7 @@ def report_no_incentive_to_hide(
                     cases.append((agent, hidden))
     else:
         rng = random.Random(seed)
-        for _ in range(trials):
+        for _ in range(_SAMPLES):
             agent = rng.randrange(base.num_agents)
             eligible = agent_adj[agent]
             if not eligible:
@@ -298,7 +300,6 @@ def report_no_incentive_to_hide(
 def report_respect_improvements(
     rule: Rule,
     system: AnySystem,
-    trials: int = 200,
     seed: int = 0,
 ) -> PerturbationReport:
     """A matched agent must stay matched after any atomic priority
@@ -311,9 +312,9 @@ def report_respect_improvements(
     for agent in matched:
         for perturbed in promotions(system, agent):
             tagged.append((agent, perturbed))
-    if base.num_agents > _EXHAUSTIVE_AGENTS and len(tagged) > trials:
+    if base.num_agents > _EXHAUSTIVE_AGENTS and len(tagged) > _SAMPLES:
         rng = random.Random(seed)
-        tagged = rng.sample(tagged, trials)
+        tagged = rng.sample(tagged, _SAMPLES)
     for agent, perturbed in tagged:
         report.trials += 1
         after = rule(perturbed)
@@ -344,24 +345,21 @@ def report_consistency(rule: Rule, system: AnySystem) -> PerturbationReport:
 def report_independence_of_baseline(
     rule_with_baseline: Callable[[AnySystem, Sequence[int]], Matching],
     system: AnySystem,
-    baselines: Optional[Sequence[Sequence[int]]] = None,
-    trials: int = 20,
     seed: int = 0,
 ) -> PerturbationReport:
     """Matched sets must agree across baseline orders. All permutations up to
     five agents, seeded samples beyond."""
     base = base_of(system)
     report = PerturbationReport("independence-of-baseline")
-    if baselines is None:
-        if base.num_agents <= _EXHAUSTIVE_AGENTS:
-            baselines = list(itertools.permutations(range(base.num_agents)))
-        else:
-            rng = random.Random(seed)
-            baselines = []
-            for _ in range(trials):
-                order = list(range(base.num_agents))
-                rng.shuffle(order)
-                baselines.append(tuple(order))
+    if base.num_agents <= _EXHAUSTIVE_AGENTS:
+        baselines = list(itertools.permutations(range(base.num_agents)))
+    else:
+        rng = random.Random(seed)
+        baselines = []
+        for _ in range(_BASELINE_SAMPLES):
+            order = list(range(base.num_agents))
+            rng.shuffle(order)
+            baselines.append(tuple(order))
     results = []
     for order in baselines:
         report.trials += 1

@@ -24,6 +24,10 @@ class PrefsNotEligible(InstanceError):
     """A preference list names a category the agent is not eligible for."""
 
 
+class InvalidSeed(InstanceError):
+    """Seed matching violates capacities or eligibility."""
+
+
 class NotMaximumSeed(InstanceError):
     """The supplied initial matching is not maximum-cardinality."""
 
@@ -217,12 +221,21 @@ def mma_allocate(
     """Maximum matching adjustment: start from a maximum matching, then let
     unmatched agents displace the lowest-priority occupant of any eligible
     category that ranks them higher. Each (agent, category) pair is checked
-    at most once; a displaced agent re-enters the proposal pool.
+    at most once; a displaced agent re-enters the proposal pool. A seed
+    ``initial`` is checked here for eligibility, capacities and maximality.
     """
     graph = build_graph(system)
     if initial is None:
         match = maximum_matching(graph)
     else:
+        for agent, c in enumerate(initial.assignment):
+            if c is not None and not system.is_eligible(agent, c):
+                raise InvalidSeed(f"seed matches agent {agent} to ineligible category {c}")
+        for c, load in enumerate(initial.load):
+            if load > system.capacities[c]:
+                raise InvalidSeed(
+                    f"seed overfills category {c}: {load} > {system.capacities[c]}"
+                )
         match = initial.copy()
         best = maximum_matching(graph, seed=match)
         if best.size() != match.size():
@@ -255,8 +268,8 @@ def mma_allocate(
     position = [ranking.position for ranking in system.priorities]
     eligible = [system.eligible_agents(c) for c in range(system.num_categories)]
     # Per category, a heap of its occupants' negated positions, the lowest
-    # priority on top. Every occupant is eligible (maximum_matching checks a
-    # seed), so a position indexes the eligible prefix: the occupant at -p
+    # priority on top. Every occupant is eligible (a seed is checked above),
+    # so a position indexes the eligible prefix: the occupant at -p
     # is eligible[c][p].
     occupants = [
         [-position[c](b) for b in match.members[c]]

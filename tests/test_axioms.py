@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from util import agent_categories, hybrid_instance as _hybrid_instance
+from util import agent_categories, hybrid_instance as _hybrid_instance, oversized_instance
 
 from reservematch import axioms
 from reservematch.cli import GeneratorSpec, main
@@ -506,15 +506,11 @@ def test_respect_precedence_flags_empty_earlier_seat():
     assert axioms.check_respect_precedence(system, Matching((0,))).passed
 
 
-def test_oracle_mode_bound(grouped_six):
-    with pytest.raises(axioms.OracleBoundExceeded):
+def test_oracle_mode_bound():
+    # an oversized oracle check is refused as bad input, before any flag
+    with pytest.raises(InstanceError, match="^estimated space exceeds bound 10000000$"):
         axioms.check_respect_precedence(
-            grouped_six,
-            Matching((None,) * 6),
-            search="oracle",
-            b=2,
-            m=3,
-            oracle_bound=10,
+            oversized_instance(), Matching((None,) * 12), search="oracle", b=0, m=12
         )
 
 

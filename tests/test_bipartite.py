@@ -13,10 +13,8 @@ from util import num_edges
 from reservematch.bipartite import (
     EligibilityGraph,
     GraphMatching,
-    InvalidSeed,
     START_LOSES,
     START_UNMATCHED,
-    _validate_seed,
     augment_backward,
     build_graph,
     find_alternating_path,
@@ -24,6 +22,7 @@ from reservematch.bipartite import (
 )
 from reservematch.cli import GeneratorSpec
 from reservematch.model import PriorityRanking, ReserveSystem, as_sequential
+from reservematch.rules_basic import InvalidSeed, mma_allocate
 
 
 def brute_force_max(graph) -> int:
@@ -116,16 +115,23 @@ def test_seeded_augmentation_preserves_matched_agents():
 
 
 def test_invalid_seed_rejected(contested_pair):
-    graph = build_graph(contested_pair)
+    # a seed is checked where it enters, in mma_allocate: eligibility in
+    # agent order first, then capacities
     bad = GraphMatching(3, 2)
     bad.assign(2, 0)  # agent 2 is not eligible for category 0
-    with pytest.raises(InvalidSeed):
-        maximum_matching(graph, seed=bad)
+    with pytest.raises(InvalidSeed, match="^seed matches agent 2 to ineligible category 0$"):
+        mma_allocate(contested_pair, initial=bad)
     over = GraphMatching(3, 2)
     over.assign(0, 0)
     over.assign(1, 0)
-    with pytest.raises(InvalidSeed):
-        maximum_matching(graph, seed=over)
+    with pytest.raises(InvalidSeed, match=r"^seed overfills category 0: 2 > 1$"):
+        mma_allocate(contested_pair, initial=over)
+    both = GraphMatching(3, 2)
+    both.assign(0, 0)
+    both.assign(1, 0)
+    both.assign(2, 0)
+    with pytest.raises(InvalidSeed, match="ineligible category 0$"):
+        mma_allocate(contested_pair, initial=both)
 
 
 def test_long_augmenting_path_needs_no_recursion():
@@ -265,7 +271,6 @@ def _hk_reference(
     preferential-side initial matching).
     """
     if seed is not None:
-        _validate_seed(graph, seed)
         match = seed.copy()
     else:
         match = GraphMatching(graph.num_agents, graph.num_categories)

@@ -15,7 +15,7 @@ import reservematch
 from reservematch import cli
 from reservematch.cli import main
 from reservematch.model import instance_to_json, matching_to_json, Matching
-from util import MALFORMED_NUMBERS
+from util import MALFORMED_NUMBERS, oversized_instance
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -518,6 +518,31 @@ def test_bench_exits_1_when_the_rev_over_mma_ratio_does_not_grow(capsys, monkeyp
     assert code == 1
     assert captured.out.splitlines()[-2:] == ["ratio\t6\t4.000", "ratio\t9\t2.000"]
     assert captured.err == "rev/mma ratio is not increasing across sizes\n"
+
+
+@pytest.mark.parametrize(
+    "times, code",
+    [([1.0, 1.0, 1.0, 10.0], 1), ([1.0, 10.0, 1.0, 1.0], 0)],
+    ids=["falls-with-size", "grows-with-size"],
+)
+def test_bench_judges_the_ratio_trend_by_size_not_by_listed_order(
+    capsys, monkeypatch, times, code
+):
+    """Sizes listed largest first: the ratio at 9 agents, then at 6. The
+    table keeps the listed order; the trend is read in ascending size."""
+    times = iter(times)
+
+    def timed(fn):
+        fn()
+        return next(times)
+
+    monkeypatch.setattr(cli, "_timed", timed)
+    assert main(["bench", "--sizes", "9,6", "--rules", "mma,rev", "--repetitions", "1",
+                 "--categories", "2"]) == code
+    captured = capsys.readouterr()
+    ratios = ["1.000", "10.000"] if code else ["10.000", "1.000"]
+    assert captured.out.splitlines()[-2:] == [f"ratio\t9\t{ratios[0]}", f"ratio\t6\t{ratios[1]}"]
+    assert captured.err == ("rev/mma ratio is not increasing across sizes\n" if code else "")
 
 
 def test_bench_single_rule(capsys):
@@ -1123,6 +1148,7 @@ _FAILED_SOLVES = {
     "rev-without-baseline": ["--rule", "rev"],
     "rev-baseline-not-a-permutation": ["--rule", "rev", "--baseline", "0,0,1"],
     "mma-seed-not-maximum": ["--rule", "mma", "--seed-matching", "{seed}"],
+    "mma-seed-ineligible": ["--rule", "mma", "--seed-matching", "{ineligible}"],
 }
 
 
@@ -1132,11 +1158,50 @@ def test_failed_solve_writes_no_dot_export(capsys, corpus_dir, tmp_path, case):
     that refuses its input leaves neither of them, nor the output, behind."""
     seed = tmp_path / "seed.json"
     seed.write_text(matching_to_json(Matching((0, None, None))))  # size 1 of 2
+    ineligible = tmp_path / "ineligible.json"
+    ineligible.write_text(matching_to_json(Matching((1, None, 0))))
     paths = [tmp_path / name for name in ("full.dot", "compact.dot", "out.json")]
-    rule = [arg.format(seed=seed) for arg in _FAILED_SOLVES[case]]
+    rule = [arg.format(seed=seed, ineligible=ineligible) for arg in _FAILED_SOLVES[case]]
     argv = ["solve", "-i", str(corpus_dir / "contested_pair.json"), *rule,
             "--dot", str(paths[0]), "--dot-compact", str(paths[1]), "-o", str(paths[2])]
     _exits_2_before_writing(capsys, argv, *paths)
+
+
+# per case: argv over the files the test writes, and the line the refusal
+# prints
+_REFUSALS = {
+    "oracle-space-over-the-bound": (
+        ["check", "-i", "{oversized}", "-m", "{unmatched}", "--axiom", "respect-precedence",
+         "--search", "oracle"],
+        "error: estimated space exceeds bound 10000000\n",
+    ),
+    "mma-seed-ineligible": (
+        ["solve", "-i", "{contested}", "--rule", "mma", "--seed-matching", "{ineligible}"],
+        "error: seed matches agent 0 to ineligible category 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refused_input_exits_2_with_its_message(capsys, corpus_dir, tmp_path, case):
+    """Input that the oracle's bound or mma's seed check refuses is bad
+    input: one ``error:`` line naming the fault, exit 2."""
+    files = {
+        "oversized": instance_to_json(oversized_instance()),
+        "unmatched": matching_to_json(Matching((None,) * 12)),
+        # agent 0 in category 1 and agent 2 in category 0: both ineligible,
+        # and the lower agent is named
+        "ineligible": matching_to_json(Matching((1, None, 0))),
+    }
+    paths = {"contested": str(corpus_dir / "contested_pair.json")}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    argv, err = _REFUSALS[case]
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
 
 
 _GEN_CASES = [(option, value) for value in _NO_VALUE for option in _value_options("gen")]

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from util import agent_categories, report_ok
+from util import agent_categories, oversized_instance, report_ok
 
 from reservematch.cli import GeneratorSpec
 from reservematch.harness import (
+    ORACLE_BOUND,
     MatchingSpace,
     SpaceTooLarge,
     corpus,
@@ -36,14 +37,10 @@ def test_matching_space_exhaustive(contested_pair):
 
 
 def test_matching_space_bound():
-    system = ReserveSystem(
-        8,
-        3,
-        (2, 2, 2),
-        tuple(PriorityRanking(tuple(range(8)), 8) for _ in range(3)),
-    )
-    with pytest.raises(SpaceTooLarge):
-        MatchingSpace(system, max_size=100)
+    with pytest.raises(SpaceTooLarge, match=f"^estimated space exceeds bound {ORACLE_BOUND}$"):
+        MatchingSpace(oversized_instance())
+    # one agent fewer: 4 ** 11 is within the bound, so the space is built
+    MatchingSpace(ReserveSystem(11, 3, (4, 4, 4), (PriorityRanking(tuple(range(11)), 11),) * 3))
 
 
 def test_oracle_contested_pair(contested_pair):
@@ -245,6 +242,24 @@ def test_baseline_independence_trivial_cases(contested_pair):
         lambda system, order: rev_allocate(base_of(system), order), single
     )
     assert report_ok(report)
+
+
+def test_sampled_reports_run_a_fixed_number_of_trials():
+    # 30 agents eligible everywhere in ten categories of capacity 3: every
+    # sampled agent has a category to hide, all 30 are matched, and they
+    # have 290 promotions, more than the 200 sampled
+    rankings = tuple(
+        PriorityRanking(tuple((a + c) % 30 for a in range(30)), 30) for c in range(10)
+    )
+    system = ReserveSystem(30, 10, (3,) * 10, rankings)
+    assert da_allocate(system).matched_count() == 30
+    assert sum(1 for a in range(30) for _ in promotions(system, a)) == 290
+    assert report_no_incentive_to_hide(da_allocate, system).trials == 200
+    assert report_respect_improvements(da_allocate, system).trials == 200
+    report = report_independence_of_baseline(
+        lambda system, order: rev_allocate(base_of(system), order), system
+    )
+    assert report.trials == 20
 
 
 def test_corpus_contains_required_witnesses(da_gap, contested_pair):

@@ -197,3 +197,10 @@ def chain_instance(num_agents: int) -> SequentialReserveSystem:
         preferential=frozenset(),
         precedence=PrecedenceOrder((n,) + tuple(range(n))),
     )
+
+
+def oversized_instance() -> ReserveSystem:
+    """Twelve agents eligible everywhere in three categories: the oracle's
+    space estimate, 4 ** 12 = 16,777,216, exceeds ``harness.ORACLE_BOUND``."""
+    everyone = PriorityRanking(tuple(range(12)), 12)
+    return ReserveSystem(12, 3, (4, 4, 4), (everyone,) * 3)

@@ -51,6 +51,7 @@ LAYERS = {
 PER_STEP = ("quotient_search", "invariants")  # layers timed once per scu step
 SEEDS = range(7100, 7104)  # one instance per seed and workload
 REPEATS = 5  # timed solves of each instance per run
+OVERHEAD_CALLS = 20000  # no-op calls timed each way by timer_overhead
 
 
 def _layers(workload: str) -> dict:
@@ -133,22 +134,22 @@ def measure() -> dict:
     return samples
 
 
-def timer_overhead(calls: int = 20000) -> str:
+def timer_overhead() -> str:
     """The CPU time one timed call adds: a ``LayerClock`` timer around a
-    no-op against the bare no-op, over ``calls`` calls of each."""
+    no-op against the bare no-op, over ``OVERHEAD_CALLS`` calls of each."""
     target = types.SimpleNamespace(noop=lambda: None)
 
     def cpu_seconds() -> float:
         noop, start = target.noop, time.process_time()
-        for _ in range(calls):
+        for _ in range(OVERHEAD_CALLS):
             noop()
         return time.process_time() - start
 
     bare = cpu_seconds()
     with layer_timing.LayerClock({"noop": (target, "noop")}).patched():
         timed = cpu_seconds()
-    per_call_us = max(timed - bare, 0.0) / calls * 1e6
-    return f"{per_call_us:.2f} CPU microseconds per timed call, over {calls} no-op calls"
+    per_call_us = max(timed - bare, 0.0) / OVERHEAD_CALLS * 1e6
+    return f"{per_call_us:.2f} CPU microseconds per timed call, over {OVERHEAD_CALLS} no-op calls"
 
 
 if __name__ == "__main__":
