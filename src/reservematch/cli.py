@@ -305,6 +305,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise InstanceError(f"unknown axiom {name!r}")
     if "all" in named and len(named) > 1:
         raise InstanceError("--axiom all names every applicable axiom; give it alone")
+    for i, name in enumerate(named):
+        if name in named[:i]:
+            raise InstanceError(f"--axiom {name} is named twice")
     system = parse_instance(_read_text(args.instance))
     matching = parse_matching(_read_text(args.matching), system)
     names = axioms.applicable(system) if named == ["all"] else named

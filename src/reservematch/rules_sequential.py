@@ -198,7 +198,7 @@ def scu_allocate(
     seq = as_sequential(system)
     state: Union[SCUState, SCUNetworkState]
     if impl == "bipartite":
-        state = scu_state_init(seq)
+        state = SCUState(seq)
     elif impl in ("flow", "compact"):
         state = SCUNetworkState(seq, impl == "compact")
     else:
@@ -313,8 +313,8 @@ class SCUNetworkState(FixLedger):
 
 class SCUState(FixLedger):
     """Working state of the ``bipartite`` rule: the evolving matching on the
-    eligibility graph, the fix ledger, the two maxima and the rows of the
-    category quotient of the residual reserve network:
+    eligibility graph (built once, here), the fix ledger, the two maxima and
+    the rows of the category quotient of the residual reserve network:
 
     * ``via[d][e]``: the unfixed members of d eligible for e. Every member of
       d is eligible for d, so ``via[d][d]`` is the set ``unfixed[d]``, the
@@ -343,10 +343,10 @@ class SCUState(FixLedger):
     1 the open class leads nowhere, as no open category holds anyone.
     """
 
-    def __init__(self, seq: SequentialReserveSystem, graph: EligibilityGraph):
+    def __init__(self, system: AnySystem):
+        self.seq = seq = as_sequential(system)
         super().__init__(seq.num_categories)
-        self.seq = seq
-        self.graph = graph
+        self.graph = graph = build_graph(seq.base)
         k = graph.num_categories
         self.mu = mu = GraphMatching(graph.num_agents, k)
         self.unfixed: list[set[int]] = [set() for _ in range(k)]
@@ -450,13 +450,6 @@ class SCUState(FixLedger):
 
     def trace_fields(self) -> dict:
         return {"matching": list(self.mu.assignment)}
-
-
-def scu_state_init(system: AnySystem) -> SCUState:
-    """The ``bipartite`` rule's working state: the eligibility graph, built
-    once, and the dual maximum matching the state builds on its rows."""
-    seq = as_sequential(system)
-    return SCUState(seq, build_graph(seq.base))
 
 
 # A move: (agent, its category before the step, its category after), with

@@ -271,12 +271,15 @@ _ALONE = "error: --axiom all names every applicable axiom; give it alone\n"
         (["eligibility", "all"], _ALONE),
         (["all", "respect-precedence"], _ALONE),
         (["all", "all"], _ALONE),
+        (["eligibility", "eligibility"], "error: --axiom eligibility is named twice\n"),
     ],
-    ids=["unknown", "unknown-beside-all", "all-after-a-name", "all-before-a-name", "all-twice"],
+    ids=["unknown", "unknown-beside-all", "all-after-a-name", "all-before-a-name", "all-twice",
+         "a-name-twice"],
 )
 def test_check_refuses_axiom_names_before_reading_a_file(capsys, tmp_path, names, err):
-    """An unknown name, or ``all`` beside another name, exits 2 with its own
-    message before the instance is read: here neither file exists."""
+    """An unknown name, ``all`` beside another name, or a name given twice
+    exits 2 with its own message before the instance is read: here neither
+    file exists."""
     missing = str(tmp_path / "missing.json")
     argv = ["check", "-i", missing, "-m", missing]
     for name in names:

@@ -40,7 +40,7 @@ def test_every_timer_target_resolves_in_src(script):
             assert callable(getattr(home, name, None)), f"{script}: {layer} times {name}"
 
 
-COUNTS = ("hk_passes", "timed_calls")  # samples that are call counts, not seconds
+COUNTS = ("hk_passes",)  # samples that are call counts, not seconds
 
 
 @pytest.mark.parametrize("script", TIMERS)
@@ -48,18 +48,28 @@ def test_every_timer_measures_its_layers_and_they_sum_to_the_total(monkeypatch, 
     """Each timer's ``measure()`` on its fewest ops, one seed or size and
     one repeat, in this process: the samples are keyed by the script's
     layers, and in every op the layers' own times are non-negative and sum
-    to the op's total."""
+    to the op's total. Each layer is a phase, entered at most twice per op
+    (the dual maximum's two stages): a timed call costs microseconds, and a
+    layer entered once per step would skew the split it reports."""
     timer = importlib.import_module(script)
     monkeypatch.setattr(timer, "REPEATS", 1)
     for name in ("SEEDS", "SIZES"):
         if hasattr(timer, name):
             monkeypatch.setattr(timer, name, getattr(timer, name)[:1])
+    entered = []
+    run = layer_timing.LayerClock.run
+
+    def counted_run(clock, op, *args, **kwargs):
+        result = run(clock, op, *args, **kwargs)
+        entered.append(dict(clock.calls))
+        return result
+
+    monkeypatch.setattr(layer_timing.LayerClock, "run", counted_run)
     rows = list(layer_timing._rows(timer.measure()))
-    assert rows
+    assert rows and entered
+    for calls in entered:
+        assert max(calls.values()) <= 2, calls
     for path, layers in rows:
-        if path[0] in COUNTS:  # bench_solve's per-step call counts
-            assert tuple(layers) == timer.PER_STEP
-            continue
         expected = timer.LAYERS[path[0]] if isinstance(timer.LAYERS, dict) else timer.LAYERS
         assert tuple(layers) == expected, path
         own = [samples for layer, samples in layers.items() if layer not in ("total", *COUNTS)]

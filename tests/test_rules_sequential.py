@@ -37,11 +37,11 @@ from reservematch.rules_sequential import (
     FIXED,
     NO_CHANGE,
     SCUNetworkState,
+    SCUState,
     dual_maximum_matching,
     scu_allocate,
     scu_bipartite_step,
     scu_feasibility_check,
-    scu_state_init,
 )
 
 IMPLS = ("flow", "compact", "bipartite")
@@ -425,7 +425,7 @@ def test_check_certifies_maxima_without_hopcroft_karp(rule, tmp_path, monkeypatc
     assert capsys.readouterr().out == certified
 
 
-def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
+def test_scu_state_builds_the_graph_once(grouped_six, monkeypatch):
     from reservematch import rules_sequential
 
     _, b, m = dual_maximum_matching(grouped_six)
@@ -437,7 +437,7 @@ def test_scu_state_init_builds_the_graph_once(grouped_six, monkeypatch):
         return build_graph(system)
 
     monkeypatch.setattr(rules_sequential, "build_graph", counting_build)
-    state = scu_state_init(grouped_six)
+    state = SCUState(grouped_six)
     assert len(built) == 1 and state.graph == build_graph(grouped_six.base)
     assert (state.b, state.m) == (b, m)
 
@@ -476,7 +476,7 @@ def test_start_agrees_with_hopcroft_karp():
             tier_scheme=rng.choice(["equal", "strict", "random:2", "random:3"]),
             seed=rng.randrange(1 << 30),
         ).build())
-        state = scu_state_init(seq)
+        state = SCUState(seq)
         mu = state.mu
         _, b, m = dual_maximum_matching(seq)
         assert (state.b, state.m) == (b, m)
@@ -672,7 +672,7 @@ def _assert_dual_maximum(system, init):
 
 
 def test_step_case_already_matched(grouped_six):
-    state = scu_state_init(grouped_six)
+    state = SCUState(grouped_six)
     agent = next(a for a in range(6) if state.mu.assignment[a] == 0)
     before = list(state.mu.assignment)
     assert scu_bipartite_step(grouped_six, state, agent, 0) == FIXED
@@ -689,7 +689,7 @@ def test_step_case_unmatched_displaces():
         preferential=frozenset(),
         precedence=PrecedenceOrder((0,)),
     )
-    state = scu_state_init(system)
+    state = SCUState(system)
     state.move(0, None)
     state.move(1, 0)
     assert scu_bipartite_step(system, state, 0, 0) == FIXED
@@ -705,7 +705,7 @@ def test_step_no_change_when_all_branches_fail():
         preferential=frozenset(),
         precedence=PrecedenceOrder((0,)),
     )
-    state = scu_state_init(system)
+    state = SCUState(system)
     assert state.mu.assignment[0] == 0
     assert scu_bipartite_step(system, state, 0, 0) == FIXED
     before = list(state.mu.assignment)
@@ -716,7 +716,7 @@ def test_step_no_change_when_all_branches_fail():
 
 def test_step_reroute_case(grouped_six):
     """An agent matched elsewhere is pulled in while its old seat refills."""
-    state = scu_state_init(grouped_six)
+    state = SCUState(grouped_six)
     # drive processing of c0 to completion, then fix the first c1 candidate
     for agent in grouped_six.base.eligible_agents(0):
         if state.fixed_count[0] == 1:
@@ -741,7 +741,7 @@ def test_step_agrees_with_feasibility_check():
     rng = random.Random(31337)
     for _ in range(200):
         seq = as_sequential(random_sequential(rng))
-        state = scu_state_init(seq)
+        state = SCUState(seq)
         for c in seq.precedence.strict_sequence():
             for agent in seq.base.eligible_agents(c):
                 if agent in state.in_x:
@@ -789,7 +789,7 @@ def test_quotient_rows_follow_every_step():
             "tied tiers": len(set(seq.precedence.tier_of)) < seq.num_categories,
             "all preferential": len(seq.preferential) == seq.num_categories > 1,
         }.items())
-        state = scu_state_init(seq)
+        state = SCUState(seq)
         for c in seq.precedence.strict_sequence():
             for agent in seq.base.eligible_agents(c):
                 if agent in state.in_x:
@@ -821,7 +821,7 @@ def _step_with_a_cycle(monkeypatch):
     rng = random.Random(2612)
     for _ in range(500):
         seq = as_sequential(random_sequential(rng))
-        state = scu_state_init(seq)
+        state = SCUState(seq)
         for c in seq.precedence.strict_sequence():
             for agent in seq.base.eligible_agents(c):
                 if agent in state.in_x:
@@ -914,7 +914,7 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
             seed=1,
         ).build()
         searches.clear()
-        scu_state_init(system)
+        SCUState(system)
         # the start: at least the last, failing search of each stage
         assert len(searches) >= 2
         assert max(expanded for _, _, expanded in searches) <= 10 + 3, n
@@ -1057,7 +1057,7 @@ def test_one_quotient_search_finds_the_reference_paths(monkeypatch):
     ]
     for spec in specs:
         seq = as_sequential(spec.build())
-        state = scu_state_init(seq)
+        state = SCUState(seq)
         for c in seq.precedence.strict_sequence():
             for agent in seq.base.eligible_agents(c):
                 if agent in state.in_x:
