@@ -153,9 +153,6 @@ class GraphMatching:
             gm.seat(c, agents)
         return gm
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GraphMatching) and self.assignment == other.assignment
-
     def __repr__(self) -> str:
         pairs = {a: c for a, c in enumerate(self.assignment) if c is not None}
         return f"GraphMatching({pairs})"

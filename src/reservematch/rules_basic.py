@@ -20,10 +20,6 @@ from .bipartite import (
 from .model import InstanceError, Matching, Record, ReserveSystem
 
 
-class PrefsNotEligible(InstanceError):
-    """A preference list names a category the agent is not eligible for."""
-
-
 class InvalidSeed(InstanceError):
     """Seed matching violates capacities or eligibility."""
 
@@ -36,45 +32,12 @@ class NotMaximumSeed(InstanceError):
 # Deferred acceptance
 
 
-def default_preferences(system: ReserveSystem) -> tuple[tuple[int, ...], ...]:
-    """Ascending category index over each agent's eligible set."""
-    return build_graph(system).agent_adj
-
-
-def _validate_preferences(
-    system: ReserveSystem, prefs: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    if len(prefs) != system.num_agents:
-        raise InstanceError(
-            f"expected {system.num_agents} preference lists, got {len(prefs)}"
-        )
-    out = []
-    for a, (lst, adj) in enumerate(zip(prefs, build_graph(system).agent_adj)):
-        eligible = set(adj)
-        for c in lst:
-            if c not in eligible:
-                raise PrefsNotEligible(
-                    f"agent {a} lists category {c} but is not eligible for it"
-                )
-        if len(set(lst)) != len(lst) or set(lst) != eligible:
-            raise InstanceError(
-                f"agent {a}'s preference list is not a permutation of their "
-                f"eligible categories"
-            )
-        out.append(tuple(lst))
-    return tuple(out)
-
-
-def da_allocate(
-    system: ReserveSystem, prefs: Optional[Sequence[Sequence[int]]] = None
-) -> Matching:
-    """Deferred acceptance: unmatched agents propose down their preference
-    lists; each category re-selects its tentative holders plus the round's
-    applicants by priority up to capacity."""
-    if prefs is None:
-        ranked = default_preferences(system)
-    else:
-        ranked = _validate_preferences(system, prefs)
+def da_allocate(system: ReserveSystem) -> Matching:
+    """Deferred acceptance in ascending category index: unmatched agents
+    propose down their eligible categories in index order; each category
+    re-selects its tentative holders plus the round's applicants by
+    priority up to capacity."""
+    ranked = build_graph(system).agent_adj
     held: list[Optional[int]] = [None] * system.num_agents
     pointer = [0] * system.num_agents
     holders: list[list[int]] = [[] for _ in range(system.num_categories)]

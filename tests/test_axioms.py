@@ -514,6 +514,11 @@ def test_oracle_mode_bound():
         )
 
 
+def test_unknown_search_mode(grouped_six):
+    with pytest.raises(ValueError, match="^unknown search mode 'x'$"):
+        axioms.check_respect_precedence(grouped_six, Matching((None,) * 6), search="x")
+
+
 def test_flow_and_oracle_modes_agree():
     rng = random.Random(2121)
     for _ in range(60):

@@ -104,6 +104,11 @@ def test_hide_categories_structure(grouped_six):
         assert [a for a in after.priorities[c].eligible()] == keep
 
 
+def test_hide_categories_rejects_an_ineligible_agent(contested_pair):
+    with pytest.raises(ValueError, match="^agent 2 is not eligible for category 0$"):
+        hide_categories(contested_pair, 2, [0])
+
+
 def test_promotions_cover_swaps_and_unhide(contested_pair):
     perturbed = list(promotions(contested_pair, 0))
     # agent 0: one upward swap at c0 (position 1 -> 0), one unhide at c1

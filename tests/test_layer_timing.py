@@ -26,11 +26,11 @@ TIMERS = sorted(path.stem for path in (ROOT / "tools").glob("bench_*.py"))
 def test_every_timer_target_resolves_in_src(script):
     """A timer looks its (module, attribute) pairs up only when it runs, so
     a renamed function would break it unseen: each pair of each layer map
-    (one per workload where a script has several) names a function of the
+    (one per kind of op where a script has several) names a function of the
     ``reservematch`` under test."""
     timer = importlib.import_module(script)
-    if isinstance(timer.LAYERS, dict):  # one layer map per workload
-        maps = [timer._layers(workload) for workload in timer.LAYERS]
+    if hasattr(timer, "MAPS"):  # bench_ops: one layer map per kind of op
+        maps = [timer._layers(name) for name in timer.MAPS]
     else:
         maps = [timer._layers()]
     for layers in maps:
@@ -38,9 +38,6 @@ def test_every_timer_target_resolves_in_src(script):
             module = sys.modules[getattr(home, "__module__", home.__name__)]
             assert pathlib.Path(module.__file__).is_relative_to(ROOT / "src"), (script, layer)
             assert callable(getattr(home, name, None)), f"{script}: {layer} times {name}"
-
-
-COUNTS = ("hk_passes",)  # samples that are call counts, not seconds
 
 
 @pytest.mark.parametrize("script", TIMERS)
@@ -70,9 +67,12 @@ def test_every_timer_measures_its_layers_and_they_sum_to_the_total(monkeypatch, 
     for calls in entered:
         assert max(calls.values()) <= 2, calls
     for path, layers in rows:
-        expected = timer.LAYERS[path[0]] if isinstance(timer.LAYERS, dict) else timer.LAYERS
+        if hasattr(timer, "MAPS"):  # bench_ops: rows by workload and kind, each on its map
+            expected = (*timer._layers(timer.map_name(*path)), "rest", "total")
+        else:
+            expected = timer.LAYERS
         assert tuple(layers) == expected, path
-        own = [samples for layer, samples in layers.items() if layer not in ("total", *COUNTS)]
+        own = [samples for layer, samples in layers.items() if layer != "total"]
         for op, total in enumerate(layers["total"]):
             assert min(samples[op] for samples in own) >= -1e-9, (path, op)
             assert sum(samples[op] for samples in own) == pytest.approx(total, abs=1e-9), (path, op)
@@ -124,8 +124,8 @@ def _at(tree, path):
     return tree
 
 
-# a flat timer nests samples by layer, bench_solve.py and bench_precedence.py
-# by workload or size then layer, bench_check.py by shape, kind, then layer
+# a flat timer nests samples by layer, bench_precedence.py by size then
+# layer, bench_ops.py by workload, kind, then layer
 @pytest.mark.parametrize("path", [(), ("2000",), ("mma-large", "refute")])
 def test_children_samples_merge_and_summarise_at_each_depth(path):
     samples: dict = {}

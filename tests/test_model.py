@@ -116,6 +116,24 @@ def test_tier_count_mismatch():
 
 
 @pytest.mark.parametrize(
+    "capacities, rankings, message",
+    [((1,), 2, "expected 2 capacities, got 1"), ((1, 1), 1, "expected 2 rankings, got 1")],
+    ids=["capacities", "rankings"],
+)
+def test_reserve_system_needs_a_capacity_and_a_ranking_per_category(
+    capacities, rankings, message
+):
+    ranking = PriorityRanking((0, 1), 2)
+    with pytest.raises(InstanceError, match=f"^{message}$"):
+        ReserveSystem(2, 2, capacities, (ranking,) * rankings)
+
+
+def test_sequential_system_needs_a_tier_per_category(contested_pair):
+    with pytest.raises(TierCountMismatch, match="^expected 2 tiers, got 1$"):
+        SequentialReserveSystem(contested_pair, frozenset(), PrecedenceOrder((0,)))
+
+
+@pytest.mark.parametrize(
     "field, value, message",
     [
         ("categories", "", "categories must be an array"),

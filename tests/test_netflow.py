@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import re
 import signal
 from collections import Counter, deque
 from operator import lt
@@ -247,6 +248,43 @@ def test_compact_decode_requires_ledger_pin(grouped_six):
     assert flow.total > 0
     with pytest.raises(DecodeAmbiguity):
         flow_to_matching(cn, flow)
+
+
+def test_decode_rejects_an_agent_carrying_two_units(grouped_six):
+    rn = build_reserve_network(grouped_six)
+    edges = assign_edge_map(rn)
+    values = [0] * rn.network.num_edges()
+    values[edges[1, 0]] = values[edges[1, 1]] = 1  # agent 1's group into c0 and c1
+    with pytest.raises(DecodeAmbiguity, match="^agent 1 carries two units$"):
+        flow_to_matching(rn, Flow(tuple(values), 2))
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(-1, 1), (2, 1)], ids=["negative-lower", "upper-below-lower"]
+)
+def test_add_edges_rejects_bad_bounds_before_adding_any_edge(lower, upper):
+    network = BoundedFlowNetwork(2, 0, 1)
+    message = re.escape(f"bad bounds ({lower}, {upper}) on edge 1->0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        network.add_edges([0, 1], [1, 0], [0, lower], [1, upper])
+    assert network.num_edges() == 0
+
+
+# flow values on the path source 0 -> 1 -> sink 2, each edge bounded [0, 2]
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1], "1 flow values for 2 edges"),
+        ([3, 3], "edge 0 flow 3 outside [0, 2]"),
+        ([2, 1], "conservation violated at node 1"),
+    ],
+    ids=["wrong-length", "out-of-bounds", "not-conserved"],
+)
+def test_verify_rejects_a_flow_that_breaks_the_network(values, message):
+    network = BoundedFlowNetwork(3, 0, 2)
+    network.add_edges([0, 1], [1, 2], [0, 0], [2, 2])
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        _verify(network, values)
 
 
 def test_compact_decode_equals_full_on_distinct_sets():

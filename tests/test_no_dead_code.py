@@ -12,6 +12,12 @@ called by the language, so they are walked with their class. A definition
 that only dead code names is dead too. The few definitions that only
 something outside the package reaches are listed in ``ALLOWED``, each with
 its reason; an entry that is reached again, or gone, must leave the list.
+
+A parameter with a default is dead the same way when no call in the package
+passes it: every caller gets the default, and the code for other values
+runs only in tests. Calls match by name here too: a call to a function's
+name, or a class's, may pass each parameter by keyword, by position, or
+through ``*`` or ``**``.
 """
 
 from __future__ import annotations
@@ -79,9 +85,13 @@ def _exports(tree: ast.Module) -> Iterator[str]:
             yield from ast.literal_eval(node.value)
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unreached() -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     definitions: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -121,3 +131,73 @@ def test_every_definition_is_referenced_in_the_package():
 def test_the_allow_list_names_only_unreferenced_definitions():
     stale = sorted(set(ALLOWED) - _unreached())
     assert not stale, f"reached or gone, so no longer allowed: {stale}"
+
+
+ENTRY_PARAMETERS = {("main", "argv")}  # cli.main's argv: the command line's entry point
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _functions(tree: ast.Module) -> Iterator[tuple[ast.AST, ast.ClassDef | None]]:
+    """Each function of ``tree``, with the class whose method it is."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update((id(child), node) for child in node.body)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, methods.get(id(node))
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may pass ``param``, the callee's ``index``-th
+    positional argument (None when it is keyword-only)."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def _unpassed_parameters() -> list[str]:
+    """``function(parameter)`` of each defaulted parameter of a function,
+    method or ``__init__`` in the package that no call in the package passes."""
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
+
+    unpassed = []
+    for tree in trees.values():
+        for fn, owner in _functions(tree):
+            if fn.name in ALLOWED:
+                continue
+            names = {fn.name}
+            if owner and fn.name == "__init__":
+                names.add(owner.name)
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = int(owner is not None and not static)  # self or cls, not in the call
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(arg.arg, index - bound) for index, arg in enumerate(positional)
+                         if index >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(arg.arg, None) for arg, default in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            for param, index in defaulted:
+                if (fn.name, param) in ENTRY_PARAMETERS:
+                    continue
+                if not any(_passes(call, param, index)
+                           for name in names for call in calls.get(name, [])):
+                    unpassed.append(f"{fn.name}({param})")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    unpassed = _unpassed_parameters()
+    assert not unpassed, f"defaulted parameters no call in src passes: {unpassed}"

@@ -30,11 +30,9 @@ from reservematch.rules_basic import (
     SKIPPED,
     MMATrace,
     NotMaximumSeed,
-    PrefsNotEligible,
     TraceEntry,
     _validate_permutation,
     da_allocate,
-    default_preferences,
     mma_allocate,
     rev_allocate,
 )
@@ -62,17 +60,6 @@ def random_system(rng, max_agents=5, max_categories=3):
 # deferred acceptance
 
 
-def test_da_first_category_preference(contested_pair):
-    # agent 1 prefers c0; agent 0 is pushed out and has nowhere else to go
-    out = da_allocate(contested_pair, prefs=((0,), (0, 1), (1,)))
-    assert out == Matching((None, 0, 1))
-
-
-def test_da_second_category_preference(contested_pair):
-    out = da_allocate(contested_pair, prefs=((0,), (1, 0), (1,)))
-    assert out == Matching((0, 1, None))
-
-
 def test_da_no_eligible_agents():
     system = ReserveSystem(
         2, 2, (1, 1), (PriorityRanking((0, 1), 0), PriorityRanking((0, 1), 0))
@@ -81,32 +68,8 @@ def test_da_no_eligible_agents():
 
 
 def test_da_default_prefs_ascending(contested_pair):
-    assert default_preferences(contested_pair) == ((0,), (0, 1), (1,))
+    # agent 1 proposes to c0 first; agent 0 is pushed out and has nowhere else to go
     assert da_allocate(contested_pair) == Matching((None, 0, 1))
-
-
-def test_da_rejects_ineligible_pref(contested_pair):
-    with pytest.raises(PrefsNotEligible):
-        da_allocate(contested_pair, prefs=((0, 1), (0, 1), (1,)))
-
-
-def test_da_preference_errors_name_the_first_bad_agent(contested_pair):
-    # agent 1 repeats a category before agent 2 lists an ineligible one
-    with pytest.raises(InstanceError, match="agent 1's preference list"):
-        da_allocate(contested_pair, prefs=((0,), (0, 0), (0,)))
-    # an ineligible category is named before the list's repeat
-    with pytest.raises(PrefsNotEligible, match="agent 2 lists category 0"):
-        da_allocate(contested_pair, prefs=((0,), (0, 1), (0, 0)))
-
-
-def test_da_validates_long_chain_preferences_without_ranking_scans():
-    """Validating the 2000-agent chain's preference lists reads the
-    eligibility graph (``ReserveSystem`` has no per-agent scan of all 2001
-    rankings), and the default lists give the default matching."""
-    chain = chain_instance(2000).base
-    prefs = default_preferences(chain)
-    expected = da_allocate(chain)
-    assert da_allocate(chain, prefs) == expected
 
 
 def test_da_three_axioms_hold_but_cardinality_can_fail(da_gap):
@@ -127,13 +90,10 @@ def test_da_three_axioms_on_sweep():
         assert all(v.passed for v in verdicts), (system, out)
 
 
-def _da_reference(system, prefs=None):
+def _da_reference(system):
     """Deferred acceptance as it was before it kept each category's holders:
     every round rescans all agents, and every category all its holders."""
-    if prefs is None:
-        ranked = tuple(agent_categories(system, a) for a in range(system.num_agents))
-    else:
-        ranked = tuple(tuple(lst) for lst in prefs)
+    ranked = tuple(agent_categories(system, a) for a in range(system.num_agents))
     held = [None] * system.num_agents
     pointer = [0] * system.num_agents
 
@@ -169,10 +129,6 @@ def test_da_equals_reference():
             seed=trial,
         ).build()
         assert da_allocate(system) == _da_reference(system), trial
-        prefs = [list(adj) for adj in default_preferences(system)]
-        for lst in prefs:
-            rng.shuffle(lst)
-        assert da_allocate(system, prefs) == _da_reference(system, prefs), trial
     chain = chain_instance(500).base
     assert da_allocate(chain) == _da_reference(chain)
 

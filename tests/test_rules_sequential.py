@@ -585,6 +585,12 @@ def test_scu_zero_capacity(impl):
     assert scu_allocate(system, impl=impl) == Matching((None, None))
 
 
+def test_scu_rejects_an_unknown_implementation(grouped_six):
+    message = "unknown implementation 'x'; expected one of ('flow', 'compact', 'bipartite')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scu_allocate(grouped_six, impl="x")
+
+
 def test_scu_basic_coercion_axioms(contested_pair):
     """On a plain instance the rule degenerates to a priority-respecting
     maximum-cardinality rule; it need not equal the adjustment rule's output
