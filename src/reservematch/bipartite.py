@@ -18,6 +18,7 @@ takes over).
 from __future__ import annotations
 
 from collections import deque
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .model import Matching, Record, ReserveSystem
@@ -175,9 +176,18 @@ def maximum_matching(
     is exactly what the first phase's searches do, because with nobody
     matched every agent sits at layer 0 and no member of a full category
     sits at layer 1, so the search from an agent can only end at a free
-    slot of one of its own categories. Which maximum matching is returned
-    is part of the output of ``mma`` and ``rev``: the visit order of every
-    phase must not change.
+    slot of one of its own categories. The pass seats each category's
+    agents with one ``seat``, in index order, so every member set is
+    filled in the order one ``assign`` per agent would fill it.
+
+    A phase starts only while some category has a free slot. Every
+    augmenting path ends at one, so with none the layered search finds no
+    path: the matching fills every slot, is maximum, and is returned as it
+    stands. Which maximum matching is returned is part of the output of
+    ``mma`` and ``rev``: the visit order of every phase must not change.
+    ``tests/test_bipartite.py`` compares the matching, the loads and the
+    member sets with a frozen reference that has neither the greedy pass
+    nor the stop.
     """
     if seed is not None:
         match = seed.copy()
@@ -189,11 +199,22 @@ def maximum_matching(
     adj = graph.agent_adj
 
     if match._size == 0:
+        free = list(caps)
+        seated: list[list[int]] = [[] for _ in caps]
         for a, cats in enumerate(adj):
             for c in cats:
-                if load[c] < caps[c]:
-                    match.assign(a, c)
+                if free[c] > 0:
+                    free[c] -= 1
+                    seated[c].append(a)
                     break
+        for c, agents in enumerate(seated):
+            match.seat(c, agents)
+
+    def has_free_slot() -> bool:
+        return any(map(lt, load, caps))
+
+    if not has_free_slot():
+        return match
 
     inf = n + 1  # above every layer
     dist = [inf] * n
@@ -284,7 +305,7 @@ def maximum_matching(
             steps.append(moves(b))
         return False
 
-    while bfs():
+    while has_free_slot() and bfs():
         dead.clear()
         for a in active:
             if assignment[a] is None:

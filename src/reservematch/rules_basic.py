@@ -186,6 +186,15 @@ def mma_allocate(
     category that ranks them higher. Each (agent, category) pair is checked
     at most once; a displaced agent re-enters the proposal pool. A seed
     ``initial`` is checked here for eligibility, capacities and maximality.
+
+    Without a seed the start is one ``maximum_matching`` run: its greedy
+    first phase seats each category's agents at once, and it starts no
+    phase once every slot is full, so the matching is the one its frozen
+    reference in ``tests/test_bipartite.py`` returns. The adjustment then
+    reads ranks from the rankings' ``eligible_ranks()`` and moves agents on
+    a flat copy of the assignment, since a displacement leaves every load
+    as it was. ``tests/test_rules_basic.py`` compares the output and the
+    trace with a reference copy of the rule.
     """
     graph = build_graph(system)
     if initial is None:
@@ -228,24 +237,31 @@ def mma_allocate(
         for rank, c in enumerate(order):
             cat_rank[c] = rank
         cats_of = [sorted(adj, key=cat_rank.__getitem__) for adj in graph.agent_adj]
-    position = [ranking.position for ranking in system.priorities]
+    # Every agent looked up is eligible: a proposer for its own categories,
+    # and an occupant of a matching on the eligibility graph (a seed is
+    # checked above).
+    rank = [ranking.eligible_ranks() for ranking in system.priorities]
     eligible = [system.eligible_agents(c) for c in range(system.num_categories)]
-    # Per category, a heap of its occupants' negated positions, the lowest
-    # priority on top. Every occupant is eligible (a seed is checked above),
-    # so a position indexes the eligible prefix: the occupant at -p
-    # is eligible[c][p].
+    # Per category, a heap of its occupants' negated ranks, the lowest
+    # priority on top: the occupant at -p is eligible[c][p].
     occupants = [
-        [-position[c](b) for b in match.members[c]]
+        [-rank[c][b] for b in match.members[c]]
         for c in range(system.num_categories)
     ]
     for heap in occupants:
         heapq.heapify(heap)
 
-    capacities, load, assignment = graph.capacities, match.load, match.assignment
+    # A displacement swaps one agent for another inside a full category, so
+    # the loads never change and the adjustment works on the assignment
+    # alone.
+    capacities, load = graph.capacities, match.load
+    assignment = list(match.assignment)
     # An agent proposes down cats_of[agent] and never to the same category
     # twice, so what it has proposed to is a prefix: proposed[agent] long.
     proposed = [0] * system.num_agents
     log: list[TraceEntry] = []
+    # tuple.__new__ builds a TraceEntry without its Python-level __new__
+    entry = tuple.__new__
     # An agent joins the pool when it is unmatched and leaves it before it
     # is matched, so every pop is an unmatched agent. One with no category
     # would propose nothing, so it never joins.
@@ -267,14 +283,14 @@ def mma_allocate(
             heap = occupants[c]
             if not heap:
                 continue  # zero-capacity category
-            pos = position[c](agent)
+            pos = rank[c][agent]
             if pos < -heap[0]:
                 lowest = eligible[c][-heapq.heapreplace(heap, -pos)]
-                match.unassign(lowest)
-                match.assign(agent, c)
-                log.append(TraceEntry(agent, c, DISPLACED, lowest))
+                assignment[lowest] = None
+                assignment[agent] = c
+                log.append(entry(TraceEntry, (agent, c, DISPLACED, lowest)))
                 heapq.heappush(pool, agent_rank[lowest])
                 break
-            log.append(TraceEntry(agent, c, SKIPPED))
+            log.append(entry(TraceEntry, (agent, c, SKIPPED, None)))
         proposed[agent] = i
-    return match.to_matching(), MMATrace(initial_matching, tuple(log))
+    return Matching(tuple(assignment)), MMATrace(initial_matching, tuple(log))

@@ -404,6 +404,9 @@ def _random_seed(rng: random.Random, graph: EligibilityGraph, kind: str):
 def test_maximum_matching_equals_reference_on_random_graphs():
     rng = random.Random(2024)
     kinds = ("none", "empty", "partial")
+    # how the phase loop ended: with every slot full (no further phase
+    # starts) or with a free slot left (the last search found no path)
+    ends = {"every slot full": 0, "a free slot left": 0}
     for trial in range(2400):
         graph = searched = _random_graph(rng)
         mask = None
@@ -417,6 +420,40 @@ def test_maximum_matching_equals_reference_on_random_graphs():
         got = maximum_matching(searched, seed)
         assert got.assignment == expected.assignment, (trial, graph, seed, mask)
         assert got.load == expected.load and got.size() == expected.size()
+        # mma's heaps and rev's cuts read the member sets
+        assert got.members == expected.members, (trial, graph, seed, mask)
+        full = got.load == list(searched.capacities)
+        ends["every slot full" if full else "a free slot left"] += 1
+    assert all(ends.values()), ends
+
+
+def test_maximum_matching_runs_no_search_once_every_slot_is_full(monkeypatch):
+    """Counts, not timings: a phase starts only while some category has a
+    free slot. On the mma-large shape at seed 5 the greedy pass fills all
+    2000 slots, so no layered search runs; at seed 1 it fills 1998, one
+    phase fills the rest, and the search after it, which could find no
+    path, is not run."""
+    from reservematch import bipartite
+
+    queues = []
+
+    class CountingDeque(deque):
+        def __init__(self, *args):
+            queues.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bipartite, "deque", CountingDeque)
+    for seed, greedy, searches in ((5, 2000, 0), (1, 1998, 1)):
+        graph = build_graph(GeneratorSpec(4000, 10, "const:200", 0.1, seed=seed).build())
+        free = list(graph.capacities)
+        for cats in graph.agent_adj:
+            taken = next((c for c in cats if free[c]), None)
+            if taken is not None:
+                free[taken] -= 1
+        assert sum(graph.capacities) - sum(free) == greedy, seed
+        queues.clear()
+        assert maximum_matching(graph).size() == sum(graph.capacities) == 2000
+        assert len(queues) == searches, seed
 
 
 def test_maximum_matching_equals_reference_at_scale():
