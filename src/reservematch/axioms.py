@@ -44,10 +44,6 @@ NAMES = (*FUNDAMENTAL, *SEQUENTIAL, ORDER_PRESERVATION_HYBRID)
 _NEED_MAXIMA = frozenset((MAX_CARDINALITY, MAX_BENEFICIARY, RESPECT_PRECEDENCE))
 
 
-class NotHybridInstance(InstanceError):
-    """The instance carries no hybrid open-category split."""
-
-
 class AxiomVerdict(Record):
     __slots__ = _fields = ("axiom", "passed", "witness")
     axiom: str
@@ -376,7 +372,7 @@ def check_order_preservation_hybrid(
     category. O(n + edges + K²), plus O(n) for the witness."""
     seq = as_sequential(system)
     if seq.hybrid is None:
-        raise NotHybridInstance("instance carries no hybrid marker")
+        raise InstanceError("instance carries no hybrid marker")
     base = seq.base
     early, late = seq.hybrid.open_early, seq.hybrid.open_late
     held_before = seq.preferential | early

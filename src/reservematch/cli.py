@@ -44,7 +44,7 @@ from .rules_sequential import DEFAULT_IMPL, IMPLEMENTATIONS, scu_allocate
 RULES = ("da", "rev", "mma", "scu")
 
 # Errors that mean the input was bad (exit 2), as opposed to a failed check.
-_INPUT_ERRORS = (InstanceError, OSError, json.JSONDecodeError)
+_INPUT_ERRORS = (InstanceError, OSError)
 
 _INTEGER = re.compile(r"-?[0-9]+")
 

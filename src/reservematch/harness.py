@@ -33,12 +33,13 @@ from .model import (
 ORACLE_BOUND = 10_000_000
 
 
-class SpaceTooLarge(InstanceError):
-    """The enumeration estimate exceeds ``ORACLE_BOUND``."""
-
-
 class MatchingSpace:
-    """Iterator over every capacity- and eligibility-respecting matching."""
+    """Iterator over every capacity- and eligibility-respecting matching.
+
+    Only agents eligible somewhere are enumerated; every other agent stays
+    unmatched. Each enumerated agent at least doubles the estimate, so the
+    recursion is at most log2(``ORACLE_BOUND``) deep, however many agents
+    the instance has."""
 
     def __init__(self, system: AnySystem):
         self.base = base_of(system)
@@ -47,25 +48,28 @@ class MatchingSpace:
         for eligible in agent_adj:
             estimate *= 1 + len(eligible)
             if estimate > ORACLE_BOUND:
-                raise SpaceTooLarge(f"estimated space exceeds bound {ORACLE_BOUND}")
-        self._options = [(None,) + eligible for eligible in agent_adj]
+                raise InstanceError(f"estimated space exceeds bound {ORACLE_BOUND}")
+        self._options = [
+            (agent, (None,) + eligible) for agent, eligible in enumerate(agent_adj) if eligible
+        ]
 
     def __iter__(self) -> Iterator[Matching]:
-        base = self.base
-        loads = [0] * base.num_categories
-        assignment: list[Optional[int]] = [None] * base.num_agents
+        capacities = self.base.capacities
+        loads = [0] * self.base.num_categories
+        assignment: list[Optional[int]] = [None] * self.base.num_agents
 
-        def rec(agent: int) -> Iterator[Matching]:
-            if agent == base.num_agents:
+        def rec(i: int) -> Iterator[Matching]:
+            if i == len(self._options):
                 yield Matching(tuple(assignment))
                 return
-            for option in self._options[agent]:
+            agent, options = self._options[i]
+            for option in options:
                 if option is not None:
-                    if loads[option] == base.capacities[option]:
+                    if loads[option] == capacities[option]:
                         continue
                     loads[option] += 1
                 assignment[agent] = option
-                yield from rec(agent + 1)
+                yield from rec(i + 1)
                 if option is not None:
                     loads[option] -= 1
                 assignment[agent] = None

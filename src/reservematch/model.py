@@ -23,26 +23,6 @@ class InstanceError(ValueError):
     """Instance or matching data failed validation."""
 
 
-class DuplicateAgentInRanking(InstanceError):
-    pass
-
-
-class RankingIncomplete(InstanceError):
-    pass
-
-
-class NegativeCapacity(InstanceError):
-    pass
-
-
-class UnknownCategoryInPreferential(InstanceError):
-    pass
-
-
-class TierCountMismatch(InstanceError):
-    pass
-
-
 class Record:
     """Base of the immutable value types.
 
@@ -161,7 +141,7 @@ class ReserveSystem(Record):
             )
         for c, q in enumerate(self.capacities):
             if q < 0:
-                raise NegativeCapacity(f"category {c} has negative capacity {q}")
+                raise InstanceError(f"category {c} has negative capacity {q}")
         n = self.num_agents
         everyone = set(range(n))
         for c, ranking in enumerate(self.priorities):
@@ -173,16 +153,14 @@ class ReserveSystem(Record):
             seen: set[int] = set()
             for a in ranking.ordered_agents:
                 if a in seen:
-                    raise DuplicateAgentInRanking(
+                    raise InstanceError(
                         f"agent {a} appears twice in the ranking of category {c}"
                     )
                 if not 0 <= a < self.num_agents:
-                    raise RankingIncomplete(
-                        f"ranking of category {c} names unknown agent {a}"
-                    )
+                    raise InstanceError(f"ranking of category {c} names unknown agent {a}")
                 seen.add(a)
             if len(seen) != self.num_agents:
-                raise RankingIncomplete(
+                raise InstanceError(
                     f"ranking of category {c} lists {len(seen)} of "
                     f"{self.num_agents} agents"
                 )
@@ -255,11 +233,9 @@ class SequentialReserveSystem(Record):
         self._init(base, preferential, precedence, hybrid)
         for c in self.preferential:
             if not 0 <= c < self.base.num_categories:
-                raise UnknownCategoryInPreferential(
-                    f"preferential set names unknown category {c}"
-                )
+                raise InstanceError(f"preferential set names unknown category {c}")
         if len(self.precedence.tier_of) != self.base.num_categories:
-            raise TierCountMismatch(
+            raise InstanceError(
                 f"expected {self.base.num_categories} tiers, got "
                 f"{len(self.precedence.tier_of)}"
             )
@@ -471,9 +447,7 @@ def _validate_instance(raw: Mapping[str, Any]) -> AnySystem:
     )
     tiers = _typed(raw["tiers"], list, "tiers") if has_tiers else [0] * num_categories
     if len(tiers) != num_categories:
-        raise TierCountMismatch(
-            f"expected {num_categories} tiers, got {len(tiers)}"
-        )
+        raise InstanceError(f"expected {num_categories} tiers, got {len(tiers)}")
     hybrid = None
     if has_hybrid:
         marker = _typed(raw["hybrid"], dict, "hybrid")
@@ -525,6 +499,8 @@ def instance_to_raw(system: AnySystem) -> dict[str, Any]:
 def _json_data(text: str) -> Any:
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(str(exc)) from None
     except RecursionError:
         raise InstanceError("JSON nested too deeply") from None
 

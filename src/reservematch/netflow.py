@@ -26,11 +26,6 @@ from .bipartite import build_graph
 from .model import Matching, Record, SequentialReserveSystem
 
 
-class DecodeAmbiguity(ValueError):
-    """A flow unit names no single agent: it sits on a group of several
-    agents, or on an agent that already has an assignment."""
-
-
 class Flow(Record):
     """Integral per-edge flow values plus the total leaving the source."""
 
@@ -457,8 +452,8 @@ def build_compact_network(system: SequentialReserveSystem) -> ReserveNetwork:
 def flow_to_matching(reserve: ReserveNetwork, flow: Flow) -> Matching:
     """Decode a flow into a matching, one category's edge range at a time:
     each unit on a single-agent group is that agent's assignment. A unit on
-    a group of several agents names no agent and is rejected as
-    ambiguous."""
+    a group of several agents names no agent, and decoding it is a caller's
+    mistake (ValueError)."""
     assignment: list[Optional[int]] = [None] * len(reserve.group_of)
     values, group_members = flow.values, reserve.group_members
     for c, (groups, start) in enumerate(zip(reserve.category_groups, reserve.assign_start)):
@@ -466,11 +461,9 @@ def flow_to_matching(reserve: ReserveNetwork, flow: Flow) -> Matching:
         for k, carried in compress(zip(groups, units), units):
             members = group_members[k]
             if len(members) > 1:
-                raise DecodeAmbiguity(
-                    f"group {k} carries {carried} units into category {c}"
-                )
+                raise ValueError(f"group {k} carries {carried} units into category {c}")
             if assignment[members[0]] is not None:
-                raise DecodeAmbiguity(f"agent {members[0]} carries two units")
+                raise ValueError(f"agent {members[0]} carries two units")
             assignment[members[0]] = c
     return Matching(tuple(assignment))
 

@@ -20,14 +20,6 @@ from .bipartite import (
 from .model import InstanceError, Matching, Record, ReserveSystem
 
 
-class InvalidSeed(InstanceError):
-    """Seed matching violates capacities or eligibility."""
-
-
-class NotMaximumSeed(InstanceError):
-    """The supplied initial matching is not maximum-cardinality."""
-
-
 # ---------------------------------------------------------------------------
 # Deferred acceptance
 
@@ -202,16 +194,16 @@ def mma_allocate(
     else:
         for agent, c in enumerate(initial.assignment):
             if c is not None and not system.is_eligible(agent, c):
-                raise InvalidSeed(f"seed matches agent {agent} to ineligible category {c}")
+                raise InstanceError(f"seed matches agent {agent} to ineligible category {c}")
         for c, load in enumerate(initial.load):
             if load > system.capacities[c]:
-                raise InvalidSeed(
+                raise InstanceError(
                     f"seed overfills category {c}: {load} > {system.capacities[c]}"
                 )
         match = initial.copy()
         best = maximum_matching(graph, seed=match)
         if best.size() != match.size():
-            raise NotMaximumSeed(
+            raise InstanceError(
                 f"seed has {match.size()} matched agents, maximum is {best.size()}"
             )
     initial_matching = match.to_matching()

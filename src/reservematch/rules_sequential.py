@@ -402,7 +402,7 @@ class SCUState(FixLedger):
                 self.move(x, target)
 
     def step(self, agent: int, c: int) -> str:
-        return scu_bipartite_step(self.seq, self, agent, c)
+        return scu_bipartite_step(self, agent, c)
 
     def _rows_at(self, here: Optional[int]) -> Union[list[set[int]], defaultdict[int, set[int]]]:
         """The rows that list an unfixed agent at ``here`` (None: unmatched),
@@ -457,9 +457,7 @@ class SCUState(FixLedger):
 Move = tuple[int, Optional[int], Optional[int]]
 
 
-def scu_bipartite_step(
-    system: AnySystem, state: SCUState, agent: int, category: int
-) -> str:
+def scu_bipartite_step(state: SCUState, agent: int, category: int) -> str:
     """One candidate evaluation while ``category`` is being processed.
 
     An agent already matched there is fixed in place. Otherwise the step
@@ -478,7 +476,6 @@ def scu_bipartite_step(
     category is full, as m is maximum, and not all fixed, or the loop would
     have stopped.
     """
-    seq = as_sequential(system)
     cur = state.mu.assignment[agent]
     moves: list[Move] = []
     if cur != category:
@@ -490,7 +487,7 @@ def scu_bipartite_step(
         for x, _, target in moves:
             state.move(x, target)
     state.fix(agent, category)
-    _check_state(seq, state, moves + [(agent, cur, category)])
+    _check_state(state, moves + [(agent, cur, category)])
     return FIXED
 
 
@@ -591,21 +588,19 @@ def _any(row: set[int]) -> int:
     return agent
 
 
-def _check_state(
-    seq: SequentialReserveSystem, state: SCUState, moves: Sequence[Move]
-) -> None:
+def _check_state(state: SCUState, moves: Sequence[Move]) -> None:
     """Invariants after one fix, checked on what the step changed: the last
     fix and the ``moves`` (the candidate's last), O(deg) per moved agent.
     Each moved agent's quotient rows match its category and fixed status:
     every ``free`` row, and the ``via`` rows of its old and new category."""
-    mu, free, via = state.mu, state.free, state.via
+    mu, free, via, caps = state.mu, state.free, state.via, state.seq.capacities
     agent, c = state.X[-1]
     assert mu.assignment[agent] == c, f"agent {agent} not placed in category {c}"
     for x, old, here in moves:
         assert x == agent or x not in state.in_x, f"fixed agent {x} moved"
         assert mu.assignment[x] == here, f"agent {x} not moved to {here}"
         if here is not None:
-            assert mu.load[here] <= seq.capacities[here], f"category {here} over capacity"
+            assert mu.load[here] <= caps[here], f"category {here} over capacity"
         unfixed = here is not None and x not in state.in_x
         left = via[old] if old is not None and old != here else None
         held = via[here] if here is not None else None

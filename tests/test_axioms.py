@@ -620,7 +620,7 @@ def test_witness_soundness():
 
 
 def test_hybrid_requires_marker(grouped_six):
-    with pytest.raises(axioms.NotHybridInstance):
+    with pytest.raises(InstanceError, match="^instance carries no hybrid marker$"):
         axioms.check_order_preservation_hybrid(grouped_six, Matching((None,) * 6))
 
 

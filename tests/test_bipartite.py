@@ -21,8 +21,8 @@ from reservematch.bipartite import (
     maximum_matching,
 )
 from reservematch.cli import GeneratorSpec
-from reservematch.model import PriorityRanking, ReserveSystem, as_sequential
-from reservematch.rules_basic import InvalidSeed, mma_allocate
+from reservematch.model import InstanceError, PriorityRanking, ReserveSystem, as_sequential
+from reservematch.rules_basic import mma_allocate
 
 
 def brute_force_max(graph) -> int:
@@ -119,18 +119,18 @@ def test_invalid_seed_rejected(contested_pair):
     # agent order first, then capacities
     bad = GraphMatching(3, 2)
     bad.assign(2, 0)  # agent 2 is not eligible for category 0
-    with pytest.raises(InvalidSeed, match="^seed matches agent 2 to ineligible category 0$"):
+    with pytest.raises(InstanceError, match="^seed matches agent 2 to ineligible category 0$"):
         mma_allocate(contested_pair, initial=bad)
     over = GraphMatching(3, 2)
     over.assign(0, 0)
     over.assign(1, 0)
-    with pytest.raises(InvalidSeed, match=r"^seed overfills category 0: 2 > 1$"):
+    with pytest.raises(InstanceError, match=r"^seed overfills category 0: 2 > 1$"):
         mma_allocate(contested_pair, initial=over)
     both = GraphMatching(3, 2)
     both.assign(0, 0)
     both.assign(1, 0)
     both.assign(2, 0)
-    with pytest.raises(InvalidSeed, match="ineligible category 0$"):
+    with pytest.raises(InstanceError, match="^seed matches agent 2 to ineligible category 0$"):
         mma_allocate(contested_pair, initial=both)
 
 

@@ -757,15 +757,16 @@ def test_empty_list_element_exits_2(capsys, corpus_dir, option, value):
 
 @pytest.mark.parametrize(
     "content",
-    [b"[" * 200000, b'{"agents": "\xff"}', b"[]"],
-    ids=["deep", "not-utf8", "top-level-list"],
+    [b"[" * 200000, b'{"agents": "\xff"}', b"[]", b'{\n  "agents": 3,\n'],
+    ids=["deep", "not-utf8", "top-level-list", "truncated"],
 )
 @pytest.mark.parametrize(
     "role", ["solve-instance", "check-instance", "check-matching", "seed-matching"]
 )
 def test_unreadable_json_exits_2(capsys, corpus_dir, tmp_path, role, content):
-    """A file nested too deeply for the JSON parser, not UTF-8 at all, or
-    valid JSON that is not an object, is bad input wherever it is read."""
+    """A file nested too deeply for the JSON parser, not UTF-8 at all,
+    valid JSON that is not an object, or cut short, is bad input wherever it
+    is read."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     instance = str(corpus_dir / "contested_pair.json")
@@ -1205,6 +1206,27 @@ def test_refused_input_exits_2_with_its_message(capsys, corpus_dir, tmp_path, ca
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == err and captured.out == ""
+
+
+def test_oracle_search_skips_thousands_of_agents_eligible_nowhere(capsys, tmp_path):
+    """Agents eligible nowhere leave the oracle's estimate as it is, so an
+    instance within the bound can have thousands of them; the oracle does
+    not enumerate them and agrees with the flow search."""
+    raw = {
+        "agents": 3000,
+        "categories": [
+            {"id": 0, "capacity": 1, "ranking": list(range(3000)), "eligible_cutoff": 1}
+        ],
+        "tiers": [0],
+    }
+    instance, matching = tmp_path / "instance.json", tmp_path / "matching.json"
+    instance.write_text(json.dumps(raw))
+    matching.write_text('{"assignment": {"0": 0}}')
+    for search in ("oracle", "flow"):
+        code = main(["check", "-i", str(instance), "-m", str(matching),
+                     "--axiom", "respect-precedence", "--search", search])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, "respect-precedence: pass\n", ""), search
 
 
 _GEN_CASES = [(option, value) for value in _NO_VALUE for option in _value_options("gen")]

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from util import agent_categories, oversized_instance, report_ok
+from util import agent_categories, oversized_instance, report_ok, sweep_instance
 
 from reservematch.cli import GeneratorSpec
 from reservematch.harness import (
     ORACLE_BOUND,
     MatchingSpace,
-    SpaceTooLarge,
     corpus,
     hide_categories,
     oracle_maxima,
@@ -20,7 +20,7 @@ from reservematch.harness import (
     report_no_incentive_to_hide,
     report_respect_improvements,
 )
-from reservematch.model import Matching, PriorityRanking, ReserveSystem, base_of
+from reservematch.model import InstanceError, Matching, PriorityRanking, ReserveSystem, base_of
 from reservematch.rules_basic import da_allocate, mma_allocate, rev_allocate
 from reservematch.rules_sequential import scu_allocate
 
@@ -36,8 +36,30 @@ def test_matching_space_exhaustive(contested_pair):
     )
 
 
+def test_matching_space_enumerates_in_product_order():
+    """The oracle's order is the product over the agents of (unmatched, then
+    each eligible category ascending), capacity-violating combinations
+    dropped: the first matching in it is the ``--search oracle`` witness.
+    Agents eligible nowhere and categories of capacity 0 are among the
+    draws."""
+    rng = random.Random(5150)
+    drawn = {"eligible nowhere": False, "capacity 0": False}
+    for _ in range(300):
+        base = base_of(sweep_instance(rng))
+        options = [(None,) + agent_categories(base, a) for a in range(base.num_agents)]
+        drawn["eligible nowhere"] |= (None,) in options
+        drawn["capacity 0"] |= 0 in base.capacities
+        expected = [
+            Matching(combo)
+            for combo in itertools.product(*options)
+            if all(combo.count(c) <= q for c, q in enumerate(base.capacities))
+        ]
+        assert list(MatchingSpace(base)) == expected, base
+    assert all(drawn.values()), drawn
+
+
 def test_matching_space_bound():
-    with pytest.raises(SpaceTooLarge, match=f"^estimated space exceeds bound {ORACLE_BOUND}$"):
+    with pytest.raises(InstanceError, match=f"^estimated space exceeds bound {ORACLE_BOUND}$"):
         MatchingSpace(oversized_instance())
     # one agent fewer: 4 ** 11 is within the bound, so the space is built
     MatchingSpace(ReserveSystem(11, 3, (4, 4, 4), (PriorityRanking(tuple(range(11)), 11),) * 3))

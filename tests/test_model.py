@@ -17,18 +17,13 @@ from reservematch import axioms, model
 from reservematch.axioms import run_checks
 
 from reservematch.model import (
-    DuplicateAgentInRanking,
     HybridMarker,
     InstanceError,
     Matching,
-    NegativeCapacity,
     PrecedenceOrder,
     PriorityRanking,
-    RankingIncomplete,
     ReserveSystem,
     SequentialReserveSystem,
-    TierCountMismatch,
-    UnknownCategoryInPreferential,
     _integer,
     _typed,
     as_sequential,
@@ -83,36 +78,53 @@ def test_validate_sequential_instance():
 def test_duplicate_agent_in_ranking():
     raw = _contested_pair_raw()
     raw["categories"][0]["ranking"] = [1, 1, 2]
-    with pytest.raises(DuplicateAgentInRanking, match="category 0"):
+    with pytest.raises(InstanceError, match="^agent 1 appears twice in the ranking of category 0$"):
         validate_instance(raw)
 
 
 def test_ranking_incomplete():
     raw = _contested_pair_raw()
     raw["categories"][1]["ranking"] = [1, 2]
-    with pytest.raises(RankingIncomplete, match="category 1"):
+    with pytest.raises(InstanceError, match="^ranking of category 1 lists 2 of 3 agents$"):
         validate_instance(raw)
 
 
 def test_negative_capacity():
     raw = _contested_pair_raw()
     raw["categories"][1]["capacity"] = -2
-    with pytest.raises(NegativeCapacity, match="category 1"):
+    with pytest.raises(InstanceError, match="^category 1 has negative capacity -2$"):
         validate_instance(raw)
 
 
 def test_unknown_preferential_category():
     raw = _contested_pair_raw()
     raw["preferential"] = [5]
-    with pytest.raises(UnknownCategoryInPreferential, match="5"):
+    with pytest.raises(InstanceError, match="^preferential set names unknown category 5$"):
         validate_instance(raw)
 
 
 def test_tier_count_mismatch():
     raw = _contested_pair_raw()
     raw["tiers"] = [0]
-    with pytest.raises(TierCountMismatch):
+    with pytest.raises(InstanceError, match="^expected 2 tiers, got 1$"):
         validate_instance(raw)
+
+
+def test_malformed_json_is_an_instance_error_with_the_decoder_message(contested_pair):
+    """Text the JSON decoder rejects is bad input like any other: an
+    ``InstanceError`` carrying the decoder's own message, for an instance
+    and for a matching."""
+    truncated = matching_to_json(Matching((None, 0, 1)))[:-2]
+    for parse, text in (
+        (parse_instance, "{"),
+        (lambda text: parse_matching(text, contested_pair), truncated),
+    ):
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(text)
+        with pytest.raises(InstanceError) as caught:
+            parse(text)
+        assert type(caught.value) is InstanceError
+        assert str(caught.value) == str(decoded.value), text
 
 
 @pytest.mark.parametrize(
@@ -129,7 +141,7 @@ def test_reserve_system_needs_a_capacity_and_a_ranking_per_category(
 
 
 def test_sequential_system_needs_a_tier_per_category(contested_pair):
-    with pytest.raises(TierCountMismatch, match="^expected 2 tiers, got 1$"):
+    with pytest.raises(InstanceError, match="^expected 2 tiers, got 1$"):
         SequentialReserveSystem(contested_pair, frozenset(), PrecedenceOrder((0,)))
 
 
@@ -466,21 +478,24 @@ def test_rank_maps_match_full_position_map():
         assert repr(ranking) == repr(fresh)
 
 
+# ``fault`` labels which check fires, and keeps each case's id as it was
+# when the checks raised classes of these names; every one now raises
+# ``InstanceError``.
 @pytest.mark.parametrize(
-    "ranking, cutoff, error, message",
+    "ranking, cutoff, fault, message",
     [
-        ((1, 1, 2), 2, DuplicateAgentInRanking, "agent 1 appears twice in the ranking of category 1"),
-        ((0, 1, 2, 0), 2, DuplicateAgentInRanking, "agent 0 appears twice in the ranking of category 1"),
-        ((1, 1, 7), 2, DuplicateAgentInRanking, "agent 1 appears twice in the ranking of category 1"),
-        ((7, 1, 1), 2, RankingIncomplete, "ranking of category 1 names unknown agent 7"),
-        ((0, -1, 2), 2, RankingIncomplete, "ranking of category 1 names unknown agent -1"),
-        ((1, 2), 2, RankingIncomplete, "ranking of category 1 lists 2 of 3 agents"),
-        ((), 0, RankingIncomplete, "ranking of category 1 lists 0 of 3 agents"),
-        ((0, 1, 2), 4, InstanceError, "category 1 cutoff 4 out of range"),
-        ((0, 1, 2), -1, InstanceError, "category 1 cutoff -1 out of range"),
+        ((1, 1, 2), 2, "DuplicateAgentInRanking", "agent 1 appears twice in the ranking of category 1"),
+        ((0, 1, 2, 0), 2, "DuplicateAgentInRanking", "agent 0 appears twice in the ranking of category 1"),
+        ((1, 1, 7), 2, "DuplicateAgentInRanking", "agent 1 appears twice in the ranking of category 1"),
+        ((7, 1, 1), 2, "RankingIncomplete", "ranking of category 1 names unknown agent 7"),
+        ((0, -1, 2), 2, "RankingIncomplete", "ranking of category 1 names unknown agent -1"),
+        ((1, 2), 2, "RankingIncomplete", "ranking of category 1 lists 2 of 3 agents"),
+        ((), 0, "RankingIncomplete", "ranking of category 1 lists 0 of 3 agents"),
+        ((0, 1, 2), 4, "InstanceError", "category 1 cutoff 4 out of range"),
+        ((0, 1, 2), -1, "InstanceError", "category 1 cutoff -1 out of range"),
     ],
 )
-def test_ranking_validation_messages(ranking, cutoff, error, message):
+def test_ranking_validation_messages(ranking, cutoff, fault, message):
     raw = _contested_pair_raw()
     raw["categories"][1].update(ranking=list(ranking), eligible_cutoff=cutoff)
     for build in (
@@ -489,15 +504,17 @@ def test_ranking_validation_messages(ranking, cutoff, error, message):
             3, 2, (1, 1), (PriorityRanking((1, 0, 2), 2), PriorityRanking(ranking, cutoff))
         ),
     ):
-        with pytest.raises(error) as caught:
+        with pytest.raises(InstanceError) as caught:
             build()
-        assert type(caught.value) is error and str(caught.value) == message
+        assert type(caught.value) is InstanceError and str(caught.value) == message, fault
 
 
 # ``ReserveSystem.__init__``, ``_validate_instance`` and ``validate_instance``
 # as they were with three passes per ranking (``len(set(r))``, ``min``,
-# ``max``) and a set-of-types check, kept line for line but for names and
-# docstrings: every error they raised, and its message, must stay the same.
+# ``max``) and a set-of-types check, kept line for line but for names,
+# docstrings and the one error class every bad input now raises
+# (``InstanceError``): every error they raised, and its message, must stay
+# the same.
 class _ReserveSystemReference(ReserveSystem):
     __slots__ = ()
 
@@ -513,7 +530,7 @@ class _ReserveSystemReference(ReserveSystem):
             )
         for c, q in enumerate(self.capacities):
             if q < 0:
-                raise NegativeCapacity(f"category {c} has negative capacity {q}")
+                raise InstanceError(f"category {c} has negative capacity {q}")
         n = self.num_agents
         for c, ranking in enumerate(self.priorities):
             r = ranking.ordered_agents
@@ -526,16 +543,16 @@ class _ReserveSystemReference(ReserveSystem):
             seen = set()
             for a in ranking.ordered_agents:
                 if a in seen:
-                    raise DuplicateAgentInRanking(
+                    raise InstanceError(
                         f"agent {a} appears twice in the ranking of category {c}"
                     )
                 if not 0 <= a < self.num_agents:
-                    raise RankingIncomplete(
+                    raise InstanceError(
                         f"ranking of category {c} names unknown agent {a}"
                     )
                 seen.add(a)
             if len(seen) != self.num_agents:
-                raise RankingIncomplete(
+                raise InstanceError(
                     f"ranking of category {c} lists {len(seen)} of "
                     f"{self.num_agents} agents"
                 )
@@ -598,7 +615,7 @@ def _validate_instance_body_reference(raw):
     )
     tiers = _typed(raw["tiers"], list, "tiers") if has_tiers else [0] * num_categories
     if len(tiers) != num_categories:
-        raise TierCountMismatch(
+        raise InstanceError(
             f"expected {num_categories} tiers, got {len(tiers)}"
         )
     hybrid = None

@@ -29,7 +29,6 @@ from reservematch.rules_basic import (
     DISPLACED,
     SKIPPED,
     MMATrace,
-    NotMaximumSeed,
     TraceEntry,
     _validate_permutation,
     da_allocate,
@@ -424,7 +423,7 @@ def test_mma_fixed_point(contested_pair):
 
 def test_mma_rejects_non_maximum_seed(contested_pair):
     seed = seed_matching((0, None, None), 2)
-    with pytest.raises(NotMaximumSeed):
+    with pytest.raises(InstanceError, match="^seed has 1 matched agents, maximum is 2$"):
         mma_allocate(contested_pair, initial=seed)
 
 
@@ -486,7 +485,7 @@ def _mma_reference(system, initial=None, agent_order=None, category_order=None):
         match = initial.copy()
         best = maximum_matching(graph, seed=match)
         if best.size() != match.size():
-            raise NotMaximumSeed(
+            raise InstanceError(
                 f"seed has {match.size()} matched agents, maximum is {best.size()}"
             )
     initial_matching = match.to_matching()

@@ -681,7 +681,7 @@ def test_step_case_already_matched(grouped_six):
     state = SCUState(grouped_six)
     agent = next(a for a in range(6) if state.mu.assignment[a] == 0)
     before = list(state.mu.assignment)
-    assert scu_bipartite_step(grouped_six, state, agent, 0) == FIXED
+    assert scu_bipartite_step(state, agent, 0) == FIXED
     assert list(state.mu.assignment) == before
     assert state.X == [(agent, 0)]
 
@@ -698,7 +698,7 @@ def test_step_case_unmatched_displaces():
     state = SCUState(system)
     state.move(0, None)
     state.move(1, 0)
-    assert scu_bipartite_step(system, state, 0, 0) == FIXED
+    assert scu_bipartite_step(state, 0, 0) == FIXED
     assert state.mu.assignment[0] == 0 and state.mu.assignment[1] is None
 
 
@@ -713,9 +713,9 @@ def test_step_no_change_when_all_branches_fail():
     )
     state = SCUState(system)
     assert state.mu.assignment[0] == 0
-    assert scu_bipartite_step(system, state, 0, 0) == FIXED
+    assert scu_bipartite_step(state, 0, 0) == FIXED
     before = list(state.mu.assignment)
-    assert scu_bipartite_step(system, state, 1, 0) == NO_CHANGE
+    assert scu_bipartite_step(state, 1, 0) == NO_CHANGE
     assert state.X == [(0, 0)]
     assert list(state.mu.assignment) == before
 
@@ -728,12 +728,12 @@ def test_step_reroute_case(grouped_six):
         if state.fixed_count[0] == 1:
             break
         if agent not in state.in_x:
-            scu_bipartite_step(grouped_six, state, agent, 0)
+            scu_bipartite_step(state, agent, 0)
     assert state.mu.assignment[1] == 0
     candidates = [a for a in grouped_six.base.eligible_agents(1) if a not in state.in_x]
     fixed = None
     for agent in candidates:
-        if scu_bipartite_step(grouped_six, state, agent, 1) == FIXED:
+        if scu_bipartite_step(state, agent, 1) == FIXED:
             fixed = agent
             break
     assert fixed == 3
@@ -757,7 +757,7 @@ def test_step_agrees_with_feasibility_check():
                 expected = scu_feasibility_check(
                     seq, state.X, agent, c, state.b, state.m
                 )
-                assert (scu_bipartite_step(seq, state, agent, c) == FIXED) == expected
+                assert (scu_bipartite_step(state, agent, c) == FIXED) == expected
 
 
 def _quotient_rows(state):
@@ -811,7 +811,7 @@ def test_quotient_rows_follow_every_step():
 
 
 def _step_with_a_cycle(monkeypatch):
-    """(seq, state, moves) right after the first step whose cycle moves an
+    """(state, moves) right after the first step whose cycle moves an
     agent other than the candidate from one category to another, with the
     ``moves`` the step handed to ``_check_state``."""
     from reservematch import rules_sequential
@@ -819,8 +819,8 @@ def _step_with_a_cycle(monkeypatch):
     check = rules_sequential._check_state
     seen = []
 
-    def record(seq, state, moves):
-        check(seq, state, moves)
+    def record(state, moves):
+        check(state, moves)
         seen.append(list(moves))
 
     monkeypatch.setattr(rules_sequential, "_check_state", record)
@@ -841,7 +841,7 @@ def _step_with_a_cycle(monkeypatch):
                     for _, old, here in seen[0][:-1]
                 ):
                     monkeypatch.setattr(rules_sequential, "_check_state", check)
-                    return seq, state, seen[0]
+                    return state, seen[0]
     raise AssertionError("no step moved an agent between two categories")
 
 
@@ -851,7 +851,7 @@ def test_invariant_check_names_each_corrupted_row(monkeypatch):
     corrupted, and the state passes again once it is undone."""
     from reservematch.rules_sequential import _check_state
 
-    seq, state, moves = _step_with_a_cycle(monkeypatch)
+    state, moves = _step_with_a_cycle(monkeypatch)
     agent, c = state.X[-1]
     x, old, here = next(
         (x, old, here) for x, old, here in moves[:-1]
@@ -866,15 +866,15 @@ def test_invariant_check_names_each_corrupted_row(monkeypatch):
          "discard"),
         ("a matched agent in a free row", x, "free", state.free, e, "add"),
     ]
-    _check_state(seq, state, moves)
+    _check_state(state, moves)
     for fault, member, name, rows, at, change in faults:
         row = rows[at]
         assert (member in row) == (change == "discard"), fault
         getattr(row, change)(member)
         with pytest.raises(AssertionError, match=re.escape(f"{name}[{at}] wrong for agent {member}")):
-            _check_state(seq, state, moves)
+            _check_state(state, moves)
         getattr(row, "discard" if change == "add" else "add")(member)
-        _check_state(seq, state, moves)
+        _check_state(state, moves)
 
 
 def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
@@ -902,9 +902,9 @@ def test_candidate_search_expands_at_most_k_plus_3_nodes(monkeypatch):
         searches.append((root, path, popped[0] - before))
         return path
 
-    def counted_step(system, state, agent, category):
+    def counted_step(state, agent, category):
         displaced[0] += state.mu.assignment[agent] != category
-        return step(system, state, agent, category)
+        return step(state, agent, category)
 
     monkeypatch.setattr(rules_sequential, "deque", CountingDeque)
     monkeypatch.setattr(rules_sequential, "_quotient_path", counted)
@@ -944,9 +944,9 @@ def test_start_places_most_candidates_in_place(monkeypatch):
     step = rules_sequential.scu_bipartite_step
     in_place = Counter()
 
-    def counted_step(system, state, agent, category):
+    def counted_step(state, agent, category):
         in_place[state.mu.assignment[agent] == category] += 1
-        return step(system, state, agent, category)
+        return step(state, agent, category)
 
     monkeypatch.setattr(rules_sequential, "scu_bipartite_step", counted_step)
     system = GeneratorSpec(1600, 10, "const:80", 0.3, 0.4, "random:3", seed=1).build()
